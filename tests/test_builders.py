@@ -1,5 +1,6 @@
 """Builder constructions: bounds, exact size metrics, and size formulas."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relu3d import builders
+from relu3d import blocks, builders
 from relu3d.builders import (WidthBudgetError, build_analytic_cube,
                              build_analytic_ellipse, build_clipped_hermite,
                              build_hermite_gauss, build_lp, build_poly1d,
@@ -15,10 +16,10 @@ from relu3d.builders import (WidthBudgetError, build_analytic_cube,
                              choose_hermite_params, expected_bound,
                              expected_size)
 from relu3d.hermite import hermite_eval, hermite_tail_bound
-from relu3d.net import evaluate_array, metrics
+from relu3d.net import evaluate_array, metrics, serialize
 from relu3d.polynd import PolyND
 from relu3d.targets import TargetSpec
-from relu3d.verify import gauss_l2_error, lp_error, sup_error
+from relu3d.verify import gauss_l2_error, lp_error, sup_error, sweep
 
 UNIT = np.linspace(0.0, 1.0, 4097)[:, None]
 
@@ -353,3 +354,183 @@ def test_builder_reports_carry_formula_ids():
     assert rep.bound_formula_id
     assert rep.inputs["H"] == 4
     assert rep.expected_metrics.depth == metrics(rep.net).depth
+
+
+# -- golden outputs ---------------------------------------------------------
+# One small config per theorem id: the sha256 of serialize(rep.net) and the
+# repr of the measured error and bound a sweep reports, recorded before the
+# theorem registry replaced the per-theorem dispatch.  Any drift means a
+# construction, a stated formula or a measurement changed.
+
+
+def _sha(net):
+    return hashlib.sha256(serialize(net).encode()).hexdigest()
+
+
+_GEO1 = TargetSpec.catalog("geometric-product", d=1)
+_GEO2 = TargetSpec.catalog("geometric-product", d=2)
+_RECIP = TargetSpec.catalog("reciprocal-shift")
+_COS = TargetSpec.catalog("cosine", domain="gaussian-line")
+_ABS_POW = TargetSpec.catalog("abs-power", domain="sym-cube")
+_ABS_SUM = TargetSpec.catalog("abs-sum", d=2, domain="sym-cube")
+_POLY2 = PolyND(2, {(0, 0): 0.25, (1, 0): -0.5, (1, 1): 1.0, (0, 2): 0.5}, 2)
+
+# case -> (theorem id, sweep params, the same build as a direct call)
+GOLDEN_CASES = {
+    "poly": ("poly", {"coeffs": [0.5, -1.0, 0.25, 2.0], "H": 4},
+             lambda: build_poly1d([0.5, -1.0, 0.25, 2.0], 4)),
+    "polyNd": ("polyNd", {"poly": _POLY2, "H": 4},
+               lambda: build_polyNd(_POLY2, 4)),
+    "smooth": ("smooth", {"target": _RECIP, "N": 3},
+               lambda: build_smooth1d(_RECIP, 3)),
+    "analytic-cube-d1": ("analytic-cube",
+                         {"target": _GEO1, "N": 3, "delta": 0.5},
+                         lambda: build_analytic_cube(_GEO1, 3, 0.5)),
+    "analytic-cube-d2": ("analytic-cube",
+                         {"target": _GEO2, "N": 3, "delta": 0.5, "d": 2},
+                         lambda: build_analytic_cube(_GEO2, 3, 0.5, d=2)),
+    "ellipse": ("ellipse", {"target": _RECIP, "N": 4, "rho": 4.0},
+                lambda: build_analytic_ellipse(_RECIP, 4, 4.0)),
+    "hermite": ("hermite", {"target": _COS, "N": 2},
+                lambda: build_hermite_gauss(_COS, 2)),
+    "trig-cos": ("trig", {"k": 3, "N2": 6, "kind": "cos"},
+                 lambda: build_trig(3, 6, kind="cos")),
+    "trig-sin": ("trig", {"k": 2, "N2": 6, "kind": "sin"},
+                 lambda: build_trig(2, 6, kind="sin")),
+    "lp-d1": ("lp", {"target": _ABS_POW, "N1": 4, "N2": 8},
+              lambda: build_lp(_ABS_POW, 4, 8)),
+    "lp-d2": ("lp", {"target": _ABS_SUM, "N1": 2, "N2": 6, "d": 2},
+              lambda: build_lp(_ABS_SUM, 2, 6, d=2)),
+}
+
+# case -> (sha256 of serialize, repr(measured), repr(bound))
+GOLDEN_VALUES = {
+    "analytic-cube-d1": (
+        "9386a751a5587fab3b3d26fd3e34af3a6ed7954831a9d1babd151150f80cae57",
+        "0.04166666666666663", "0.25"),
+    "analytic-cube-d2": (
+        "42002d8291e6d864f63cc8d2a7b414a2093e2c2fe886bb2c3f36daa36c4223e2",
+        "0.014030612244897933", "0.25"),
+    "ellipse": (
+        "c7c4839c2b672cd8b9bbd944998697442e7bab1c99de779f187576ae909747f2",
+        "0.00045079941976305937", "0.00390625"),
+    "hermite": (
+        "d3e67fd3c6e67a52ef6f7f503969bdba45c8b6bd78a53a1ae5180d9ff19923a1",
+        "0.1258919434848488", "0.36787944117144233"),
+    "lp-d1": (
+        "a1df6b748ca76dd1983046c919e42858b8317bc50d257ad4049c3f4bea331580",
+        "0.07302342990590396", "0.723804136770589"),
+    "lp-d2": (
+        "d27caf7e999960206335622f57d0ca921214f320b8aecf3dc0211a72c0c1d5e1",
+        "0.1670398863438914", "11.103850281699838"),
+    "poly": (
+        "d59fcc27ff7ebc1ef9e63bae6fe56f8a44f286ba0517d76d547c77e4aab71321",
+        "0.01318359375", "0.052734375"),
+    "polyNd": (
+        "5c963c7e494f5236fb5858857285cf9e862e34637ec45b01b8744376b8792ab9",
+        "0.005859375", "0.0087890625"),
+    "smooth": (
+        "764da7d726d3c8f630922d54c4366578b3d162388b2e0b94a2e7f8c1080d811f",
+        "0.0017823436581363983", "0.125"),
+    "trig-cos": (
+        "b27c5c89c362c1b0ed2e9553f038acfdb67c22bc71c8ec726d3b4c923987a56f",
+        "0.0003013950394026299", "0.015625"),
+    "trig-sin": (
+        "5b75f59d03576e14f439f9bc63fc6f0e6430b478a733f383581ae15a520294e2",
+        "7.844031909925997e-05", "0.015625"),
+}
+
+
+def golden_case_values(case):
+    theorem, params, build = GOLDEN_CASES[case]
+    fixed = dict(params)
+    name = next(iter(k for k in ("H", "N", "N2", "N1") if k in fixed))
+    value = fixed.pop(name)
+    (row,) = sweep(theorem, (name, [value]), fixed).rows
+    return _sha(build().net), repr(row.measured), repr(row.bound)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_builds_and_measurements(case):
+    assert golden_case_values(case) == GOLDEN_VALUES[case]
+
+
+def test_golden_cases_cover_every_theorem():
+    assert {t for t, _, _ in GOLDEN_CASES.values()} == set(
+        builders.THEOREM_IDS)
+
+
+# name -> (sha256 of serialize, the same net's constructor)
+GOLDEN_GADGETS = {
+    "periodic-fold-5": (
+        "ba2e0d13519f564881dd63e21c64554db2967c04791d217d0f1859664f4c6d84",
+        lambda: blocks.periodic_fold_net(5)),
+    "clip-window-3-0.5": (
+        "71a6ac683138b96e0b3083dac4ccbaf510f862f700ea92eed49ab1f0b6d8a53d",
+        lambda: blocks.clip_window_net(3.0, 0.5)),
+    "clipped-hermite-0": (
+        "0798f8be1ad06d5c648f676c0e51dcc84c1f318e07b5bb68f7f035cf6052a447",
+        lambda: build_clipped_hermite(0, 3.0, 0.5, 4).net),
+    "clipped-hermite-1": (
+        "76beefddd2241846d70f4f02a433f0402ae1e2d0c583c9485fc55387d47c3803",
+        lambda: build_clipped_hermite(1, 3.0, 0.5, 4).net),
+    "clipped-hermite-4": (
+        "8af31bc7c5bf99fd286c56d4e1e7173b8f389b89af407786b69ab7ebacbdf815",
+        lambda: build_clipped_hermite(4, 3.0, 0.5, 4).net),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GADGETS))
+def test_golden_gadget_hashes(name):
+    want, make = GOLDEN_GADGETS[name]
+    assert _sha(make()) == want
+
+
+# (id, params) -> repr of (width, depth, height) and of the stated bound
+GOLDEN_FORMULAS = [
+    ("poly", {"n": 3, "H": 4, "amax": 2.0}),
+    ("polyNd", {"n": 3, "H": 5, "d": 2, "amax": 0.75}),
+    ("smooth", {"N": 5}),
+    ("analytic-cube", {"N": 6, "delta": 0.25, "d": 2}),
+    ("ellipse", {"N": 7, "rho": 4.5, "d": 2}),
+    ("hermite", {"N": 5, "d": 1, "B": 0.7}),
+    ("trig", {"k": 5, "N2": 9}),
+    ("lp", {"N1": 6, "N2": 10, "d": 2, "r": 2, "omega": 0.03,
+            "norm": 1.7}),
+    ("baseline-poly", {"N": 7}),
+    ("baseline-analytic", {"N": 5, "d": 2, "delta": 0.5}),
+    ("baseline-ellipse", {"N": 6, "d": 2}),
+    ("baseline-hermite", {"N": 9}),
+]
+GOLDEN_FORMULA_VALUES = {
+    "poly": "(8, 2, 4, 0.052734375)",
+    "polyNd": "(281, 2, 5, 0.1522098653191586)",
+    "smooth": "(8, 5, 13, 0.03125)",
+    "analytic-cube": "(713, 5, 2, 0.35595703125)",
+    "ellipse": "(901, 6, 14, 0.0005844710622515605)",
+    "hermite": "(40, 5, 17, 0.2090362526821938)",
+    "trig": "(8, 10, 15, 0.001953125)",
+    "lp": "(216, 12, 16, 2.98875)",
+    "baseline-poly": "(1, 7, 1, 0.0078125)",
+    "baseline-analytic": "(1, 625, 1, 0.03125)",
+    "baseline-ellipse": "(1296, 36, 1, 0.015625)",
+    "baseline-hermite": "(0, 91, 1, 0.12491974060580747)",
+}
+
+
+def formula_row(theorem_id, params):
+    m = expected_size(theorem_id, params)
+    return repr((m.width, m.depth, m.height,
+                 expected_bound(theorem_id, params)))
+
+
+@pytest.mark.parametrize("theorem_id,params", GOLDEN_FORMULAS,
+                         ids=[t for t, _ in GOLDEN_FORMULAS])
+def test_golden_size_and_bound_formulas(theorem_id, params):
+    assert formula_row(theorem_id, params) == \
+        GOLDEN_FORMULA_VALUES[theorem_id]
+
+
+def test_golden_formulas_cover_every_id():
+    assert {t for t, _ in GOLDEN_FORMULAS} == set(
+        builders.THEOREM_IDS + builders.BASELINE_IDS)

@@ -1,6 +1,7 @@
 """Command-line front end: verbs, exit codes, artifacts, round-trips."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -149,3 +150,94 @@ def test_build_trig_and_verify_against_cosine(tmp_path):
     err = np.max(np.abs(evaluate_array(net, xs)
                         - np.cos(2 * np.pi * xs[:, 0])))
     assert err <= 2.0 ** -10
+
+
+# -- golden build reports ----------------------------------------------------
+# One small `relu3d build` per theorem id.  The sha256 of the network file
+# and of the report's bound, expected_metrics, inputs and meta were recorded
+# before the theorem registry replaced the per-theorem CLI dispatch.
+
+POLY_ND_DOC = {"coeffs_nd": {"[1, 1]": 1.0, "[2, 0]": 0.5, "[0, 0]": 0.25},
+               "H": 4}
+
+BUILD_CASES = {
+    "poly": ["--theorem", "poly", "--coeffs", "0.5,-1,0.25,2", "--H", "4"],
+    "polyNd": ["--theorem", "polyNd"],
+    "smooth": ["--theorem", "smooth", "--target", "reciprocal-shift",
+               "--N", "3"],
+    "analytic-cube-d1": ["--theorem", "analytic-cube", "--target",
+                         "geometric-product", "--N", "3", "--delta", "0.5"],
+    "analytic-cube-d2": ["--theorem", "analytic-cube", "--target",
+                         "geometric-product", "--d", "2", "--N", "3",
+                         "--delta", "0.5"],
+    "ellipse": ["--theorem", "ellipse", "--target", "reciprocal-shift",
+                "--N", "4", "--rho", "4.0"],
+    "hermite": ["--theorem", "hermite", "--target", "cosine", "--domain",
+                "gaussian-line", "--N", "2"],
+    "trig-cos": ["--theorem", "trig", "--k", "3", "--N2", "6", "--kind",
+                 "cos"],
+    "trig-sin": ["--theorem", "trig", "--k", "2", "--N2", "6", "--kind",
+                 "sin"],
+    "lp-d1": ["--theorem", "lp", "--target", "abs-power", "--domain",
+              "sym-cube", "--N1", "4", "--N2", "8"],
+    "lp-d2": ["--theorem", "lp", "--target", "abs-sum", "--d", "2",
+              "--domain", "sym-cube", "--N1", "2", "--N2", "6"],
+}
+
+# case -> (sha256 of the network file, sha256 of the report fields)
+BUILD_GOLDEN = {
+    "analytic-cube-d1": (
+        "9386a751a5587fab3b3d26fd3e34af3a6ed7954831a9d1babd151150f80cae57",
+        "4aaa5bb59211f2cbe2a9b631fe483d786fc42aae6eb87f15dcd63e03e5dca582"),
+    "analytic-cube-d2": (
+        "42002d8291e6d864f63cc8d2a7b414a2093e2c2fe886bb2c3f36daa36c4223e2",
+        "4d34b7d7dedfb167f6f262e686d599e2e99b0289046e1f3495b8b0147f73f66f"),
+    "ellipse": (
+        "c7c4839c2b672cd8b9bbd944998697442e7bab1c99de779f187576ae909747f2",
+        "874af1b6cda90877d5086132d94569769a31ac20c90b4983dce1b0383f165441"),
+    "hermite": (
+        "d3e67fd3c6e67a52ef6f7f503969bdba45c8b6bd78a53a1ae5180d9ff19923a1",
+        "68022055ab732ba883059a679996aed0166f51ab97119ece59a235ee570b6b42"),
+    "lp-d1": (
+        "a1df6b748ca76dd1983046c919e42858b8317bc50d257ad4049c3f4bea331580",
+        "cf10a846f9dceb4c9c591f9cf5741be1ae336e0523deebb27072f3d8e4fe26d0"),
+    "lp-d2": (
+        "d27caf7e999960206335622f57d0ca921214f320b8aecf3dc0211a72c0c1d5e1",
+        "0bb6eb7571aa8ab47f8ff1caedf8dd0d47ecd3b95135f06a069c62ec8c56a63f"),
+    "poly": (
+        "d59fcc27ff7ebc1ef9e63bae6fe56f8a44f286ba0517d76d547c77e4aab71321",
+        "3eeae0a485794a9219099fb6556874506f9d227b9be1394aa42332e43f8fe1d3"),
+    "polyNd": (
+        "b5c3b73a0d1498b42c5de8b943e72db6c70d0cbf28070b97d420a4bc8ae85bf8",
+        "61f1481a5226905e28e4bd75cf0a06f73b0aacbd57b4f1c3f579785b0edd5d15"),
+    "smooth": (
+        "764da7d726d3c8f630922d54c4366578b3d162388b2e0b94a2e7f8c1080d811f",
+        "f0d42211a28f061dd76186c269f33d9bbdd25f495941a5b24366581f2816d0ca"),
+    "trig-cos": (
+        "b27c5c89c362c1b0ed2e9553f038acfdb67c22bc71c8ec726d3b4c923987a56f",
+        "afeb8230d8c48277863dd44fe099070555fc33318e506ac04a0590f91a7285f9"),
+    "trig-sin": (
+        "5b75f59d03576e14f439f9bc63fc6f0e6430b478a733f383581ae15a520294e2",
+        "779af4e4526a317418d53500208949996b055332f06ee664cd917745e94e8736"),
+}
+
+
+def build_case_hashes(case, tmp_path):
+    args = list(BUILD_CASES[case])
+    if case == "polyNd":
+        doc = tmp_path / "poly.json"
+        doc.write_text(json.dumps(POLY_ND_DOC))
+        args += ["--params", str(doc)]
+    out = tmp_path / f"{case}.net"
+    assert run(["build"] + args + ["-o", str(out)]) == 0
+    report = json.loads((tmp_path / f"{case}.net.report.json").read_text())
+    fields = {k: report[k] for k in ("bound", "expected_metrics", "inputs",
+                                     "meta")}
+    return (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(json.dumps(fields, sort_keys=True)
+                           .encode()).hexdigest())
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_build_report_golden(case, tmp_path):
+    assert build_case_hashes(case, tmp_path) == BUILD_GOLDEN[case]
