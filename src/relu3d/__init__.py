@@ -17,9 +17,8 @@ from .net import (Net3D, Layer, Neuron, SizeMetrics, NetFormatError,
                   metrics, serialize, deserialize, flatten_to_2d,
                   linear_combine, chain, parallel, parallel_shared,
                   identity_net)
-from .blocks import (GadgetParams, sawtooth_net, square_net, product2_unit,
-                     product_d_net, power_chain_net, periodic_fold_net,
-                     clip_window_net)
+from .blocks import (sawtooth_net, square_net, product2_unit, product_d_net,
+                     power_chain_net, periodic_fold_net, clip_window_net)
 from .targets import TargetSpec, ParityComponent, parity_decompose, catalog_ids
 from .polynd import PolyND
 from .builders import (BuildReport, WidthBudgetError, HermiteParams,
@@ -27,8 +26,8 @@ from .builders import (BuildReport, WidthBudgetError, HermiteParams,
                        build_analytic_cube, build_analytic_ellipse,
                        build_clipped_hermite, choose_hermite_params,
                        build_hermite_gauss, build_trig, build_lp,
-                       expected_size, expected_bound,
-                       THEOREM_IDS, BASELINE_IDS)
+                       expected_size, expected_bound, TheoremSpec,
+                       THEOREMS, THEOREM_IDS, BASELINE_IDS)
 from .verify import (ErrorReport, SweepRow, SweepTable, FitResult,
                      sup_error, lp_error, gauss_l2_error,
                      sweep, check_bound, fit_and_check, table1_report)

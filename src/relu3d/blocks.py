@@ -21,13 +21,11 @@ The gadgets place several towers side by side on shared floors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .builder_dsl import NetBuilder, Wire
 from .net import NetFormatError
 
 __all__ = [
-    "GadgetParams",
     "sawtooth_net",
     "square_net",
     "product2_unit",
@@ -36,26 +34,7 @@ __all__ = [
     "periodic_fold_net",
     "clip_window_net",
     "add_tent_towers",
-    "sym_square_wire",
 ]
-
-
-@dataclass(frozen=True)
-class GadgetParams:
-    H: int = 0
-    M: float = 1.0
-    d: int = 1
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.H < 0:
-            raise ValueError("H must be nonnegative")
-        if self.M <= 0:
-            raise ValueError("M must be positive")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.delta and not (0 < self.delta < self.M):
-            raise ValueError("delta must lie in (0, M)")
 
 
 def add_tent_towers(layer, ys, s, riders=()):
@@ -142,19 +121,6 @@ def _sym_prod_wires(layer, u, v, H, riders=()):
     u_carry = 4 * _w1_wire(gs[1][0]) - 2
     v_carry = 4 * _w1_wire(gs[2][0]) - 2
     return prod, u_carry, v_carry, rw
-
-
-def sym_square_wire(layer, u, H, riders=()):
-    """Tower computing F_H(u) for a wire u in [-1, 1] (the interpolant of
-    u^2 on the grid of step 2^-H per half-axis); height H+1, width 2.
-    Returns (F_H(u), rider_wires)."""
-    y = u * 0.5 + 0.5
-    gs, rw = add_tent_towers(layer, [y], H + 1, riders=riders)
-    g = gs[0]
-    f = 1.0 - g[0]
-    for j in range(1, H + 1):
-        f = f - g[j] / (4.0 ** j)
-    return f, rw
 
 
 def sawtooth_net(s):
@@ -278,6 +244,20 @@ def power_chain_net(n, H):
     return b.finish(outs)
 
 
+def _fold_wire(layer, x, k):
+    """Fold x in [-1, 1] inside an open layer: |x| = sigma(x) + sigma(-x) on
+    a new first floor, then s = ceil(log2 k) tent floors over (k / 2^s)|x|.
+    Returns (g_s((k / 2^s) |x|) as a wire, s); the wire is |x| when s = 0.
+    """
+    s = max(0, math.ceil(math.log2(k)))
+    fl = layer.floor()
+    absx = fl.neuron(x) + fl.neuron(-1.0 * x)
+    if s == 0:
+        return absx, s
+    gs, _ = add_tent_towers(layer, [absx * (k / float(2 ** s))], s)
+    return gs[0][-1], s
+
+
 def periodic_fold_net(k):
     """Net computing g_s((k / 2^s) |x|) on [-1, 1], s = ceil(log2 k).
 
@@ -286,21 +266,10 @@ def periodic_fold_net(k):
     k = int(k)
     if k < 1:
         raise NetFormatError("periodic_fold_net requires k >= 1")
-    s = max(0, math.ceil(math.log2(k)))
     b = NetBuilder(1)
-    x = b.input(0)
-    L = b.layer()
-    fl = L.floor()
-    p = fl.neuron(x)
-    q = fl.neuron(-1.0 * x)
-    absx = p + q
-    if s == 0:
-        b.commit()
-        return b.finish([absx])
-    y = absx * (k / float(2 ** s))
-    gs, _ = add_tent_towers(L, [y], s)
+    g, _ = _fold_wire(b.layer(), b.input(0), k)
     b.commit()
-    return b.finish([gs[0][-1]])
+    return b.finish([g])
 
 
 def clip_window_net(M, delta):
@@ -315,17 +284,22 @@ def clip_window_net(M, delta):
     if not (0 < delta < M):
         raise NetFormatError("clip_window_net requires 0 < delta < M")
     b = NetBuilder(1)
-    x = b.input(0)
-    L = b.layer()
-    fl = L.floor()
+    xi, chi = _clip_wires(b.layer(), b.input(0), M, delta)
+    b.commit()
+    return b.finish([xi, chi])
+
+
+def _clip_wires(layer, x, M, delta):
+    """The (xi, chi) wires of clip_window_net over one new floor of 4
+    neurons in an open layer."""
+    fl = layer.floor()
     u1 = fl.neuron(x + M)            # kink at -M
     u2 = fl.neuron(x + (M - delta))  # kink at -(M-delta)
     u3 = fl.neuron(x - (M - delta))  # kink at M-delta
     u4 = fl.neuron(x - M)            # kink at M
-    b.commit()
     s = (M - delta) / delta
     # xi slopes across the kinks: 0 | -s | 1 | -s | 0
     xi = (-s) * u1 + (s + 1.0) * u2 + (-(s + 1.0)) * u3 + s * u4
     # chi slopes: 0 | 1/delta | 0 | -1/delta | 0
-    chi = (1.0 / delta) * (u1 - u2 - u3 + u4) + 0.0
-    return b.finish([xi, chi])
+    chi = (1.0 / delta) * (u1 - u2 - u3 + u4)
+    return xi, chi

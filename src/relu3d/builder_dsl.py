@@ -162,10 +162,6 @@ class NetBuilder:
             raise NetFormatError("no open layer")
         if not lb.floors or any(not f for f in lb.floors):
             raise NetFormatError("layer must have nonempty floors")
-        flat = 0
-        for fl in lb.floors:
-            for _ in fl:
-                flat += 1
         # assign flat indices in (floor, index) order
         pos = 0
         for ref in sorted(lb.refs, key=lambda r: (r.floor, r.index)):

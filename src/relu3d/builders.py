@@ -15,14 +15,17 @@ reports.
 
 from __future__ import annotations
 
+import inspect
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 import numpy as np
 
-from .blocks import (_sym_prod_wires, _unit_prod_wires, _w1_wire as
-                     _tower_head, add_tent_towers, product_d_net)
+from .blocks import (_clip_wires, _fold_wire, _sym_prod_wires,
+                     _unit_prod_wires, _w1_wire as _tower_head,
+                     add_tent_towers, product_d_net)
 from .builder_dsl import NetBuilder, Wire
 from .chebyshev import chebyshev_interpolant_1d, chebyshev_tensor_coeffs
 from .hermite import hermite_expansion, hermite_poly_coeffs, hermite_tail_bound
@@ -49,7 +52,12 @@ __all__ = [
     "build_lp",
     "expected_size",
     "expected_bound",
+    "Param",
+    "Measure",
+    "TheoremSpec",
+    "THEOREMS",
     "THEOREM_IDS",
+    "BASELINE_IDS",
 ]
 
 LOG2E = math.log2(math.e)
@@ -105,13 +113,16 @@ def _min_height(amount, budget, lo=1):
 # accumulating power chains (width 8)
 
 
-def _unit_chain(b, x_wire, coeffs, H, extra_acc=None):
+def _unit_chain(b, x_wire, coeffs, H, extra_acc=None,
+                prod_wires=_unit_prod_wires):
     """Width-8 chain realizing sum_k coeffs[k] h_k + coeffs[0] on [0, 1].
 
     h_1 = x and h_k = prodhat(x, h_{k-1}); the running sum rides along as a
     sigma(+/-) pair on the first floor of every product layer.  extra_acc
     (a wire over the layer x_wire lives on) is folded into the accumulator.
-    Requires len(coeffs) >= 3 (degree >= 2).
+    With prod_wires=_sym_prod_wires it is the symmetric chain on [-1, 1]
+    (h_k ~ u^k via the [-1, 1]^2 product interpolant, per-layer height
+    H + 1).  Requires len(coeffs) >= 3 (degree >= 2).
     """
     n = len(coeffs) - 1
     h = x_wire
@@ -124,33 +135,10 @@ def _unit_chain(b, x_wire, coeffs, H, extra_acc=None):
             pre = pre + acc
         if k == 2 and extra_acc is not None:
             pre = pre + extra_acc
-        prod, x_c, h_c, rw = _unit_prod_wires(L, xw, h, H,
-                                              riders=[pre, -1.0 * pre])
+        prod, x_c, h_c, rw = prod_wires(L, xw, h, H, riders=[pre, -1.0 * pre])
         b.commit()
         acc = rw[0] - rw[1]
         xw, h = x_c, prod
-    return acc + coeffs[n] * h + coeffs[0]
-
-
-def _sym_chain(b, u_wire, coeffs, H, extra_acc=None):
-    """Symmetric variant of _unit_chain on [-1, 1]: h_k ~ u^k via the
-    [-1, 1]^2 product interpolant; per-layer height H + 1."""
-    n = len(coeffs) - 1
-    h = u_wire
-    uw = u_wire
-    acc = None
-    for k in range(2, n + 1):
-        L = b.layer()
-        pre = coeffs[k - 1] * h
-        if acc is not None:
-            pre = pre + acc
-        if k == 2 and extra_acc is not None:
-            pre = pre + extra_acc
-        prod, u_c, h_c, rw = _sym_prod_wires(L, uw, h, H,
-                                             riders=[pre, -1.0 * pre])
-        b.commit()
-        acc = rw[0] - rw[1]
-        uw, h = u_c, prod
     return acc + coeffs[n] * h + coeffs[0]
 
 
@@ -166,7 +154,8 @@ def build_poly1d(coeffs, H):
     H = int(H)
     if n < 1:
         raise ValueError("need degree n >= 1")
-    bound = max(abs(c) for c in a[1:]) * 3.0 * n * n * 2.0 ** (-2 * (H + 1))
+    bound = expected_bound("poly", {"amax": max(abs(c) for c in a[1:]),
+                                    "n": n, "H": H})
     inputs = {"n": n, "H": H}
     if n == 1:
         net = Net3D(1, [], [{0: a[1]}], [a[0]])
@@ -200,7 +189,7 @@ def build_polyNd(poly, H, width_cap=None):
     H = int(H)
     if n < 1:
         raise ValueError("need total degree n >= 1")
-    width_exp = math.ceil(d + 1 + 6.0 * (math.e * (n + d) / d) ** d)
+    width_exp = expected_size("polyNd", {"n": n, "H": H, "d": d}).width
     if width_cap is not None and width_exp > width_cap:
         raise WidthBudgetError(
             f"estimated width {width_exp} exceeds cap {width_cap} "
@@ -211,7 +200,7 @@ def build_polyNd(poly, H, width_cap=None):
     bound = sum(abs(a) * 6.0 * (sum(j) - 1) * step
                 for j, a in coeffs.items() if sum(j) >= 2)
     amax = max((abs(a) for j, a in coeffs.items() if sum(j) >= 1), default=0.0)
-    stated = amax * 6.0 * n * step * (math.e * (n + d) / d) ** d
+    stated = expected_bound("polyNd", {"amax": amax, "n": n, "H": H, "d": d})
     inputs = {"d": d, "n": n, "H": H}
     meta = {"stated_bound": stated, "coeffs": coeffs}
     if n == 1:
@@ -294,9 +283,6 @@ def build_smooth1d(target, N):
     A = max(abs(c) for c in a[1:])
     H = _min_height(A * 3.0 * m * m, budget)
     inner = build_poly1d(a, H)
-    stated_theorem = math.ceil(0.5 * (math.log2(6) * N
-                                      + 3 * math.log2(N + 2)
-                                      + 2 * math.log2(3)))
     stated_proof = math.ceil(0.5 * (math.log2(6) * m
                                     + 3 * math.log2(m + 1)
                                     + math.log2(3) - 1))
@@ -304,7 +290,7 @@ def build_smooth1d(target, N):
         "coeffs": list(a),
         "interpolation_bound": interp,
         "network_bound": A * 3.0 * m * m * 2.0 ** (-2 * (H + 1)),
-        "stated_height": stated_theorem,
+        "stated_height": expected_size("smooth", {"N": N}).height,
         "stated_height_alt": stated_proof,
         "derivative_bound_certified": certified,
         "conditioning_warning": poly.meta["conditioning_warning"],
@@ -333,15 +319,12 @@ def build_analytic_cube(target, N, delta, d=1):
                  for j, a in series.items() if sum(j) >= 2)
     H = _min_height(amount, tail)
     inner = build_polyNd(poly, H)
-    stated_h = math.ceil(0.5 * (math.log2(N) + N * math.log2(1 - delta)
-                                + d * math.log2(N + d)
-                                - d * math.log2(d / math.e)
-                                - math.log2(6) - 2))
     meta = {
         "series": series,
         "truncation_bound": tail,
         "network_bound": amount * 2.0 ** (-2 * (H + 1)),
-        "stated_height": stated_h,
+        "stated_height": expected_size(
+            "analytic-cube", {"N": N, "delta": delta, "d": d}).height,
         "domain_halfwidth": 1.0 - delta,
     }
     return _finish_report(inner.net, inner.expected_metrics.width,
@@ -365,14 +348,12 @@ def build_analytic_ellipse(target, N, rho, d=1):
                  for j, a in poly.coeffs.items() if sum(j) >= 2)
     H = _min_height(amount, shape)
     inner = build_polyNd(poly, H)
-    stated_h = math.ceil(0.5 * (
-        d * math.log2((N + 1) * (math.e * (N + d) / d))
-        + math.log2(6 * N) + (N / math.sqrt(d)) * math.log2(rho) - 2))
     meta = {
         "coeffs": dict(poly.coeffs),
         "max_abs_coeff": poly.meta["max_abs_coeff"],
         "conditioning_warning": poly.meta["conditioning_warning"],
-        "stated_height": stated_h,
+        "stated_height": expected_size(
+            "ellipse", {"N": N, "rho": rho, "d": d}).height,
         "shape": shape,
     }
     return _finish_report(inner.net, inner.expected_metrics.width,
@@ -405,17 +386,8 @@ def build_clipped_hermite(n, M, delta, H):
     c = hermite_poly_coeffs(n)
     xi0 = float(c[0])
     b = NetBuilder(1)
-    x = b.input(0)
-    L = b.layer()
-    fl = L.floor()
-    u1 = fl.neuron(x + M)
-    u2 = fl.neuron(x + (M - delta))
-    u3 = fl.neuron(x - (M - delta))
-    u4 = fl.neuron(x - M)
+    xi, chi = _clip_wires(b.layer(), b.input(0), M, delta)
     b.commit()
-    s = (M - delta) / delta
-    xi = (-s) * u1 + (s + 1.0) * u2 + (-(s + 1.0)) * u3 + s * u4
-    chi = (1.0 / delta) * (u1 - u2 - u3 + u4)
     sq6M = math.sqrt(6.0) * M
     bound = sq6M ** n * 3.0 * n * n * 2.0 ** (-2 * (H + 1)) if n >= 2 else 0.0
     inputs = {"n": n, "M": M, "delta": delta, "H": H}
@@ -438,7 +410,8 @@ def build_clipped_hermite(n, M, delta, H):
         raise ValueError("need H >= 1 for n >= 2")
     scaled = [float(c[k]) * M ** k for k in range(n + 1)]
     u = xi * (1.0 / M)
-    out = _sym_chain(b, u, scaled, H, extra_acc=xi0 * chi)
+    out = _unit_chain(b, u, scaled, H, extra_acc=xi0 * chi,
+                      prod_wires=_sym_prod_wires)
     # the chain contributes c[0] once; the clip correction subtracts Xi_n(0)
     net = b.finish([out - xi0])
     return _finish_report(net, 8, n, H + 1, bound, "clipped-hermite", inputs,
@@ -508,6 +481,7 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
     B = math.prod(beta) ** (1.0 / d) / math.sqrt(2.0)
     params = choose_hermite_params(N, B)
     M, H, delta = params.M, params.H, params.delta
+    bound = expected_bound("hermite", {"N": N, "B": B})
     exp = hermite_expansion(target, N, d=d)
     basis = {nu: build_clipped_hermite(nu, M, delta, H).net
              for nu in range(N + 1)}
@@ -526,12 +500,11 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
         net = linear_combine(nets, cs, 0.0)
         width_exp = max(8 * N * d, N ** d * (4 + d)) if N >= 1 else 8
         height_exp = H + 1 if N >= 2 else 1
-        return _finish_report(net, width_exp, N + d - 1, height_exp,
-                              math.exp(-B * math.sqrt(N)), "hermite-gauss",
-                              inputs, meta)
+        return _finish_report(net, width_exp, N + d - 1, height_exp, bound,
+                              "hermite-gauss", inputs, meta)
     # d >= 2: per-index product of one-dimensional basis networks
     R = 1.0 + 2.0 * sq6M ** N
-    Hp = _min_height(6.0 * (d - 1) * R ** d, math.exp(-B * math.sqrt(N)))
+    Hp = _min_height(6.0 * (d - 1) * R ** d, bound)
     meta["product_height"] = Hp
     meta["product_range"] = R
     nets, cs = [], []
@@ -541,9 +514,8 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
         cs.append(exp.coeffs[nu])
     net = linear_combine(nets, cs, 0.0)
     got = metrics(net)
-    return _finish_report(net, got.width, N + d - 1, got.height,
-                          math.exp(-B * math.sqrt(N)), "hermite-gauss",
-                          inputs, meta)
+    return _finish_report(net, got.width, N + d - 1, got.height, bound,
+                          "hermite-gauss", inputs, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -566,19 +538,8 @@ def _cos_chain_params(N2, budget):
 def _cos_fold_chain(k, a, H):
     """Net for cos(k pi x) on [-1, 1]: tent-fold of |x| then the cosine
     polynomial chain."""
-    s = max(0, math.ceil(math.log2(k)))
     b = NetBuilder(1)
-    x = b.input(0)
-    L = b.layer()
-    fl = L.floor()
-    p = fl.neuron(x)
-    q = fl.neuron(-1.0 * x)
-    absx = p + q
-    if s == 0:
-        g = absx
-    else:
-        gs, _ = add_tent_towers(L, [absx * (k / float(2 ** s))], s)
-        g = gs[0][-1]
+    g, s = _fold_wire(b.layer(), b.input(0), k)
     b.commit()
     out = _unit_chain(b, g, a, H)
     return b.finish([out]), s + 1
@@ -620,9 +581,7 @@ def build_trig(k, N2, kind="cos"):
         raise ValueError("need k >= 1 and N2 >= 1")
     if kind not in ("cos", "sin"):
         raise ValueError(f"unknown kind {kind!r}")
-    bound = 2.0 ** (-N2)
-    stated_h = max(N2 + 1 + math.ceil(math.log2(N2 + 1) + 0.5 * math.log2(3)),
-                   math.ceil(math.log2(k)) if k > 1 else 0)
+    bound = expected_bound("trig", {"N2": N2})
     inputs = {"k": k, "N2": N2, "kind": kind}
     if kind == "cos":
         a, H, interp = _cos_chain_params(N2, bound)
@@ -635,7 +594,8 @@ def build_trig(k, N2, kind="cos"):
         net = linear_combine([b1, b2], [1.0, -1.0], 0.0)
         width = 16
     meta = {"chain_coeffs": a, "chain_height": H,
-            "interpolation_bound": interp, "stated_height": stated_h}
+            "interpolation_bound": interp,
+            "stated_height": expected_size("trig", inputs).height}
     return _finish_report(net, width, N2 + 1, max(H, fold_h), bound,
                           f"trig-{kind}", inputs, meta)
 
@@ -722,11 +682,9 @@ def build_lp(target, N1, N2, r=2, d=1, drop_tol=1e-12, width_cap=None):
     got = metrics(net)
     omega = modulus_smoothness(target, r, 1.0 / N1, p=2, d=d)
     norm = _l2_norm(target, d)
-    shape = (r ** d * omega
-             + 1.5 * d * norm * (4.0 * N1) ** d * 2.0 ** (-N2))
-    stated_w = max(8 * N1 * d, N1 ** d * (4 + d))
-    stated_h = max(N2 + 1 + math.ceil(math.log2(N2 + 1) + 0.5 * math.log2(3)),
-                   math.ceil(math.log2(N1)))
+    inputs = {"N1": N1, "N2": N2, "r": r, "d": d}
+    shape = expected_bound("lp", dict(inputs, omega=omega, norm=norm))
+    stated = expected_size("lp", inputs)
     a_cos, H_cos, _ = _cos_chain_params(N2, 2.0 ** (-N2))
     _, H_sin, _ = _cos_chain_params(N2, 2.0 ** (-N2) / 2.0)
     meta = {
@@ -738,11 +696,10 @@ def build_lp(target, N1, N2, r=2, d=1, drop_tol=1e-12, width_cap=None):
         "chain_H_sin": H_sin,
         "omega_r": omega,
         "target_l2": norm,
-        "stated_width": stated_w,
-        "stated_height": stated_h,
+        "stated_width": stated.width,
+        "stated_height": stated.height,
         "product_height": N1 if d > 1 else None,
     }
-    inputs = {"N1": N1, "N2": N2, "r": r, "d": d}
     return _finish_report(net, got.width, got.depth, got.height, shape,
                           "lp-shape-p2", inputs, meta)
 
@@ -759,90 +716,263 @@ def _l2_norm(target, d):
     return float(math.sqrt(np.mean(vals ** 2) * 2.0 ** d))
 
 
+
+
 # ---------------------------------------------------------------------------
-# size and bound formulas
+# theorem registry: per result, its construction, parameters, stated size
+# and bound, measurement and baseline
 
 
-THEOREM_IDS = ("poly", "polyNd", "smooth", "analytic-cube", "ellipse",
-               "hermite", "trig", "lp")
+class _Strict(dict):
+    """A dict whose missing keys raise KeyError("<what> '<key>'")."""
 
-BASELINE_IDS = ("baseline-poly", "baseline-analytic", "baseline-ellipse",
-                "baseline-hermite")
+    def __init__(self, items, what):
+        super().__init__(items)
+        self.what = what
+
+    def __missing__(self, key):
+        raise KeyError(f"{self.what} {key!r}")
 
 
-def _req(params, *names):
+_REQUIRED = object()
+
+
+def _floats(value):
+    """Floats from a sequence or from a comma-separated string."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v != ""]
+    return [float(v) for v in value]
+
+
+def _polynd(value):
+    """A PolyND as given, or from a {"[j1, ..., jd]": coeff} document."""
+    if isinstance(value, PolyND):
+        return value
+    coeffs = {tuple(int(i) for i in json.loads(k)): float(v)
+              for k, v in value.items()}
+    degree = max(sum(j) for j in coeffs)
+    return PolyND(len(next(iter(coeffs))), coeffs, degree)
+
+
+@dataclass(frozen=True)
+class Param:
+    """A typed theorem parameter.
+
+    kind coerces a given value (int, float or a function); a tuple kind
+    lists the allowed values, which the builder checks; None keeps the
+    value.  A callable default is computed from the parameters normalized
+    before this one.  flag: "build" makes it a flag of `relu3d build` and
+    `relu3d sweep`, "sweep" of sweep only, "" of neither.  alias is a
+    second accepted key.
+    """
+
+    name: str
+    kind: object = None
+    default: object = _REQUIRED
+    flag: str = "build"
+    alias: str = None
+
+    def coerce(self, value):
+        if value is None or not callable(self.kind):
+            return value
+        try:
+            return self.kind(value)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"bad value {value!r} for {self.name}: "
+                             f"{exc}") from exc
+
+
+@dataclass(frozen=True)
+class Measure:
+    """How verify measures a build: norm kind ("sup", "lp" or "gauss"),
+    target (the name of one of verify's target sources) and domain
+    (lo, hi).  A str end names the BuildReport.meta entry that holds it.
+    The gauss norm integrates over the whole line and reads the support of
+    the clipped network from meta["support"]."""
+
+    norm: str
+    target: str
+    domain: tuple = (0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One approximation result.
+
+    build maps normalized parameters to a BuildReport.  size and bound are
+    the stated formulas: their argument names are the stated quantities
+    they read (see expected_size).  sweep_param is the parameter a sweep
+    varies by default; baseline names the plain-2D row of the comparison
+    table, if any.
+    """
+
+    id: str
+    build: object
+    params: tuple
+    sweep_param: str
+    size: object
+    bound: object
+    measure: Measure
+    baseline: str = None
+
+    def normalize(self, params):
+        """Typed parameters from a user dict: aliases resolved, values
+        coerced, defaults filled in and d taken from the target.  Keys the
+        theorem does not use are dropped."""
+        given = dict(params)
+        dim = getattr(given.get("target"), "d", None)
+        if dim is not None and given.setdefault("d", dim) != dim:
+            raise ValueError(f"d={given['d']} disagrees with the target "
+                             f"dimension {dim}")
+        p = {}
+        for prm in self.params:
+            value = given.get(prm.name, given.get(prm.alias, _REQUIRED))
+            if value is _REQUIRED:
+                value = prm.default(p) if callable(prm.default) \
+                    else prm.default
+            if value is _REQUIRED:
+                also = f" (or {prm.alias!r})" if prm.alias else ""
+                raise KeyError(f"missing parameter {prm.name!r}{also}")
+            p[prm.name] = prm.coerce(value)
+        return p
+
+
+def _stated(formula, params):
+    """Evaluate a formula on the parameters its argument names."""
     try:
-        return [params[n] for n in names]
+        args = [params[n] for n in inspect.signature(formula).parameters]
     except KeyError as exc:
         raise KeyError(f"missing parameter {exc.args[0]!r}") from exc
+    return formula(*args)
+
+
+def _poly_width(n, d):
+    return math.ceil(d + 1 + 6.0 * (math.e * (n + d) / d) ** d)
+
+
+def _chain_height(N2):
+    return N2 + 1 + math.ceil(math.log2(N2 + 1) + 0.5 * math.log2(3))
+
+
+def _hermite_size(N, d, B):
+    inner = 1.0 + 6.0 * math.sqrt(2.0 * N * math.log(6.0 * N)
+                                  + 4.0 * B * math.sqrt(N))
+    return (max(8 * N * d, N ** d * (4 + d)), N + d - 1,
+            math.ceil(0.5 * d * N * math.log2(inner) + math.log2(1.25 * N)
+                      + 0.5 * B * LOG2E * math.sqrt(N)))
+
+
+_TARGET = Param("target", flag="")
+_D = Param("d", int, flag="")
+
+THEOREMS = _Strict(((t.id, t) for t in (
+    TheoremSpec(
+        "poly", lambda p: build_poly1d(p["coeffs"], p["H"]),
+        (Param("coeffs", _floats), Param("H", int)), "H",
+        size=lambda n, H: (8, n - 1, H),
+        bound=lambda amax, n, H: amax * 3.0 * n * n * 2.0 ** (-2 * (H + 1)),
+        measure=Measure("sup", "coeffs"), baseline="baseline-poly"),
+    TheoremSpec(
+        "polyNd",
+        lambda p: build_polyNd(p["poly"], p["H"], width_cap=p["width_cap"]),
+        (Param("poly", _polynd, flag="", alias="coeffs_nd"),
+         Param("H", int), Param("width_cap", int, None, flag="")), "H",
+        size=lambda n, H, d: (_poly_width(n, d), n - 1, H),
+        bound=lambda amax, n, H, d: (amax * 6.0 * n * 2.0 ** (-2 * (H + 1))
+                                     * (math.e * (n + d) / d) ** d),
+        measure=Measure("sup", "poly"), baseline="baseline-poly"),
+    TheoremSpec(
+        "smooth", lambda p: build_smooth1d(p["target"], p["N"]),
+        (_TARGET, Param("N", int)), "N",
+        size=lambda N: (8, N, math.ceil(0.5 * (math.log2(6) * N
+                                               + 3 * math.log2(N + 2)
+                                               + 2 * math.log2(3)))),
+        bound=lambda N: 2.0 ** (-N),
+        measure=Measure("sup", "target")),
+    TheoremSpec(
+        "analytic-cube",
+        lambda p: build_analytic_cube(p["target"], p["N"], p["delta"],
+                                      d=p["d"]),
+        (_TARGET, Param("N", int), Param("delta", float), _D), "N",
+        size=lambda N, delta, d: (
+            _poly_width(N, d), N - 1,
+            math.ceil(0.5 * (math.log2(N) + N * math.log2(1 - delta)
+                             + d * math.log2(N + d)
+                             - d * math.log2(d / math.e) - math.log2(6) - 2))),
+        bound=lambda N, delta: 2.0 * (1.0 - delta) ** N,
+        measure=Measure("sup", "target", (0.0, "domain_halfwidth")),
+        baseline="baseline-analytic"),
+    TheoremSpec(
+        "ellipse",
+        lambda p: build_analytic_ellipse(p["target"], p["N"], p["rho"],
+                                         d=p["d"]),
+        (_TARGET, Param("N", int), Param("rho", float), _D), "N",
+        size=lambda N, rho, d: (
+            _poly_width(N, d), N - 1,
+            math.ceil(0.5 * (d * math.log2((N + 1) * (math.e * (N + d) / d))
+                             + math.log2(6 * N)
+                             + (N / math.sqrt(d)) * math.log2(rho) - 2))),
+        bound=lambda N, rho, d: rho ** (-N / math.sqrt(d)),
+        measure=Measure("sup", "target"), baseline="baseline-ellipse"),
+    TheoremSpec(
+        "hermite",
+        lambda p: build_hermite_gauss(p["target"], p["N"], d=p["d"],
+                                      beta=p["beta"]),
+        (_TARGET, Param("N", int), _D,
+         Param("beta", _floats, lambda p: (1.0,) * p["d"], flag="")), "N",
+        size=_hermite_size,
+        bound=lambda N, B: math.exp(-B * math.sqrt(N)),
+        measure=Measure("gauss", "target", (None, None)),
+        baseline="baseline-hermite"),
+    TheoremSpec(
+        "trig", lambda p: build_trig(p["k"], p["N2"], kind=p["kind"]),
+        (Param("k", int), Param("N2", int),
+         Param("kind", ("cos", "sin"), "cos")), "N2",
+        size=lambda k, N2: (8, N2 + 1, max(_chain_height(N2),
+                                           math.ceil(math.log2(k))
+                                           if k > 1 else 0)),
+        bound=lambda N2: 2.0 ** (-N2),
+        measure=Measure("sup", "trig", (-1.0, 1.0))),
+    TheoremSpec(
+        "lp",
+        lambda p: build_lp(p["target"], p["N1"], p["N2"], r=p["r"],
+                           d=p["d"]),
+        (_TARGET, Param("N1", int), Param("N2", int), Param("r", int, 2), _D,
+         Param("p", float, 2.0, flag="sweep")), "N1",
+        size=lambda N1, N2, d: (max(8 * N1 * d, N1 ** d * (4 + d)), N2 + d,
+                                max(_chain_height(N2),
+                                    math.ceil(math.log2(N1)))),
+        bound=lambda omega, norm, N1, N2, r, d: (
+            r ** d * omega + 1.5 * d * norm * (4.0 * N1) ** d * 2.0 ** (-N2)),
+        measure=Measure("lp", "target", (-1.0, 1.0))),
+)), "unknown theorem id")
+
+THEOREM_IDS = tuple(THEOREMS)
+
+# plain-2D comparison rows: id -> (size formula, bound formula)
+BASELINES = {
+    "baseline-poly": (lambda N: (1, N, 1), lambda N: 2.0 ** (-N)),
+    "baseline-analytic": (lambda N, d: (1, N ** (2 * d), 1),
+                          lambda N, delta: (1.0 - delta) ** N),
+    "baseline-ellipse": (lambda N, d: (N ** (d + 2), N * N, 1),
+                         lambda N: 2.0 ** (-N)),
+    "baseline-hermite": (
+        lambda N: (0, math.ceil(N * math.log2(max(N, 2)) ** 2), 1),
+        lambda N: math.exp(-N ** (1.0 / 3.0))),
+}
+
+BASELINE_IDS = tuple(BASELINES)
+
+_FORMULAS = _Strict(
+    [(t.id, (t.size, t.bound)) for t in THEOREMS.values()]
+    + list(BASELINES.items()), "unknown theorem id")
 
 
 def expected_size(theorem_id, params):
     """Stated (width, depth, height) for a result id, as a SizeMetrics with
     zero neuron/parameter counts; baseline-* ids give the corresponding
     plain-2D formulas for comparison tables."""
-    p = dict(params)
-    if theorem_id == "poly":
-        n, H = _req(p, "n", "H")
-        w, k, h = 8, n - 1, H
-    elif theorem_id == "polyNd":
-        n, H, d = _req(p, "n", "H", "d")
-        w = math.ceil(d + 1 + 6.0 * (math.e * (n + d) / d) ** d)
-        k, h = n - 1, H
-    elif theorem_id == "smooth":
-        (N,) = _req(p, "N")
-        w, k = 8, N
-        h = math.ceil(0.5 * (math.log2(6) * N + 3 * math.log2(N + 2)
-                             + 2 * math.log2(3)))
-    elif theorem_id == "analytic-cube":
-        N, delta, d = _req(p, "N", "delta", "d")
-        w = math.ceil(d + 1 + 6.0 * (math.e * (N + d) / d) ** d)
-        k = N - 1
-        h = math.ceil(0.5 * (math.log2(N) + N * math.log2(1 - delta)
-                             + d * math.log2(N + d)
-                             - d * math.log2(d / math.e) - math.log2(6) - 2))
-    elif theorem_id == "ellipse":
-        N, rho, d = _req(p, "N", "rho", "d")
-        w = math.ceil(d + 1 + 6.0 * (math.e * (N + d) / d) ** d)
-        k = N - 1
-        h = math.ceil(0.5 * (d * math.log2((N + 1) * (math.e * (N + d) / d))
-                             + math.log2(6 * N)
-                             + (N / math.sqrt(d)) * math.log2(rho) - 2))
-    elif theorem_id == "hermite":
-        N, d, B = _req(p, "N", "d", "B")
-        w = max(8 * N * d, N ** d * (4 + d))
-        k = N + d - 1
-        inner = 1.0 + 6.0 * math.sqrt(2.0 * N * math.log(6.0 * N)
-                                      + 4.0 * B * math.sqrt(N))
-        h = math.ceil(0.5 * d * N * math.log2(inner) + math.log2(1.25 * N)
-                      + 0.5 * B * LOG2E * math.sqrt(N))
-    elif theorem_id == "trig":
-        k_, N2 = _req(p, "k", "N2")
-        w = 8
-        k = N2 + 1
-        h = max(N2 + 1 + math.ceil(math.log2(N2 + 1) + 0.5 * math.log2(3)),
-                math.ceil(math.log2(k_)) if k_ > 1 else 0)
-    elif theorem_id == "lp":
-        N1, N2, d = _req(p, "N1", "N2", "d")
-        w = max(8 * N1 * d, N1 ** d * (4 + d))
-        k = N2 + d
-        h = max(N2 + 1 + math.ceil(math.log2(N2 + 1) + 0.5 * math.log2(3)),
-                math.ceil(math.log2(N1)))
-    elif theorem_id == "baseline-poly":
-        (N,) = _req(p, "N")
-        w, k, h = 1, N, 1
-    elif theorem_id == "baseline-analytic":
-        N, d = _req(p, "N", "d")
-        w, k, h = 1, N ** (2 * d), 1
-    elif theorem_id == "baseline-ellipse":
-        N, d = _req(p, "N", "d")
-        w, k, h = N ** (d + 2), N * N, 1
-    elif theorem_id == "baseline-hermite":
-        (N,) = _req(p, "N")
-        w, k, h = 0, math.ceil(N * math.log2(max(N, 2)) ** 2), 1
-    else:
-        raise KeyError(f"unknown theorem id {theorem_id!r}; known: "
-                       f"{THEOREM_IDS + BASELINE_IDS}")
+    w, k, h = _stated(_FORMULAS[theorem_id][0], params)
     return SizeMetrics(width=int(w), depth=int(k), height=int(h),
                        neuron_count=0, param_count=0)
 
@@ -850,42 +980,4 @@ def expected_size(theorem_id, params):
 def expected_bound(theorem_id, params):
     """Stated error bound for a result id (fitted-constant shape where the
     statement's constant is existential)."""
-    p = dict(params)
-    if theorem_id == "poly":
-        amax, n, H = _req(p, "amax", "n", "H")
-        return amax * 3.0 * n * n * 2.0 ** (-2 * (H + 1))
-    if theorem_id == "polyNd":
-        amax, n, H, d = _req(p, "amax", "n", "H", "d")
-        return (amax * 6.0 * n * 2.0 ** (-2 * (H + 1))
-                * (math.e * (n + d) / d) ** d)
-    if theorem_id == "smooth":
-        (N,) = _req(p, "N")
-        return 2.0 ** (-N)
-    if theorem_id == "analytic-cube" or theorem_id == "baseline-analytic":
-        N, delta = _req(p, "N", "delta")
-        scale = 2.0 if theorem_id == "analytic-cube" else 1.0
-        return scale * (1.0 - delta) ** N
-    if theorem_id == "ellipse":
-        N, rho, d = _req(p, "N", "rho", "d")
-        return rho ** (-N / math.sqrt(d))
-    if theorem_id == "hermite":
-        N, B = _req(p, "N", "B")
-        return math.exp(-B * math.sqrt(N))
-    if theorem_id == "trig":
-        (N2,) = _req(p, "N2")
-        return 2.0 ** (-N2)
-    if theorem_id == "lp":
-        omega, norm, N1, N2, r, d = _req(p, "omega", "norm", "N1", "N2",
-                                         "r", "d")
-        return (r ** d * omega
-                + 1.5 * d * norm * (4.0 * N1) ** d * 2.0 ** (-N2))
-    if theorem_id == "baseline-poly":
-        (N,) = _req(p, "N")
-        return 2.0 ** (-N)
-    if theorem_id == "baseline-ellipse":
-        (N,) = _req(p, "N")
-        return 2.0 ** (-N)
-    if theorem_id == "baseline-hermite":
-        (N,) = _req(p, "N")
-        return math.exp(-N ** (1.0 / 3.0))
-    raise KeyError(f"unknown theorem id {theorem_id!r}")
+    return _stated(_FORMULAS[theorem_id][1], params)

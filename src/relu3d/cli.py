@@ -14,13 +14,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import builders, verify
-from .net import deserialize, evaluate_array, metrics, serialize
-from .polynd import PolyND
+from .net import (NetFormatError, deserialize, evaluate_array, metrics,
+                  serialize)
 from .targets import TargetSpec, catalog_ids
 
 __all__ = ["main", "run"]
@@ -49,43 +50,51 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _load_doc(path):
-    if path is None:
-        return {}
+def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"parameter document not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON in {path}: {exc}")
+        raise UsageError(f"{what} not found: {path}")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"unreadable {what} {path}: {exc}")
+
+
+def _load_doc(path, what="parameter document"):
+    doc = {} if path is None else _read_json(path, what)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} {path} must be a JSON object")
+    return doc
 
 
 def _load_net(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return deserialize(fh.read())
-    except FileNotFoundError:
-        raise UsageError(f"network file not found: {path}")
+        return deserialize(_read_json(path, "network file"))
+    except NetFormatError as exc:
+        raise UsageError(f"malformed network file {path}: {exc}")
 
 
 def _parse_floats(text):
-    return [float(v) for v in text.split(",") if v != ""]
+    try:
+        return [float(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise UsageError(f"not a comma-separated number list: {text!r}")
 
 
 def _parse_values(args):
-    """Sweep values from --values "a,b,c" or --range lo:hi[:step]."""
+    """Sweep values from --values "a,b,c" or --range lo:hi[:step]; the
+    swept parameter's type coerces them."""
     if args.values:
-        vals = [int(float(v)) for v in args.values.split(",")]
+        vals = _parse_floats(args.values)
     elif args.range:
-        parts = [int(v) for v in args.range.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise UsageError("--range wants lo:hi or lo:hi:step")
-        vals = list(range(lo, hi + 1, step))
+        try:
+            parts = [int(v) for v in args.range.split(":")]
+            if len(parts) not in (2, 3):
+                raise ValueError
+            vals = list(range(parts[0], parts[1] + 1, *parts[2:]))
+        except ValueError:
+            raise UsageError("--range wants integers lo:hi or lo:hi:step "
+                             "with a nonzero step")
     else:
         raise UsageError("provide --values or --range")
     if not vals:
@@ -109,51 +118,31 @@ def _target_from(args, doc):
     return TargetSpec.from_document(tdoc)
 
 
-def _merged_params(args, doc, names):
+def _flag_params(verb):
+    """The theorem parameters that are flags of a verb, one per name."""
+    out = {}
+    for spec in builders.THEOREMS.values():
+        for prm in spec.params:
+            if prm.flag in ("build", verb):
+                out.setdefault(prm.name, prm)
+    return list(out.values())
+
+
+def _theorem_params(args, doc, verb):
+    """Parameter document, overridden by flags, plus the target if any."""
     p = {k: v for k, v in doc.items() if k != "target"}
-    for name in names:
-        v = getattr(args, name, None)
+    for prm in _flag_params(verb):
+        v = getattr(args, prm.name)
         if v is not None:
-            p[name] = v
-    return p
+            p[prm.name] = v
+    target = _target_from(args, doc)
+    if target is not None:
+        p["target"] = target
+    return p, target
 
 
-def _build(theorem, p, target):
-    """Dispatch one build; p holds scalar parameters."""
-    if theorem == "poly":
-        return builders.build_poly1d(p["coeffs"], int(p["H"]))
-    if theorem == "polyNd":
-        coeffs = {tuple(int(i) for i in json.loads(k) if True): float(v)
-                  for k, v in p["coeffs_nd"].items()} \
-            if isinstance(p.get("coeffs_nd"), dict) else None
-        if coeffs is None:
-            raise UsageError("polyNd needs a coeffs_nd document "
-                             "{\"[j1, j2]\": value}")
-        d = len(next(iter(coeffs)))
-        poly = PolyND(d, coeffs, max(sum(j) for j in coeffs))
-        return builders.build_polyNd(poly, int(p["H"]))
-    if target is None and theorem not in ("trig",):
-        raise UsageError(f"theorem {theorem!r} needs a --target")
-    if theorem == "smooth":
-        return builders.build_smooth1d(target, int(p["N"]))
-    if theorem == "analytic-cube":
-        return builders.build_analytic_cube(target, int(p["N"]),
-                                            float(p["delta"]), d=target.d)
-    if theorem == "ellipse":
-        return builders.build_analytic_ellipse(target, int(p["N"]),
-                                               float(p["rho"]), d=target.d)
-    if theorem == "hermite":
-        beta = tuple(p.get("beta", [1.0] * target.d))
-        return builders.build_hermite_gauss(target, int(p["N"]),
-                                            d=target.d, beta=beta)
-    if theorem == "trig":
-        return builders.build_trig(int(p["k"]), int(p["N2"]),
-                                   kind=p.get("kind", "cos"))
-    if theorem == "lp":
-        return builders.build_lp(target, int(p["N1"]), int(p["N2"]),
-                                 r=int(p.get("r", 2)), d=target.d)
-    raise UsageError(f"unknown theorem {theorem!r}; known: "
-                     f"{list(builders.THEOREM_IDS)}")
+def _reason(exc):
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
 
 
 def _write_report(path, payload):
@@ -167,16 +156,12 @@ def _write_report(path, payload):
 
 
 def _cmd_build(args):
-    doc = _load_doc(args.params)
-    p = _merged_params(args, doc, ("H", "N", "N1", "N2", "k", "delta",
-                                   "rho", "r", "kind"))
-    if args.coeffs:
-        p["coeffs"] = _parse_floats(args.coeffs)
-    target = _target_from(args, doc)
+    p, target = _theorem_params(args, _load_doc(args.params), "build")
+    spec = builders.THEOREMS[args.theorem]
     try:
-        rep = _build(args.theorem, p, target)
-    except KeyError as exc:
-        raise UsageError(f"missing build parameter: {exc}")
+        rep = spec.build(spec.normalize(p))
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"cannot build {args.theorem}: {_reason(exc)}")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize(rep.net))
     report_path = args.output + ".report.json"
@@ -229,12 +214,9 @@ def _target_callable(args, doc, d):
 
 def _cmd_verify(args):
     net = _load_net(args.net)
-    build_doc = {}
-    try:
-        with open(args.net + ".report.json", "r", encoding="utf-8") as fh:
-            build_doc = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        pass
+    report_path = args.net + ".report.json"
+    build_doc = _load_doc(report_path, "build report") \
+        if os.path.exists(report_path) else {}
     doc = _load_doc(args.params)
     target = _target_callable(args, doc, net.input_dim)
     bound = args.bound if args.bound is not None \
@@ -264,21 +246,13 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
-    doc = _load_doc(args.params)
-    fixed = _merged_params(args, doc, ("H", "N", "N1", "N2", "k", "delta",
-                                       "rho", "r", "kind", "p"))
-    if args.coeffs:
-        fixed["coeffs"] = _parse_floats(args.coeffs)
-    target = _target_from(args, doc)
-    if target is not None:
-        fixed["target"] = target
-        fixed["d"] = target.d
+    fixed, _ = _theorem_params(args, _load_doc(args.params), "sweep")
     values = _parse_values(args)
     param = (args.param, values) if args.param else values
     try:
         table = verify.sweep(args.theorem, param, fixed, csv_path=args.output)
-    except KeyError as exc:
-        raise UsageError(f"sweep setup failed: {exc}")
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"sweep setup failed: {_reason(exc)}")
     ok = all(r.measured <= r.bound * (1.0 + verify.PASS_SLACK)
              for r in table.rows)
     print(f"{'pass' if ok else 'FAIL'}: {len(table.rows)} rows "
@@ -299,8 +273,9 @@ DEFAULT_TABLE1 = [
 
 def _cmd_table1(args):
     if args.config:
-        configs = _load_doc(args.config)
-        if not isinstance(configs, list):
+        configs = _read_json(args.config, "table1 config")
+        if not (isinstance(configs, list)
+                and all(isinstance(c, dict) for c in configs)):
             raise UsageError("table1 config must be a JSON list of rows")
         for cfg in configs:
             if "target" in cfg:
@@ -324,28 +299,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_theorem_flags(parser, verb):
+    for prm in _flag_params(verb):
+        if isinstance(prm.kind, tuple):
+            parser.add_argument(f"--{prm.name}", choices=prm.kind)
+        else:
+            parser.add_argument(f"--{prm.name}", type=prm.kind)
+
+
 def _build_parser():
     p = _Parser(prog="relu3d",
                 description="Constructive intra-linked ReLU approximation "
                             "networks: build, evaluate, and verify.")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any randomized inputs (default 0)")
     sub = p.add_subparsers(dest="verb", required=True)
 
     b = sub.add_parser("build", help="build a network and its report")
     b.add_argument("--theorem", required=True,
                    choices=list(builders.THEOREM_IDS))
     b.add_argument("--params", help="JSON parameter document")
-    b.add_argument("--coeffs", help="comma-separated polynomial coefficients")
     b.add_argument("--target", help=f"catalog target id "
                                     f"(one of {catalog_ids()})")
     b.add_argument("--domain", help="target domain name")
     b.add_argument("--d", type=int, help="input dimension")
-    for flag, typ in (("H", int), ("N", int), ("N1", int), ("N2", int),
-                      ("k", int), ("r", int), ("delta", float),
-                      ("rho", float)):
-        b.add_argument(f"--{flag}", type=typ)
-    b.add_argument("--kind", choices=("cos", "sin"))
+    _add_theorem_flags(b, "build")
     b.add_argument("-o", "--output", required=True, help="network file")
     b.set_defaults(fn=_cmd_build)
 
@@ -377,15 +353,10 @@ def _build_parser():
     s.add_argument("--values", help="comma-separated sweep values")
     s.add_argument("--range", help="lo:hi[:step] integer sweep range")
     s.add_argument("--params", help="JSON parameter document")
-    s.add_argument("--coeffs")
     s.add_argument("--target")
     s.add_argument("--domain")
     s.add_argument("--d", type=int)
-    for flag, typ in (("H", int), ("N", int), ("N1", int), ("N2", int),
-                      ("k", int), ("r", int), ("delta", float),
-                      ("rho", float), ("p", float)):
-        s.add_argument(f"--{flag}", type=typ)
-    s.add_argument("--kind", choices=("cos", "sin"))
+    _add_theorem_flags(s, "sweep")
     s.add_argument("-o", "--output", default="sweep.csv")
     s.set_defaults(fn=_cmd_sweep)
 

@@ -83,13 +83,6 @@ class HermiteExpansion:
     quadrature_order: int
     meta: dict = field(default_factory=dict)
 
-    def coeff_array(self):
-        shape = [self.n + 1] * self.d
-        out = np.zeros(shape)
-        for nu, c in self.coeffs.items():
-            out[nu] = c
-        return out
-
     def tail_l2(self, beyond):
         """l2 mass of coefficients with any index component > beyond."""
         total = 0.0

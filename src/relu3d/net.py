@@ -129,7 +129,9 @@ class Net3D:
                 and self.readout_bias == other.readout_bias)
 
     def __hash__(self):
-        return id(self)
+        # a cheap key over fields __eq__ compares, so equal nets hash equally
+        return hash((self.input_dim, self.readout_bias,
+                     tuple(layer.size for layer in self.layers)))
 
 
 def _check_finite(value, where):
@@ -210,28 +212,22 @@ class _LayerProgram:
         n = layer.size
         offs = _flat_offsets(layer)
         w_rows, intra_rows, levels = [], [], []
-        flat = []
-        for fi, floor in enumerate(layer.floors):
-            for ni, nrn in enumerate(floor):
-                flat.append(nrn)
         # dependency level of each neuron within the layer: 0 if no intra
         # sources, else 1 + max level over sources.  Plain constructions have
         # level == floor index; flattened nets recover the original grouping.
-        pos = 0
-        for fi, floor in enumerate(layer.floors):
-            for ni, nrn in enumerate(floor):
-                w_rows.append(nrn.weights)
-                irow = {}
-                lvl = 0
-                for (sf, si, coeff) in nrn.intra:
-                    src = offs[sf] + si
-                    irow[src] = irow.get(src, 0.0) + coeff
-                    lvl = max(lvl, levels[src] + 1)
-                intra_rows.append(irow)
-                levels.append(lvl)
-                pos += 1
+        for nrn in layer.flat_neurons():
+            w_rows.append(nrn.weights)
+            irow = {}
+            lvl = 0
+            for (sf, si, coeff) in nrn.intra:
+                src = offs[sf] + si
+                irow[src] = irow.get(src, 0.0) + coeff
+                lvl = max(lvl, levels[src] + 1)
+            intra_rows.append(irow)
+            levels.append(lvl)
         self.W = _sparse_from_rows(w_rows, prev_size)
-        self.b = np.array([nrn.bias for nrn in flat], dtype=float)
+        self.b = np.array([nrn.bias for nrn in layer.flat_neurons()],
+                          dtype=float)
         self.G = _sparse_from_rows(intra_rows, n)
         groups = []
         order = np.argsort(np.array(levels), kind="stable")
@@ -449,6 +445,15 @@ def serialize(net):
     return json.dumps(doc)
 
 
+def _items(doc, key, where):
+    """doc[key] (default []) as a list of JSON objects."""
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(v, dict)
+                                              for v in items):
+        raise NetFormatError(f"{where}.{key} must be a list of objects")
+    return items
+
+
 def deserialize(document):
     """Parse a document produced by serialize (str or parsed dict)."""
     if isinstance(document, (str, bytes)):
@@ -469,11 +474,13 @@ def deserialize(document):
         raise NetFormatError("missing or invalid input_dim")
     prev = input_dim
     layers = []
-    for k, layer_doc in enumerate(doc.get("layers", [])):
+    for k, layer_doc in enumerate(_items(doc, "layers", "document")):
         floors = []
-        for fi, floor_doc in enumerate(layer_doc.get("floors", [])):
+        for fi, floor_doc in enumerate(_items(layer_doc, "floors",
+                                              f"layers[{k}]")):
             neurons = []
-            for ni, nd in enumerate(floor_doc.get("neurons", [])):
+            for ni, nd in enumerate(_items(floor_doc, "neurons",
+                                           f"layers[{k}].floors[{fi}]")):
                 where = f"layers[{k}].floors[{fi}].neurons[{ni}]"
                 try:
                     weights = _w_parse(nd["w"], prev, where + ".w")
@@ -490,9 +497,12 @@ def deserialize(document):
     ro = doc.get("readout")
     if not isinstance(ro, dict) or "w" not in ro or "b" not in ro:
         raise NetFormatError("missing readout section")
-    rows = [_w_parse(rd, prev, f"readout.w[{oi}]")
-            for oi, rd in enumerate(ro["w"])]
-    bias = [float(b) for b in ro["b"]]
+    try:
+        rows = [_w_parse(rd, prev, f"readout.w[{oi}]")
+                for oi, rd in enumerate(ro["w"])]
+        bias = [float(b) for b in ro["b"]]
+    except (TypeError, ValueError) as exc:
+        raise NetFormatError(f"malformed readout: {exc}")
     return Net3D(input_dim, layers, rows, bias)
 
 

@@ -100,12 +100,6 @@ class TargetSpec:
                           domain=domain)
 
     @staticmethod
-    def polynomial(poly: PolyND, domain="unit-cube"):
-        return TargetSpec(kind="explicit-polynomial", d=poly.d, domain=domain,
-                          coeffs=tuple(sorted(poly.coeffs.items())),
-                          params=(("degree", poly.degree),))
-
-    @staticmethod
     def from_document(doc):
         return TargetSpec.catalog(doc["catalog_id"],
                                   d=int(doc.get("dimension", 1)),
@@ -124,10 +118,6 @@ class TargetSpec:
             pts = pts[:, None] if self.d == 1 else pts[None, :]
         if pts.shape[1] != self.d:
             raise ValueError(f"target expects dimension {self.d}")
-        if self.kind == "explicit-polynomial":
-            poly = PolyND(self.d, dict(self.coeffs),
-                          dict(self.params)["degree"])
-            return poly(pts)
         if self.kind == "explicit-power-series":
             poly = PolyND(self.d, dict(self.coeffs),
                           max(sum(j) for j, _ in self.coeffs))

@@ -27,11 +27,9 @@ import numpy as np
 from scipy.special import comb
 
 from .jackson import jackson_kernel
-from .targets import parity_decompose  # noqa: F401  (re-exported)
 
 __all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_1d",
-           "apply_Tn", "trig_operator_nd", "apply_Tn_nd", "fourier_integrals",
-           "parity_decompose"]
+           "apply_Tn", "trig_operator_nd", "apply_Tn_nd", "fourier_integrals"]
 
 DEFAULT_NODES = 4096
 

@@ -276,82 +276,63 @@ def gauss_l2_error(net, target, M_support, quadrature=None, bound=math.inf,
 # ---------------------------------------------------------------------------
 # sweeps and fitted constants
 
-_DEFAULT_SWEEP_PARAM = {
-    "poly": "H", "polyNd": "H", "smooth": "N", "analytic-cube": "N",
-    "ellipse": "N", "hermite": "N", "trig": "N2", "lp": "N1",
-}
-
-
 def _poly1d_target(coeffs):
     c = np.asarray(coeffs, dtype=float)
     return lambda pts: np.polynomial.polynomial.polyval(
         np.asarray(pts, dtype=float)[:, 0], c)
 
 
-def _measure_point(theorem_id, params):
-    """Build one network for a sweep point and measure its error.
+def _trig_target(p):
+    k, fn = p["k"], getattr(np, p["kind"])
+    return lambda pts: fn(k * math.pi * np.asarray(pts, dtype=float)[:, 0])
 
-    Returns (BuildReport, ErrorReport)."""
-    p = dict(params)
-    if theorem_id == "poly":
-        rep = builders.build_poly1d(p["coeffs"], p["H"])
-        er = sup_error(rep.net, _poly1d_target(p["coeffs"]), (0.0, 1.0),
-                       bound=rep.theoretical_bound)
-    elif theorem_id == "polyNd":
-        poly = p["poly"]
-        rep = builders.build_polyNd(poly, p["H"],
-                                    width_cap=p.get("width_cap"))
-        er = sup_error(rep.net, lambda pts: poly(pts), (0.0, 1.0),
-                       bound=rep.theoretical_bound)
-    elif theorem_id == "smooth":
-        rep = builders.build_smooth1d(p["target"], p["N"])
-        er = sup_error(rep.net, p["target"], (0.0, 1.0),
-                       bound=rep.theoretical_bound)
-    elif theorem_id == "analytic-cube":
-        rep = builders.build_analytic_cube(p["target"], p["N"], p["delta"],
-                                           d=p.get("d", 1))
-        hw = rep.meta["domain_halfwidth"]
-        er = sup_error(rep.net, p["target"], (0.0, hw),
-                       bound=rep.theoretical_bound)
-    elif theorem_id == "ellipse":
-        rep = builders.build_analytic_ellipse(p["target"], p["N"], p["rho"],
-                                              d=p.get("d", 1))
-        er = sup_error(rep.net, p["target"], (0.0, 1.0),
-                       bound=rep.theoretical_bound)
-    elif theorem_id == "hermite":
-        rep = builders.build_hermite_gauss(p["target"], p["N"],
-                                           d=p.get("d", 1),
-                                           beta=p.get("beta", (1.0,)))
-        er = gauss_l2_error(rep.net, p["target"], rep.meta["support"],
-                            bound=rep.theoretical_bound)
-    elif theorem_id == "trig":
-        k = p["k"]
-        kind = p.get("kind", "cos")
-        rep = builders.build_trig(k, p["N2"], kind=kind)
-        fn = np.cos if kind == "cos" else np.sin
-        er = sup_error(rep.net,
-                       lambda pts: fn(k * math.pi
-                                      * np.asarray(pts, dtype=float)[:, 0]),
-                       (-1.0, 1.0), bound=rep.theoretical_bound)
-    elif theorem_id == "lp":
-        rep = builders.build_lp(p["target"], p["N1"], p["N2"],
-                                r=p.get("r", 2), d=p.get("d", 1))
-        grid_fn = None
-        eval_fn = None
-        if p.get("d", 1) >= 2:
-            # closed-form twin for the big tensor grids; spot-checked here
-            rng = np.random.default_rng(0)
-            check = rng.uniform(-1.0, 1.0, size=(128, p["d"]))
-            spot_check(lambda q: evaluate_array(rep.net, q),
-                       lambda q: lp_net_twin(q, rep), check, where="lp twin")
-            grid_fn = lambda axes: lp_net_twin_grid(axes, rep)
-        er = lp_error(rep.net, p["target"], p.get("p", 2), (-1.0, 1.0),
-                      bound=rep.theoretical_bound, eval_fn=eval_fn,
-                      eval_grid_fn=grid_fn)
-    else:
-        raise KeyError(f"unknown theorem id {theorem_id!r}; known: "
-                       f"{builders.THEOREM_IDS}")
-    return rep, er
+
+# target sources a registry Measure names: normalized params -> callable
+_TARGETS = {
+    "target": lambda p: p["target"],
+    "poly": lambda p: p["poly"],
+    "coeffs": lambda p: _poly1d_target(p["coeffs"]),
+    "trig": _trig_target,
+}
+
+
+def _sup_norm(rep, target, domain, p):
+    return sup_error(rep.net, target, domain, bound=rep.theoretical_bound)
+
+
+def _lp_norm(rep, target, domain, p):
+    grid_fn = None
+    d = rep.net.input_dim
+    if d >= 2:
+        # closed-form twin for the big tensor grids; spot-checked here
+        rng = np.random.default_rng(0)
+        check = rng.uniform(*domain, size=(128, d))
+        spot_check(lambda q: evaluate_array(rep.net, q),
+                   lambda q: lp_net_twin(q, rep), check, where="lp twin")
+        grid_fn = lambda axes: lp_net_twin_grid(axes, rep)
+    return lp_error(rep.net, target, p["p"], domain,
+                    bound=rep.theoretical_bound, eval_grid_fn=grid_fn)
+
+
+def _gauss_norm(rep, target, domain, p):
+    return gauss_l2_error(rep.net, target, rep.meta["support"],
+                          bound=rep.theoretical_bound)
+
+
+_NORMS = {"sup": _sup_norm, "lp": _lp_norm, "gauss": _gauss_norm}
+
+
+def _measure_point(spec, params):
+    """Build one network for a sweep point and measure its error as the
+    theorem's registry row says.
+
+    Returns (normalized params, BuildReport, ErrorReport)."""
+    p = spec.normalize(params)
+    rep = spec.build(p)
+    m = spec.measure
+    domain = tuple(rep.meta[v] if isinstance(v, str) else v
+                   for v in m.domain)
+    return p, rep, _NORMS[m.norm](rep, _TARGETS[m.target](p), domain, p)
 
 
 def sweep(theorem_id, param_range, fixed_params, csv_path=None):
@@ -361,16 +342,19 @@ def sweep(theorem_id, param_range, fixed_params, csv_path=None):
     param_range is an iterable of values for the theorem's conventional
     sweep parameter, or a (name, values) pair to sweep something else.
     """
+    spec = builders.THEOREMS[theorem_id]
     if (isinstance(param_range, tuple) and len(param_range) == 2
             and isinstance(param_range[0], str)):
         name, values = param_range
+        if name not in {prm.name for prm in spec.params}:
+            raise KeyError(f"{theorem_id} has no parameter {name!r}")
     else:
-        name, values = _DEFAULT_SWEEP_PARAM[theorem_id], param_range
+        name, values = spec.sweep_param, param_range
     rows = []
     for v in values:
         params = dict(fixed_params)
         params[name] = v
-        rep, er = _measure_point(theorem_id, params)
+        _, rep, er = _measure_point(spec, params)
         got = metrics(rep.net)
         rows.append(SweepRow(value=float(v), measured=er.measured,
                              bound=er.bound, param_count=got.param_count,
@@ -431,43 +415,32 @@ def fit_and_check(table, split=None, margin=FIT_MARGIN):
 # ---------------------------------------------------------------------------
 # size-comparison report
 
-_BASELINE_FOR = {"poly": "baseline-poly", "polyNd": "baseline-poly",
-                 "analytic-cube": "baseline-analytic",
-                 "ellipse": "baseline-ellipse", "hermite": "baseline-hermite"}
-
 
 def table1_report(configs, csv_path=None):
     """Measured (size, error) of this artifact's constructions next to the
     corresponding plain-2D baseline size formulas.
 
     Each config is a dict with a "row" key (a theorem id with a baseline
-    counterpart) plus the builder parameters; a baseline error formula is
-    evaluated from the same N.  The flattened 2D parameter count of each
-    built network is included as the intra-linked 2D equivalent.
+    counterpart) plus the builder parameters; the baseline formulas are
+    evaluated with N set to the theorem's sweep parameter.  The flattened 2D
+    parameter count of each built network is included as the intra-linked
+    2D equivalent.
     """
     rows = []
     for cfg in configs:
         cfg = dict(cfg)
-        row_id = cfg.pop("row")
-        if row_id not in _BASELINE_FOR:
-            raise KeyError(f"no baseline row for {row_id!r}; known: "
-                           f"{sorted(_BASELINE_FOR)}")
-        rep, er = _measure_point(row_id, cfg)
+        spec = builders.THEOREMS[cfg.pop("row")]
+        if spec.baseline is None:
+            raise KeyError(f"no baseline row for {spec.id!r}")
+        p, rep, er = _measure_point(spec, cfg)
         got = metrics(rep.net)
         flat = flatten_to_2d(rep.net, pad_width_to=got.width * got.height)
         flat_m = metrics(flat)
-        base_id = _BASELINE_FOR[row_id]
-        bparams = dict(cfg)
-        bparams.setdefault("d", rep.inputs.get("d", 1))
-        if row_id == "poly":
-            bparams.setdefault("N", cfg["H"])
-        base_size = expected_size(base_id, bparams)
-        try:
-            base_err = expected_bound(base_id, bparams)
-        except KeyError:
-            base_err = float("nan")
-        n_val = cfg.get("N", cfg.get("H", 0))
-        extra = (("row", row_id),
+        n_val = p[spec.sweep_param]
+        bparams = dict(p, N=n_val)
+        base_size = expected_size(spec.baseline, bparams)
+        base_err = expected_bound(spec.baseline, bparams)
+        extra = (("row", spec.id),
                  ("baseline_width", base_size.width),
                  ("baseline_depth", base_size.depth),
                  ("baseline_height", base_size.height),

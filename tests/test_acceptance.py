@@ -7,6 +7,7 @@ condition.  Networks built along the way are topology-checked eagerly
 import math
 import sys
 import time
+import zlib
 
 import numpy as np
 from scipy import integrate
@@ -32,7 +33,7 @@ TOPOLOGY = []
 def register(label, net, lo, hi):
     """Flatten to height 1 with width W*H, round-trip the serialization, and
     record whether evaluation is preserved."""
-    rng = np.random.default_rng(abs(hash(label)) % 2 ** 32)
+    rng = np.random.default_rng(zlib.crc32(label.encode()))
     pts = rng.uniform(lo, hi, size=(32, net.input_dim))
     base = evaluate_array(net, pts)
     m = metrics(net)

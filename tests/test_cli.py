@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from relu3d.cli import run
+from relu3d.builders import THEOREM_IDS, THEOREMS
+from relu3d.cli import _build_parser, run
 from relu3d.net import deserialize, evaluate_array
 
 
@@ -79,6 +80,26 @@ def test_missing_net_file_is_usage_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["not json", '{"schema": "relu3d/v1", '
+                                  '"input_dim": 1, "layers": [1]}'])
+@pytest.mark.parametrize("verb", [["eval"], ["size"],
+                                  ["verify", "--target", "square"]])
+def test_malformed_net_file_is_usage_error(tmp_path, capsys, text, verb):
+    path = tmp_path / "bad.net"
+    path.write_text(text)
+    args = [verb[0], str(path)] + (["0.5"] if verb == ["eval"] else verb[1:])
+    assert run(args) == 2
+    assert "network file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report", ["{broken", "[1, 2]"])
+def test_corrupt_build_report_is_usage_error(tmp_path, capsys, report):
+    out = build_square(tmp_path)
+    (tmp_path / "sq.net.report.json").write_text(report)
+    assert run(["verify", str(out), "--target", "square"]) == 2
+    assert "build report" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["build", "--theorem", "poly", "--bogus", "1",
                 "-o", "/tmp/x.net"]) == 2
@@ -113,6 +134,25 @@ def test_sweep_trig_with_param_flag(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["value"]) for r in rows] == [6.0, 8.0, 10.0]
+
+
+def test_sweep_float_parameter_values(tmp_path):
+    path = tmp_path / "delta.csv"
+    assert run(["sweep", "--theorem", "analytic-cube", "--target",
+                "geometric-product", "--N", "3", "--param", "delta",
+                "--values", "0.25,0.5", "-o", str(path)]) == 0
+    with open(path, newline="") as fh:
+        assert [r["value"] for r in csv.DictReader(fh)] == ["0.25", "0.5"]
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--theorem", "trig", "--k", "2", "--values", "6,x"],
+    ["sweep", "--theorem", "trig", "--k", "2", "--range", "6:8:0"],
+    ["sweep", "--theorem", "trig", "--k", "2", "--range", "a:b"],
+    ["build", "--theorem", "trig", "--k", "0", "--N2", "6"],
+])
+def test_bad_parameter_values_are_usage_errors(tmp_path, args):
+    assert run(args + ["-o", str(tmp_path / "out")]) == 2
 
 
 def test_table1_default_config(tmp_path):
@@ -222,14 +262,18 @@ BUILD_GOLDEN = {
 }
 
 
-def build_case_hashes(case, tmp_path):
+def case_args(case, tmp_path):
     args = list(BUILD_CASES[case])
     if case == "polyNd":
         doc = tmp_path / "poly.json"
         doc.write_text(json.dumps(POLY_ND_DOC))
         args += ["--params", str(doc)]
+    return args
+
+
+def build_case_hashes(case, tmp_path):
     out = tmp_path / f"{case}.net"
-    assert run(["build"] + args + ["-o", str(out)]) == 0
+    assert run(["build"] + case_args(case, tmp_path) + ["-o", str(out)]) == 0
     report = json.loads((tmp_path / f"{case}.net.report.json").read_text())
     fields = {k: report[k] for k in ("bound", "expected_metrics", "inputs",
                                      "meta")}
@@ -241,3 +285,47 @@ def build_case_hashes(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(BUILD_CASES))
 def test_build_report_golden(case, tmp_path):
     assert build_case_hashes(case, tmp_path) == BUILD_GOLDEN[case]
+
+
+# -- theorem registry coverage -----------------------------------------------
+
+
+def test_build_cases_cover_every_theorem():
+    assert {args[1] for args in BUILD_CASES.values()} == set(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_every_theorem_sweeps_from_the_cli(theorem, tmp_path):
+    # the first build case of the theorem, its sweep parameter flag turned
+    # into a one-value sweep (polyNd takes H from its parameter document)
+    case = next(c for c, a in BUILD_CASES.items() if a[1] == theorem)
+    args = case_args(case, tmp_path)
+    flag = "--" + THEOREMS[theorem].sweep_param
+    value = str(POLY_ND_DOC["H"])
+    if flag in args:
+        i = args.index(flag)
+        value = args.pop(i + 1)
+        args.pop(i)
+    path = tmp_path / "sweep.csv"
+    assert run(["sweep"] + args + ["--values", value, "-o", str(path)]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["value"]) for r in rows] == [float(value)]
+
+
+def _flags(parser):
+    return set(parser._option_string_actions)
+
+
+def test_cli_flags_come_from_the_registry():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and "build" in
+              a.choices]
+    target = {"--target", "--domain", "--d", "--params", "--theorem",
+              "-o", "--output", "-h", "--help"}
+    theorem = {"--coeffs", "--H", "--N", "--N1", "--N2", "--k", "--r",
+               "--delta", "--rho", "--kind"}
+    assert _flags(parser) == {"-h", "--help"}
+    assert _flags(sub.choices["build"]) == target | theorem
+    assert _flags(sub.choices["sweep"]) == target | theorem | {
+        "--p", "--param", "--values", "--range"}

@@ -132,6 +132,13 @@ def test_out_of_range_weight_index_rejected():
         Net3D(1, [layer], [{0: 1.0}], [0.0])
 
 
+def test_equal_nets_hash_equally():
+    a, b = blocks.square_net(3), blocks.square_net(3)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, deserialize(serialize(a))}) == 1
+
+
 def test_net_is_immutable():
     net = identity_net(1)
     with pytest.raises(AttributeError):
@@ -205,6 +212,26 @@ def test_deserialize_rejects_forward_intra():
 def test_deserialize_rejects_wrong_weight_length():
     doc = json.loads(serialize(identity_net(1)))
     doc["layers"][0]["floors"][0]["neurons"][0]["w"] = [1.0, 0.0]
+    with pytest.raises(NetFormatError):
+        deserialize(doc)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("layers",), [1]),
+    (("layers",), 1),
+    (("layers", 0, "floors"), [1]),
+    (("layers", 0, "floors", 0, "neurons"), ["x"]),
+    (("layers", 0, "floors", 0, "neurons", 0, "intra"), [1]),
+    (("readout", "w"), 5),
+    (("readout", "w", 0), {"i": 1, "v": [2]}),
+    (("readout", "b"), ["x"]),
+])
+def test_deserialize_rejects_non_object_parts(path, value):
+    doc = json.loads(serialize(identity_net(1)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
     with pytest.raises(NetFormatError):
         deserialize(doc)
 

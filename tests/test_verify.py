@@ -204,6 +204,24 @@ def test_sweep_rejects_unknown_theorem():
         sweep("mystery", range(2, 8), {})
 
 
+def test_sweep_rejects_unknown_parameter():
+    with pytest.raises(KeyError, match="no parameter"):
+        sweep("trig", ("bogus", [1]), {"k": 1})
+
+
+def test_sweep_takes_d_from_the_target():
+    target = TargetSpec.catalog("geometric-product", d=2)
+    fixed = {"target": target, "delta": 0.5}
+    (row,) = sweep("analytic-cube", [3], fixed).rows
+    (same,) = sweep("analytic-cube", [3], dict(fixed, d=2)).rows
+    assert row == same
+    with pytest.raises(ValueError, match="disagrees"):
+        sweep("analytic-cube", [3], dict(fixed, d=1))
+    # a plain callable has no dimension to take
+    plain = lambda pts: 1.0 / (pts[:, 0] + 2.0)
+    assert sweep("smooth", [3], {"target": plain}).rows[0].measured > 0
+
+
 def test_fit_and_check_needs_six_points():
     rows = [SweepRow(v, 0.1, 1.0, 1, 1, 1, 1) for v in range(5)]
     with pytest.raises(ValueError):
