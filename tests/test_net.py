@@ -1,7 +1,9 @@
 """Network representation: evaluation, metrics, serialization, transforms."""
 
+import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,3 +327,94 @@ def test_linear_combine_matches_sum(coeffs, bias):
                       for c, n in zip(coeffs, nets))
     got = evaluate_array(combo, xs)
     assert np.max(np.abs(want - got)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+# -- merge goldens and exact differential checks ----------------------------
+
+# name -> (sha256 of serialize, the merge that builds it), recorded before
+# _merge was rewritten as a per-floor column remap
+GOLDEN_MERGES = {
+    # unequal depth (power_chain_net pads the rest) and height, disjoint input
+    "parallel-mixed": (
+        "5efb49098ffe6967dda6fe436b3d079a4862f9f58ff21e6d590d7f768185e87b",
+        lambda: parallel([blocks.sawtooth_net(1), blocks.square_net(3),
+                          blocks.product2_unit(2),
+                          blocks.power_chain_net(3, 2)])),
+    # same-floor intra links, shifted right by the identity's two columns
+    "parallel-shared-flat": (
+        "7f1dc0de5d6aa28f4fefce9e1dfaf642445d5b351127a90245b65e289cbe1166",
+        lambda: parallel_shared([identity_net(1),
+                                 flatten_to_2d(blocks.square_net(3))])),
+    "linear-combine-dyadic": (
+        "a93ad6cb0066c530aa667cb28984d1e12ef064223bb79bb99e631802ecce392a",
+        lambda: linear_combine([blocks.sawtooth_net(2), blocks.square_net(3),
+                                identity_net(1)], [0.5, -1.25, 0.75], 0.125)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MERGES))
+def test_golden_merge_hashes(name):
+    want, make = GOLDEN_MERGES[name]
+    assert hashlib.sha256(serialize(make()).encode()).hexdigest() == want
+
+
+# small gadgets with exact dyadic arithmetic; the flattened ones carry
+# intra links on a single floor
+PARTS = {
+    "identity": lambda: identity_net(1),
+    "identity2": lambda: identity_net(2),
+    "saw1": lambda: blocks.sawtooth_net(1),
+    "saw3": lambda: blocks.sawtooth_net(3),
+    "square0": lambda: blocks.square_net(0),
+    "square2": lambda: blocks.square_net(2),
+    "prod2": lambda: blocks.product2_unit(2),
+    "powers3": lambda: blocks.power_chain_net(3, 2),
+    "flat-square3": lambda: flatten_to_2d(blocks.square_net(3)),
+    "flat-prod1": lambda: flatten_to_2d(blocks.product2_unit(1)),
+}
+UNIT_PARTS = ("identity", "saw1", "saw3", "square0", "square2",
+              "flat-square3")
+DYADIC = st.integers(0, 32).map(lambda k: Fraction(k, 32))
+COEFF = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
+def _exact(net, x):
+    out = evaluate_exact(net, x)
+    return out if isinstance(out, list) else [out]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.sampled_from(sorted(PARTS)), min_size=1, max_size=4),
+       st.booleans(), st.data())
+def test_merges_match_their_parts_exactly(names, shared, data):
+    parts = [PARTS[n]() for n in names]
+    if shared:
+        parts = [p for p in parts if p.input_dim == parts[0].input_dim]
+        x = data.draw(st.lists(DYADIC, min_size=parts[0].input_dim,
+                               max_size=parts[0].input_dim))
+        xs = [x] * len(parts)
+        net = parallel_shared(parts)
+    else:
+        xs = [data.draw(st.lists(DYADIC, min_size=p.input_dim,
+                                 max_size=p.input_dim)) for p in parts]
+        x = [v for xi in xs for v in xi]
+        net = parallel(parts)
+    want = [v for p, xi in zip(parts, xs) for v in _exact(p, xi)]
+    assert _exact(net, x) == want
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.sampled_from(UNIT_PARTS), min_size=1, max_size=4),
+       st.data(), COEFF, DYADIC)
+def test_linear_combine_and_chain_are_exact(names, data, bias, x):
+    parts = [PARTS[n]() for n in names]
+    coeffs = data.draw(st.lists(COEFF, min_size=len(parts),
+                                max_size=len(parts)))
+    combo = linear_combine(parts, coeffs, bias)
+    want = Fraction(bias) + sum(Fraction(c) * evaluate_exact(p, [x])
+                                for c, p in zip(coeffs, parts))
+    assert evaluate_exact(combo, [x]) == want
+    # every unit part maps [0, 1] into [0, 1], so any two compose
+    outer, inner = parts[0], parts[-1]
+    composed = evaluate_exact(outer, [evaluate_exact(inner, [x])])
+    assert evaluate_exact(chain(outer, inner), [x]) == composed
