@@ -79,25 +79,37 @@ def _w1_wire(g1_wire):
     raise NetFormatError("tower carry not found")
 
 
+def _square_wire(gs):
+    """f_H = w_1 - sum_j g_j / 4^j from one tower's wires gs = [g_1..g_H]."""
+    f = _w1_wire(gs[0])
+    for j, g in enumerate(gs, start=1):
+        f = f - g / (4.0 ** j)
+    return f
+
+
+def _unit_prod_bank(layer, pairs, H, riders=()):
+    """Three towers per (x, y) pair, all on shared floors, computing
+    prodhat(x, y) on [0, 1]^2 for every pair.
+
+    Returns (prods, gs, rider_wires); gs are the towers' wires, three per
+    pair, on (x+y)/2, x/2 and y/2.  Requires H >= 1.
+    """
+    ys = [v for x, y in pairs for v in ((x + y) * 0.5, x * 0.5, y * 0.5)]
+    gs, rw = add_tent_towers(layer, ys, H, riders=riders)
+    prods = [2 * _square_wire(gs[i]) - 2 * _square_wire(gs[i + 1])
+             - 2 * _square_wire(gs[i + 2]) for i in range(0, len(gs), 3)]
+    return prods, gs, rw
+
+
 def _unit_prod_wires(layer, x, y, H, riders=()):
-    """Three shared-floor towers computing prodhat(x, y) on [0, 1]^2.
+    """prodhat(x, y) on [0, 1]^2 from one pair of _unit_prod_bank.
 
     Returns (prod, x_carry, y_carry, rider_wires); the carries re-expose the
     inputs as wires over this layer (from the towers on x/2 and y/2).
     Requires H >= 1 (callers special-case H = 0).
     """
-    ys = [(x + y) * 0.5, x * 0.5, y * 0.5]
-    gs, rw = add_tent_towers(layer, ys, H, riders=riders)
-    fs = []
-    for i in range(3):
-        f = _w1_wire(gs[i][0])
-        for j, g in enumerate(gs[i], start=1):
-            f = f - g / (4.0 ** j)
-        fs.append(f)
-    prod = 2 * fs[0] - 2 * fs[1] - 2 * fs[2]
-    x_carry = 2 * _w1_wire(gs[1][0])
-    y_carry = 2 * _w1_wire(gs[2][0])
-    return prod, x_carry, y_carry, rw
+    (prod,), gs, rw = _unit_prod_bank(layer, [(x, y)], H, riders=riders)
+    return prod, 2 * _w1_wire(gs[1][0]), 2 * _w1_wire(gs[2][0]), rw
 
 
 def _sym_prod_wires(layer, u, v, H, riders=()):
@@ -152,11 +164,8 @@ def square_net(H):
         b.commit()
         return b.finish([w - m])
     gs, _ = add_tent_towers(L, [x], H)
-    f = _w1_wire(gs[0][0])
-    for j, g in enumerate(gs[0], start=1):
-        f = f - g / (4.0 ** j)
     b.commit()
-    return b.finish([f])
+    return b.finish([_square_wire(gs[0])])
 
 
 def product2_unit(H):
@@ -244,18 +253,17 @@ def power_chain_net(n, H):
     return b.finish(outs)
 
 
-def _fold_wire(layer, x, k):
-    """Fold x in [-1, 1] inside an open layer: |x| = sigma(x) + sigma(-x) on
-    a new first floor, then s = ceil(log2 k) tent floors over (k / 2^s)|x|.
-    Returns (g_s((k / 2^s) |x|) as a wire, s); the wire is |x| when s = 0.
+def _fold_wire(layer, x, s, scale):
+    """Fold x inside an open layer: |x| = sigma(x) + sigma(-x) on a new
+    first floor, then s tent floors over scale * |x| (which must lie in
+    [0, 1]).  Returns g_s(scale |x|) as a wire; |x| itself when s = 0.
     """
-    s = max(0, math.ceil(math.log2(k)))
     fl = layer.floor()
     absx = fl.neuron(x) + fl.neuron(-1.0 * x)
     if s == 0:
-        return absx, s
-    gs, _ = add_tent_towers(layer, [absx * (k / float(2 ** s))], s)
-    return gs[0][-1], s
+        return absx
+    gs, _ = add_tent_towers(layer, [absx * scale], s)
+    return gs[0][-1]
 
 
 def periodic_fold_net(k):
@@ -266,8 +274,9 @@ def periodic_fold_net(k):
     k = int(k)
     if k < 1:
         raise NetFormatError("periodic_fold_net requires k >= 1")
+    s = max(0, math.ceil(math.log2(k)))
     b = NetBuilder(1)
-    g, _ = _fold_wire(b.layer(), b.input(0), k)
+    g = _fold_wire(b.layer(), b.input(0), s, k / float(2 ** s))
     b.commit()
     return b.finish([g])
 

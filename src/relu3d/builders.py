@@ -24,8 +24,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .blocks import (_clip_wires, _fold_wire, _sym_prod_wires,
-                     _unit_prod_wires, _w1_wire as _tower_head,
-                     add_tent_towers, product_d_net)
+                     _unit_prod_bank, _unit_prod_wires, product_d_net)
 from .builder_dsl import NetBuilder, Wire
 from .chebyshev import chebyshev_interpolant_1d, chebyshev_tensor_coeffs
 from .hermite import hermite_expansion, hermite_poly_coeffs, hermite_tail_bound
@@ -230,27 +229,17 @@ def build_polyNd(poly, H, width_cap=None):
                 pre = pre + c * w
         if acc is not None:
             pre = pre + acc
-        # one shared bank of tent towers per layer: three per new monomial
-        ys = []
-        idx = []
+        # one shared bank of product towers per layer: one per new monomial
+        pairs, idx = [], []
         for j in exact_degree_indices(d, k + 1):
             i = _first_nonzero(j)
             parent = tuple(v - 1 if q == i else v for q, v in enumerate(j))
-            xw, hw = x_wires[i], prev[parent]
-            ys.extend([(xw + hw) * 0.5, xw * 0.5, hw * 0.5])
+            pairs.append((x_wires[i], prev[parent]))
             idx.append(j)
-        gs, rout = add_tent_towers(L, ys, H,
-                                   riders=[pre, -1.0 * pre] + x_wires)
+        prods, _, rout = _unit_prod_bank(L, pairs, H,
+                                         riders=[pre, -1.0 * pre] + x_wires)
         b.commit()
-        new = {}
-        for t, j in enumerate(idx):
-            fs = []
-            for g_chain in gs[3 * t:3 * t + 3]:
-                f = _tower_head(g_chain[0])
-                for q, g in enumerate(g_chain, start=1):
-                    f = f - g / (4.0 ** q)
-                fs.append(f)
-            new[j] = 2 * fs[0] - 2 * fs[1] - 2 * fs[2]
+        new = dict(zip(idx, prods))
         acc = rout[0] - rout[1]
         x_wires = list(rout[2:])
         prev = new
@@ -493,11 +482,10 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
         "tail_envelope": hermite_tail_bound(N, M),
     }
     inputs = {"N": N, "d": d, "beta": beta, "H": H, "delta": delta}
+    terms = [(exp.coeffs[nu], [basis[v] for v in nu])
+             for nu in iproduct(range(N + 1), repeat=d)]
     if d == 1:
-        nus = [(nu,) for nu in range(N + 1)]
-        nets = [basis[nu[0]] for nu in nus]
-        cs = [exp.coeffs[nu] for nu in nus]
-        net = linear_combine(nets, cs, 0.0)
+        net = _tensor_sum(terms, 0.0, d, None, None)
         width_exp = max(8 * N * d, N ** d * (4 + d)) if N >= 1 else 8
         height_exp = H + 1 if N >= 2 else 1
         return _finish_report(net, width_exp, N + d - 1, height_exp, bound,
@@ -507,15 +495,25 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
     Hp = _min_height(6.0 * (d - 1) * R ** d, bound)
     meta["product_height"] = Hp
     meta["product_range"] = R
-    nets, cs = [], []
-    for nu in iproduct(range(N + 1), repeat=d):
-        inner = parallel([basis[v] for v in nu])
-        nets.append(chain(product_d_net(d, Hp, M=R), inner))
-        cs.append(exp.coeffs[nu])
-    net = linear_combine(nets, cs, 0.0)
+    net = _tensor_sum(terms, 0.0, d, Hp, R)
     got = metrics(net)
     return _finish_report(net, got.width, N + d - 1, got.height, bound,
                           "hermite-gauss", inputs, meta)
+
+
+def _tensor_sum(terms, const, d, H, M):
+    """Net for const + sum of coeff * prod_q factors[q](x_q) over the terms
+    (coeff, factors).  With d = 1 the one factor net is used alone; with
+    d >= 2 the factors run in parallel under one [-M, M]^d product net of
+    height H.  No terms give the constant net."""
+    if not terms:
+        return Net3D(d, [], [{}], [const])
+    if d == 1:
+        nets = [factors[0] for _, factors in terms]
+    else:
+        prod = product_d_net(d, H, M=M)
+        nets = [chain(prod, parallel(factors)) for _, factors in terms]
+    return linear_combine(nets, [c for c, _ in terms], const)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +536,9 @@ def _cos_chain_params(N2, budget):
 def _cos_fold_chain(k, a, H):
     """Net for cos(k pi x) on [-1, 1]: tent-fold of |x| then the cosine
     polynomial chain."""
+    s = max(0, math.ceil(math.log2(k)))
     b = NetBuilder(1)
-    g, s = _fold_wire(b.layer(), b.input(0), k)
+    g = _fold_wire(b.layer(), b.input(0), s, k / float(2 ** s))
     b.commit()
     out = _unit_chain(b, g, a, H)
     return b.finish([out]), s + 1
@@ -550,19 +549,9 @@ def _sin_branch(k, a, H, sign):
     sigma(sign * x), via cos(pi |k t - 1/2|) under tent folding."""
     sp = max(0, math.ceil(math.log2(k - 0.5)))
     b = NetBuilder(1)
-    x = b.input(0)
     L = b.layer()
-    fl = L.floor()
-    t = fl.neuron(sign * x)
-    fl2 = L.floor()
-    up = fl2.neuron(k * t - 0.5)
-    um = fl2.neuron(0.5 - k * t)
-    y = up + um
-    if sp == 0:
-        g = y
-    else:
-        gs, _ = add_tent_towers(L, [y * (1.0 / 2 ** sp)], sp)
-        g = gs[0][-1]
+    t = L.floor().neuron(sign * b.input(0))
+    g = _fold_wire(L, k * t - 0.5, sp, 1.0 / 2 ** sp)
     b.commit()
     out = _unit_chain(b, g, a, H)
     return b.finish([out]), sp + 2
@@ -615,14 +604,17 @@ def _const_one_net():
 # L^p
 
 
-def build_lp(target, N1, N2, r=2, d=1, drop_tol=1e-12, width_cap=None):
+DROP_TOL = 1e-12
+
+
+def build_lp(target, N1, N2, r=2, d=1):
     """L^p approximation on [-1, 1]^d: parity components of the target are
     expanded by the kernel trigonometric operator of degree N1, and each
     phase-shifted cosine is realized by a 2^-N2-accurate network; for d > 1
     the factors are combined with the [-2, 2]^d product net at height N1.
 
-    Coefficients below drop_tol (relative to the largest) are dropped; the
-    dropped mass is added to the recorded bound slack in meta.
+    Coefficients below DROP_TOL (relative to the largest) are dropped; the
+    dropped mass is recorded in meta.
     """
     N1 = int(N1)
     N2 = int(N2)
@@ -642,7 +634,7 @@ def build_lp(target, N1, N2, r=2, d=1, drop_tol=1e-12, width_cap=None):
         for j, aj in sorted(tc.a.items()):
             if any(j[q] == 0 and comp.eta[q] == 1 for q in range(d)):
                 continue  # a sine factor at frequency 0 vanishes identically
-            if abs(aj) <= drop_tol * scale:
+            if abs(aj) <= DROP_TOL * scale:
                 dropped += abs(aj)
                 continue
             terms.append((comp.eta, j, aj))
@@ -658,27 +650,13 @@ def build_lp(target, N1, N2, r=2, d=1, drop_tol=1e-12, width_cap=None):
                 psi_cache[key] = build_trig(jk, N2, kind).net
         return psi_cache[key]
 
-    nets, cs = [], []
-    n_units = 0
+    factored = []
     for eta, j, aj in terms:
-        if d == 1:
-            if j[0] == 0:
-                const += aj  # cos(0) = 1
-                continue
-            nets.append(psi(j[0], eta[0]))
+        if d == 1 and j[0] == 0:
+            const += aj  # cos(0) = 1
         else:
-            inner = parallel([psi(j[q], eta[q]) for q in range(d)])
-            nets.append(chain(product_d_net(d, N1, M=2.0), inner))
-        cs.append(aj)
-        n_units += 1
-        if width_cap is not None and n_units * 16 > width_cap:
-            raise WidthBudgetError(
-                f"term bank needs roughly {len(terms) * 16} width, "
-                f"cap is {width_cap}")
-    if nets:
-        net = linear_combine(nets, cs, const)
-    else:
-        net = Net3D(d, [], [{}], [const])
+            factored.append((aj, [psi(j[q], eta[q]) for q in range(d)]))
+    net = _tensor_sum(factored, const, d, N1, 2.0)
     got = metrics(net)
     omega = modulus_smoothness(target, r, 1.0 / N1, p=2, d=d)
     norm = _l2_norm(target, d)

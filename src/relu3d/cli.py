@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -219,8 +218,10 @@ def _cmd_verify(args):
         if os.path.exists(report_path) else {}
     doc = _load_doc(args.params)
     target = _target_callable(args, doc, net.input_dim)
-    bound = args.bound if args.bound is not None \
-        else build_doc.get("bound", math.inf)
+    bound = args.bound if args.bound is not None else build_doc.get("bound")
+    if bound is None:
+        raise UsageError(f"verify needs a bound: pass --bound or keep the "
+                         f"build report {report_path}")
     domain = args.domain or target.domain
     if args.norm == "sup":
         report = verify.sup_error(net, target, domain, bound=bound)
@@ -277,14 +278,11 @@ def _cmd_table1(args):
         if not (isinstance(configs, list)
                 and all(isinstance(c, dict) for c in configs)):
             raise UsageError("table1 config must be a JSON list of rows")
-        for cfg in configs:
-            if "target" in cfg:
-                cfg["target"] = TargetSpec.from_document(cfg["target"])
     else:
         configs = [dict(c) for c in DEFAULT_TABLE1]
-        for cfg in configs:
-            if "target" in cfg:
-                cfg["target"] = TargetSpec.from_document(cfg["target"])
+    for cfg in configs:
+        if "target" in cfg:
+            cfg["target"] = TargetSpec.from_document(cfg["target"])
     table = verify.table1_report(configs, csv_path=args.output)
     print(f"wrote {args.output} ({len(table.rows)} rows)")
     return 0

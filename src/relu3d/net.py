@@ -253,7 +253,7 @@ def _compile(net):
     return net._program
 
 
-def _forward(net, X, check=True):
+def _forward(net, X):
     """X: (input_dim, m) array.  Returns (output_dim, m)."""
     progs, R, c = _compile(net)
     acts = X
@@ -267,7 +267,7 @@ def _forward(net, X, check=True):
             for rows in prog.groups:
                 z = pre[rows] + prog.G[rows] @ out
                 out[rows] = np.maximum(z, 0.0)
-        if check and not np.all(np.isfinite(out)):
+        if not np.all(np.isfinite(out)):
             raise NetFormatError(f"non-finite activation in layer {li}")
         acts = out
     return R @ acts + c[:, None]
@@ -538,10 +538,6 @@ def flatten_to_2d(net, pad_width_to=None):
                  net.readout_bias)
 
 
-def _shift_weights(row, offset):
-    return {idx + offset: w for idx, w in row.items()}
-
-
 def _affine_compose(outer_row, outer_bias, inner_rows, inner_bias):
     """Compose affine maps: outer over inner's outputs -> over inner's basis."""
     new = {}
@@ -609,7 +605,9 @@ def _merge(nets, share_input):
 
     With share_input=False, inputs are concatenated; otherwise all nets read
     the same input.  Nets of unequal depth are padded with pass-through
-    layers first.  Outputs are concatenated in net order.
+    layers first.  Outputs are concatenated in net order.  Merged floor f
+    holds each net's floor f in net order, so neuron (f, i) of a net moves
+    to (f, col[f] + i), col[f] being that net's start column in floor f.
     """
     if not nets:
         raise NetFormatError("need at least one net")
@@ -617,65 +615,46 @@ def _merge(nets, share_input):
     nets = [n if len(n.layers) == depth else _pad_to_depth(n, depth)
             for n in nets]
     if share_input:
-        dim0 = nets[0].input_dim
-        if any(n.input_dim != dim0 for n in nets):
+        input_dim = nets[0].input_dim
+        if any(n.input_dim != input_dim for n in nets):
             raise NetFormatError("shared-input merge requires equal input_dim")
-        in_offsets = [0] * len(nets)
-        input_dim = dim0
+        remap = [range(input_dim)] * len(nets)
     else:
-        in_offsets = []
-        acc = 0
+        remap, input_dim = [], 0
         for n in nets:
-            in_offsets.append(acc)
-            acc += n.input_dim
-        input_dim = acc
+            remap.append(range(input_dim, input_dim + n.input_dim))
+            input_dim += n.input_dim
 
-    # per net and per layer: map local flat index -> merged flat index
+    # remap[j][i]: merged flat index of net j's flat index i one layer back
     layers = []
-    prev_maps = None
     for k in range(depth):
-        locals_ = [n.layers[k] for n in nets]
-        n_floors = max(len(l.floors) for l in locals_)
-        maps = [dict() for _ in nets]
-        merged_floors = []
-        floor_offsets = []  # merged flat offset of each merged floor
-        acc = 0
-        per_net_offs = [_flat_offsets(l) for l in locals_]
-        for fi in range(n_floors):
-            floor_offsets.append(acc)
-            for j, l in enumerate(locals_):
-                if fi < len(l.floors):
-                    for ni in range(len(l.floors[fi])):
-                        maps[j][per_net_offs[j][fi] + ni] = acc
-                        acc += 1
-        for fi in range(n_floors):
-            floor = []
-            for j, l in enumerate(locals_):
-                if fi >= len(l.floors):
-                    continue
-                for nrn in l.floors[fi]:
-                    if k == 0:
-                        w = _shift_weights(nrn.weights, in_offsets[j])
-                    else:
-                        w = {prev_maps[j][i]: v for i, v in nrn.weights.items()}
-                    intra = []
-                    offs_j = per_net_offs[j]
-                    for (sf, si, c) in nrn.intra:
-                        tgt = maps[j][offs_j[sf] + si]
-                        # locate merged (floor, index) for the target
-                        mf = max(i for i, fo in enumerate(floor_offsets)
-                                 if fo <= tgt)
-                        intra.append((mf, tgt - floor_offsets[mf], c))
-                    floor.append(Neuron(weights=w, bias=nrn.bias,
-                                        intra=tuple(intra)))
-            merged_floors.append(tuple(floor))
-        layers.append(Layer(floors=tuple(merged_floors)))
-        prev_maps = maps
+        parts = [n.layers[k] for n in nets]
+        floors = [[] for _ in range(max(len(l.floors) for l in parts))]
+        cols = []
+        for j, layer in enumerate(parts):
+            col = []
+            for f, floor in enumerate(layer.floors):
+                col.append(len(floors[f]))
+                floors[f].extend(
+                    Neuron(weights={remap[j][i]: w
+                                    for i, w in nrn.weights.items()},
+                           bias=nrn.bias,
+                           intra=tuple((sf, col[sf] + si, c)
+                                       for (sf, si, c) in nrn.intra))
+                    for nrn in floor)
+            cols.append(col)
+        merged = Layer(floors=tuple(tuple(f) for f in floors))
+        offs = _flat_offsets(merged)
+        remap = [[offs[f] + col[f] + i
+                  for f, floor in enumerate(layer.floors)
+                  for i in range(len(floor))]
+                 for layer, col in zip(parts, cols)]
+        layers.append(merged)
 
     rows, bias = [], []
     for j, n in enumerate(nets):
         for row, b in zip(n.readout_weights, n.readout_bias):
-            rows.append({prev_maps[j][i]: v for i, v in row.items()})
+            rows.append({remap[j][i]: v for i, v in row.items()})
             bias.append(b)
     return Net3D(input_dim, layers, rows, bias)
 
@@ -698,14 +677,8 @@ def linear_combine(nets, coeffs, bias):
         raise NetFormatError("one coefficient per net required")
     if any(n.output_dim != 1 for n in nets):
         raise NetFormatError("linear_combine requires scalar nets")
-    merged = _merge(nets, share_input=True)
-    row = {}
-    b = float(bias)
-    for o, c in enumerate(coeffs):
-        b += c * merged.readout_bias[o]
-        for idx, w in merged.readout_weights[o].items():
-            row[idx] = row.get(idx, 0.0) + c * w
-    return Net3D(merged.input_dim, merged.layers, [row], [b])
+    return chain(Net3D(len(nets), [], [dict(enumerate(coeffs))], [bias]),
+                 _merge(nets, share_input=True))
 
 
 def identity_net(dim=1):

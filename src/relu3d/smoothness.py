@@ -30,8 +30,7 @@ def r_th_difference(fn, pts, h_vec, r):
     return total
 
 
-def modulus_smoothness(target, r, t, p=2, d=1, half_width=1.0,
-                       h_samples=H_SAMPLES, nodes=QUAD_NODES):
+def modulus_smoothness(target, r, t, p=2, d=1, half_width=1.0):
     """omega_r(f, t)_p on the periodic cube [-T, T]^d, T = half_width.
 
     p may be a positive float or math.inf.  Shifts run along each coordinate
@@ -43,9 +42,9 @@ def modulus_smoothness(target, r, t, p=2, d=1, half_width=1.0,
         raise ValueError("t must be positive")
     T = float(half_width)
     if d == 1:
-        n_side = nodes
+        n_side = QUAD_NODES
     else:
-        n_side = max(64, int(round(nodes ** (1.0 / d))))
+        n_side = max(64, int(round(QUAD_NODES ** (1.0 / d))))
     u = -T + 2.0 * T * np.arange(n_side) / n_side
     if d == 1:
         pts = u[:, None]
@@ -58,7 +57,7 @@ def modulus_smoothness(target, r, t, p=2, d=1, half_width=1.0,
         return target(z)
 
     cell = (2.0 * T) ** d
-    hs = t * np.geomspace(2.0 ** -10, 1.0, h_samples)
+    hs = t * np.geomspace(2.0 ** -10, 1.0, H_SAMPLES)
     best = 0.0
     for axis in range(d):
         e = np.zeros(d)

@@ -10,7 +10,7 @@ bounds, Gaussian integrability).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np

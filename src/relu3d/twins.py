@@ -170,12 +170,15 @@ def lp_net_twin_grid(axes, report):
     return total
 
 
-def spot_check(net_eval, twin_eval, pts, tol=1e-9, where="twin"):
+SPOT_TOL = 1e-9
+
+
+def spot_check(net_eval, twin_eval, pts, where="twin"):
     """Assert the network and its twin agree on the given points."""
     got = np.asarray(net_eval(pts), dtype=float)
     want = np.asarray(twin_eval(pts), dtype=float)
     dev = float(np.max(np.abs(got - want))) if got.size else 0.0
     scale = max(1.0, float(np.max(np.abs(want)))) if want.size else 1.0
-    if dev > tol * scale:
+    if dev > SPOT_TOL * scale:
         raise AssertionError(f"{where} deviates from network by {dev}")
     return dev

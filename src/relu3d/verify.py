@@ -91,9 +91,6 @@ class SweepTable:
             raise ValueError("sweep table must be nonempty")
         self.rows = sorted(self.rows, key=lambda r: r.value)
 
-    def column(self, name):
-        return [r.as_dict().get(name) for r in self.rows]
-
     def to_csv(self, path):
         base = ["value", "measured", "bound", "param_count", "width",
                 "depth", "height"]
@@ -130,8 +127,8 @@ def _tensor_points(axis_list):
     return np.column_stack([g.ravel() for g in grids])
 
 
-def _abs_diff(eval_fn, target, pts):
-    got = np.asarray(eval_fn(pts), dtype=float)
+def _abs_diff(net, target, pts):
+    got = np.asarray(evaluate_array(net, pts), dtype=float)
     want = np.asarray(target(pts), dtype=float)
     return np.abs(got - want)
 
@@ -140,8 +137,7 @@ def _abs_diff(eval_fn, target, pts):
 # norm measurements
 
 
-def sup_error(net, target, domain, base_resolution=None, bound=math.inf,
-              eval_fn=None):
+def sup_error(net, target, domain, base_resolution=None, bound=math.inf):
     """Sup-norm error of a network against a target on a bounded cube.
 
     The base grid has 2^(H+4) + 1 points per dimension (H the network
@@ -151,15 +147,13 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf,
     """
     lo, hi = _domain_bounds(domain)
     d = net.input_dim
-    if eval_fn is None:
-        eval_fn = lambda pts: evaluate_array(net, pts)
     H = metrics(net).height
     n_side = base_resolution or (2 ** (H + 4) + 1)
     while n_side ** d > SUP_POINT_CAP:
         n_side = (n_side - 1) // 2 + 1
     axis = np.linspace(lo, hi, n_side)
     pts = _tensor_points([axis] * d)
-    err = _abs_diff(eval_fn, target, pts)
+    err = _abs_diff(net, target, pts)
     i = int(np.argmax(err))
     best = float(err[i])
     # refinement: a 33-point-per-axis window around the arg-max with the
@@ -169,7 +163,7 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf,
     local_axes = [np.clip(np.linspace(c - step, c + step, 33), lo, hi)
                   for c in center]
     local = _tensor_points(local_axes)
-    best = max(best, float(np.max(_abs_diff(eval_fn, target, local))))
+    best = max(best, float(np.max(_abs_diff(net, target, local))))
     res = {"kind": "dense-grid", "points_per_dim": int(n_side), "d": d,
            "domain": [lo, hi], "refined": True}
     return ErrorReport(norm_kind="sup", measured=best, bound=bound,
@@ -177,7 +171,7 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf,
 
 
 def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
-             eval_fn=None, eval_grid_fn=None):
+             eval_grid_fn=None):
     """L^p error by tensor midpoint quadrature on a bounded cube.
 
     p = inf delegates to sup_error.  For large tensor grids an
@@ -186,7 +180,7 @@ def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
     (see twins.spot_check).
     """
     if p == math.inf or p == np.inf:
-        return sup_error(net, target, domain, bound=bound, eval_fn=eval_fn)
+        return sup_error(net, target, domain, bound=bound)
     p = float(p)
     if p < 1.0:
         raise ValueError("need 1 <= p <= inf")
@@ -204,8 +198,6 @@ def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
     want = np.asarray(target(pts), dtype=float)
     if eval_grid_fn is not None:
         got = np.asarray(eval_grid_fn(axes), dtype=float).reshape(-1)
-    elif eval_fn is not None:
-        got = np.asarray(eval_fn(pts), dtype=float)
     else:
         got = np.asarray(evaluate_array(net, pts), dtype=float)
     w = w_axis
@@ -233,15 +225,17 @@ def _gauss_panels(lo, hi, panel_width=0.25, order=16):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def gauss_l2_error(net, target, M_support, quadrature=None, bound=math.inf,
-                   tail_sq=None):
+GAUSS_PANEL_ORDER = 16
+
+
+def gauss_l2_error(net, target, M_support, bound=math.inf):
     """L^2 error against the standard Gaussian measure on the line.
 
     The network must vanish outside [-M_support, M_support] (the clipped
     construction guarantees this); the interior integral runs over
     [-M-2, M+2] by Gauss-weighted composite panels and the tail adds the
-    target's own mass outside, from its catalog closed form (or an explicit
-    tail_sq).  Unknown tails are rejected rather than guessed.
+    target's own mass outside, from its catalog closed form.  Unknown tails
+    are rejected rather than guessed.
     """
     if net.input_dim != 1:
         raise NotImplementedError("Gaussian-norm measurement is univariate")
@@ -255,19 +249,15 @@ def gauss_l2_error(net, target, M_support, quadrature=None, bound=math.inf,
         raise ValueError(
             f"network does not vanish outside [-{M}, {M}] (|value| up to "
             f"{outside:.2e}); clip it to compact support first")
-    if tail_sq is None:
-        if not hasattr(target, "gauss_tail_sq"):
-            raise ValueError("target has no Gaussian tail envelope; pass "
-                             "tail_sq explicitly")
-        tail_sq = target.gauss_tail_sq(M + 2.0)
-    order = quadrature or 16
-    x, w = _gauss_panels(-M - 2.0, M + 2.0, order=order)
-    pts = x[:, None]
-    diff = _abs_diff(lambda q: evaluate_array(net, q), target, pts)
+    if not hasattr(target, "gauss_tail_sq"):
+        raise ValueError("target has no Gaussian tail envelope")
+    tail_sq = target.gauss_tail_sq(M + 2.0)
+    x, w = _gauss_panels(-M - 2.0, M + 2.0, order=GAUSS_PANEL_ORDER)
+    diff = _abs_diff(net, target, x[:, None])
     density = np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
     interior = math.fsum(w * density * diff ** 2)
     measured = math.sqrt(max(interior, 0.0) + float(tail_sq))
-    res = {"kind": "gauss-panels", "panel_order": int(order),
+    res = {"kind": "gauss-panels", "panel_order": GAUSS_PANEL_ORDER,
            "window": [-M - 2.0, M + 2.0], "tail_sq": float(tail_sq)}
     return ErrorReport(norm_kind="gauss-l2", measured=measured, bound=bound,
                        resolution=res)
@@ -382,22 +372,22 @@ class FitResult:
 FIT_MARGIN = 1.25
 
 
-def fit_and_check(table, split=None, margin=FIT_MARGIN):
+def fit_and_check(table):
     """Two-phase fitted-constant protocol: fit C = max(measured / bound) on
-    the lower half of the sweep, then assert measured <= margin * C * bound
-    on the upper half.  The margin gives headroom for ratios that converge
-    to their limiting constant from below, where the raw lower-half maximum
-    systematically undershoots; it is far smaller than the order-of-magnitude
-    jumps a genuine bound violation produces.  Non-monotone jumps in the
+    the lower half of the sweep, then assert measured <= FIT_MARGIN * C *
+    bound on the upper half.  The margin gives headroom for ratios that
+    converge to their limiting constant from below, where the raw lower-half
+    maximum systematically undershoots; it is far smaller than the
+    order-of-magnitude jumps a genuine bound violation produces.  Non-monotone jumps in the
     measured error are flagged."""
     rows = table.rows
     if len(rows) < 6:
         raise ValueError("need at least 6 sweep points for fitting")
-    split = split or len(rows) // 2
+    split = len(rows) // 2
     fit_rows, check_rows = rows[:split], rows[split:]
     C = max((r.measured / r.bound) for r in fit_rows if r.bound > 0)
     C = max(C, 1e-300)
-    passed = all(r.measured <= margin * C * r.bound * (1.0 + PASS_SLACK)
+    passed = all(r.measured <= FIT_MARGIN * C * r.bound * (1.0 + PASS_SLACK)
                  for r in check_rows)
     anomalies = []
     for prev, cur in zip(rows, rows[1:]):

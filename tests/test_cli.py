@@ -100,6 +100,28 @@ def test_corrupt_build_report_is_usage_error(tmp_path, capsys, report):
     assert "build report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("report", [None, "{}"])
+def test_verify_without_a_bound_is_usage_error(tmp_path, capsys, report):
+    out = build_square(tmp_path)
+    path = tmp_path / "sq.net.report.json"
+    if report is None:
+        path.unlink()
+    else:
+        path.write_text(report)
+    assert run(["verify", str(out), "--target", "square"]) == 2
+    assert "--bound" in capsys.readouterr().err
+    assert not (tmp_path / "sq.net.verify.json").exists()
+
+
+def test_verify_bound_flag_replaces_a_deleted_report(tmp_path, capsys):
+    out = build_square(tmp_path)
+    (tmp_path / "sq.net.report.json").unlink()
+    assert run(["verify", str(out), "--target", "square",
+                "--bound", "1e-3"]) == 0
+    doc = json.loads((tmp_path / "sq.net.verify.json").read_text())
+    assert doc["bound"] == 1e-3 and doc["pass"] is True
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["build", "--theorem", "poly", "--bogus", "1",
                 "-o", "/tmp/x.net"]) == 2
