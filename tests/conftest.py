@@ -1,4 +1,10 @@
+import hashlib
 import sys
+
+import numpy as np
+import pytest
+
+from relu3d.net import evaluate_array
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -12,3 +18,15 @@ def pytest_terminal_summary(terminalreporter):
             for line in mod.CRITERION_LINES:
                 terminalreporter.write_line("  " + line)
             break
+
+
+@pytest.fixture
+def forward_sha():
+    """sha256 of a net's evaluate_array outputs on 64 seeded points of
+    [-1, 1]^input_dim: any change in a forward value, sign of zero
+    included, changes it."""
+    def sha(net):
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0,
+                                               size=(64, net.input_dim))
+        return hashlib.sha256(evaluate_array(net, pts).tobytes()).hexdigest()
+    return sha

@@ -460,6 +460,39 @@ def test_golden_cases_cover_every_theorem():
         builders.THEOREM_IDS)
 
 
+# case -> forward_sha (conftest) of the case's build, recorded before the
+# forward pass ran each layer in contiguous segments of its flat order
+GOLDEN_FORWARD = {
+    "analytic-cube-d1":
+        "ad41bf01a0a4c3f39051b00396b3002143b9acfca1a565b0ea43db7fa020d44f",
+    "analytic-cube-d2":
+        "08f489d351207aa95219b80b73130809c82e15fbc1b1deb4f8cc6ee2dd071c56",
+    "ellipse":
+        "edceb5c8585372e626556141b577621ec1df439cd70e73128a9ad44c67da9f2f",
+    "hermite":
+        "e54cd28354c8cc090338df6147c59123e0ecab52c026f6156e365792b6282948",
+    "lp-d1":
+        "be0c472a88c6d7df4a97dc1830b7a5907b5de420566d4a1247f646b4b894ebab",
+    "lp-d2":
+        "3c85ec0662285eaec6d1371ddbdd66633bf9574b330b0c47695e4fb6e29f85ee",
+    "poly":
+        "175472fe76e3720128984271547f068726da11959d6b598f93415ad8ebd71d2f",
+    "polyNd":
+        "8926237bdfb708f0946599c8b66eb9ac6d54f01d631c987ff007dd68de671731",
+    "smooth":
+        "ebee24c3bcafab83b1cd968b307876b6f407a09fbf998d119f6db27c33c02b2d",
+    "trig-cos":
+        "e0a7087bc7634922957678742ad77e1332860024274fe1a379d47e855528ebf5",
+    "trig-sin":
+        "d7a5e4a4ef3afa852b02b1afc40fccad5627c2e08b66eb3d7f95d6f9a0dd3f9b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_forward_outputs(case, forward_sha):
+    assert forward_sha(GOLDEN_CASES[case][2]().net) == GOLDEN_FORWARD[case]
+
+
 # name -> (sha256 of serialize, the same net's constructor)
 GOLDEN_GADGETS = {
     "periodic-fold-5": (

@@ -358,6 +358,30 @@ def test_golden_merge_hashes(name):
     assert hashlib.sha256(serialize(make()).encode()).hexdigest() == want
 
 
+# name -> (forward_sha (conftest), the net), recorded before the forward
+# pass ran each layer in contiguous segments of its flat order
+GOLDEN_MERGE_FORWARD = {
+    name: (sha, GOLDEN_MERGES[name][1]) for name, sha in (
+        ("parallel-mixed", "b7d07469488c8d55789eaf70523447d52fbc7d7cfa88"
+                           "afe4c1cafb77e9d4d5c9"),
+        ("parallel-shared-flat", "b86b788494c4fdfa020e8340d8955fe60706d7"
+                                 "9b22fab04ce708bd994a03c6b7"),
+        ("linear-combine-dyadic", "1692f5ac276375ae93a3ba419fa9142997245c"
+                                  "f31892a3208fdb040e5f8cae05"))}
+# one floor whose two intra chains interleave: five dependency levels,
+# but the flat order restarts a segment eight times
+GOLDEN_MERGE_FORWARD["flat-square-saw"] = (
+    "b1eab1b1767219c370549c3101896f3df0c5afda3f75676a64786d46b1c31e5b",
+    lambda: parallel_shared([flatten_to_2d(blocks.square_net(4)),
+                             flatten_to_2d(blocks.sawtooth_net(5))]))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MERGE_FORWARD))
+def test_golden_merge_forward_outputs(name, forward_sha):
+    want, make = GOLDEN_MERGE_FORWARD[name]
+    assert forward_sha(make()) == want
+
+
 # small gadgets with exact dyadic arithmetic; the flattened ones carry
 # intra links on a single floor
 PARTS = {
