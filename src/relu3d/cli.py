@@ -187,9 +187,12 @@ def _cmd_eval(args):
             raise UsageError(f"point {arg!r} has {len(coords)} coordinates; "
                              f"network expects {net.input_dim}")
         pts.append(coords)
-    vals = evaluate_array(net, np.asarray(pts))
+    try:
+        vals = evaluate_array(net, np.asarray(pts))
+    except NetFormatError as exc:
+        raise UsageError(f"cannot evaluate {args.net}: {exc}")
     for v in vals:
-        print(repr(float(v)))
+        print(" ".join(repr(float(u)) for u in np.atleast_1d(v)))
     return 0
 
 

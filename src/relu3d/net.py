@@ -35,6 +35,7 @@ __all__ = [
     "NetFormatError",
     "evaluate",
     "evaluate_batch",
+    "evaluate_array",
     "evaluate_exact",
     "metrics",
     "serialize",
@@ -206,38 +207,39 @@ def _sparse_from_rows(rows, n_cols):
 
 
 class _LayerProgram:
-    __slots__ = ("W", "b", "G", "groups")
+    """One hidden layer compiled for the forward pass.
+
+    W, b: the affine part over the previous layer's outputs.  segments:
+    runs of the flat neuron order as (rows, G), G holding the intra-link
+    coefficients of those rows over the neurons before them (None for the
+    first run).  A neuron starts a new run when one of its intra sources
+    lies at or after the current run's start, so no neuron of a run reads
+    another and each run takes one step.  Where no intra link joins two
+    neurons of one floor (every builder, merge and pad), each floor starts
+    at most one run: a layer takes at most one step per floor.
+    """
+
+    __slots__ = ("W", "b", "segments")
 
     def __init__(self, layer, prev_size):
-        n = layer.size
         offs = _flat_offsets(layer)
-        w_rows, intra_rows, levels = [], [], []
-        # dependency level of each neuron within the layer: 0 if no intra
-        # sources, else 1 + max level over sources.  Plain constructions have
-        # level == floor index; flattened nets recover the original grouping.
-        for nrn in layer.flat_neurons():
+        w_rows, intra_rows, starts = [], [], [0]
+        for i, nrn in enumerate(layer.flat_neurons()):
             w_rows.append(nrn.weights)
             irow = {}
-            lvl = 0
             for (sf, si, coeff) in nrn.intra:
                 src = offs[sf] + si
                 irow[src] = irow.get(src, 0.0) + coeff
-                lvl = max(lvl, levels[src] + 1)
+            if irow and max(irow) >= starts[-1]:
+                starts.append(i)
             intra_rows.append(irow)
-            levels.append(lvl)
         self.W = _sparse_from_rows(w_rows, prev_size)
         self.b = np.array([nrn.bias for nrn in layer.flat_neurons()],
                           dtype=float)
-        self.G = _sparse_from_rows(intra_rows, n)
-        groups = []
-        order = np.argsort(np.array(levels), kind="stable")
-        lv = np.array(levels)[order]
-        start = 0
-        for i in range(1, len(order) + 1):
-            if i == len(order) or lv[i] != lv[start]:
-                groups.append(np.array(order[start:i]))
-                start = i
-        self.groups = groups
+        ends = starts[1:] + [len(intra_rows)]
+        self.segments = [
+            (slice(a, c), _sparse_from_rows(intra_rows[a:c], a) if a else None)
+            for a, c in zip(starts, ends)]
 
 
 def _compile(net):
@@ -258,15 +260,13 @@ def _forward(net, X):
     progs, R, c = _compile(net)
     acts = X
     for li, prog in enumerate(progs):
-        pre = prog.W @ acts
-        pre += prog.b[:, None]
-        if prog.G.nnz == 0:
-            out = np.maximum(pre, 0.0)
-        else:
-            out = np.zeros_like(pre)
-            for rows in prog.groups:
-                z = pre[rows] + prog.G[rows] @ out
-                out[rows] = np.maximum(z, 0.0)
+        out = prog.W @ acts
+        out += prog.b[:, None]
+        for rows, G in prog.segments:
+            seg = out[rows]
+            if G is not None:
+                seg += G @ out[:rows.start]
+            np.maximum(seg, 0.0, out=seg)
         if not np.all(np.isfinite(out)):
             raise NetFormatError(f"non-finite activation in layer {li}")
         acts = out
@@ -275,50 +275,42 @@ def _forward(net, X):
 
 def evaluate(net, x):
     """Forward pass on one point.  Scalar nets return a float."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != net.input_dim:
-        raise NetFormatError(f"expected input of length {net.input_dim}, "
-                             f"got {x.size}")
-    y = _forward(net, x[:, None])[:, 0]
-    return float(y[0]) if net.output_dim == 1 else y
+    y = evaluate_array(net, np.asarray(x, dtype=float).reshape(1, -1))[0]
+    return float(y) if net.output_dim == 1 else y
 
 
 def evaluate_batch(net, points):
     """Forward pass on a sequence (or (m, input_dim) array) of points.
 
-    Returns a list of floats for scalar nets, else a list of arrays.  Large
-    batches are processed in chunks to bound the working set.
+    Returns a list of floats for scalar nets, else a list of arrays.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return []
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[1] != net.input_dim:
-        raise NetFormatError(f"expected points of length {net.input_dim}, "
-                             f"got {pts.shape[1]}")
     out = evaluate_array(net, pts)
-    if net.output_dim == 1:
-        return [float(v) for v in out]
-    return [row for row in out]
+    return [float(v) for v in out] if net.output_dim == 1 else list(out)
 
 
 def evaluate_array(net, pts, chunk=None):
-    """Vectorized forward pass.  pts: (m, input_dim).
+    """Vectorized forward pass.  pts: (m, input_dim), or (m,) when
+    input_dim is 1.  Large batches are processed in chunks to bound the
+    working set.
 
     Returns (m,) for scalar nets, else (m, output_dim).
     """
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[1] != net.input_dim:
+        raise NetFormatError(f"expected points of length {net.input_dim}, "
+                             f"got an array of shape {pts.shape}")
     m = pts.shape[0]
     if chunk is None:
         n_widest = max([net.input_dim] + [l.size for l in net.layers])
         chunk = max(64, min(m, int(4e7 // max(1, n_widest))))
-    outs = []
-    for start in range(0, m, chunk):
-        block = pts[start:start + chunk]
-        outs.append(_forward(net, block.T).T)
+    # an empty batch still runs one (empty) chunk, giving an empty result
+    outs = [_forward(net, pts[start:start + chunk].T).T
+            for start in range(0, max(m, 1), chunk)]
     y = np.concatenate(outs, axis=0)
     return y[:, 0] if net.output_dim == 1 else y
 
@@ -470,7 +462,7 @@ def deserialize(document):
                              f"schema (expected {SCHEMA_ID})")
     try:
         input_dim = int(doc["input_dim"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise NetFormatError("missing or invalid input_dim")
     prev = input_dim
     layers = []
@@ -488,7 +480,7 @@ def deserialize(document):
                     intra = tuple((int(l["floor"]), int(l["index"]),
                                    float(l["coeff"]))
                                   for l in nd.get("intra", []))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise NetFormatError(f"malformed neuron at {where}: {exc}")
                 neurons.append(Neuron(weights=weights, bias=bias, intra=intra))
             floors.append(tuple(neurons))
@@ -501,7 +493,7 @@ def deserialize(document):
         rows = [_w_parse(rd, prev, f"readout.w[{oi}]")
                 for oi, rd in enumerate(ro["w"])]
         bias = [float(b) for b in ro["b"]]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise NetFormatError(f"malformed readout: {exc}")
     return Net3D(input_dim, layers, rows, bias)
 

@@ -16,7 +16,7 @@ from relu3d.builders import (WidthBudgetError, build_analytic_cube,
                              choose_hermite_params, expected_bound,
                              expected_size)
 from relu3d.hermite import hermite_eval, hermite_tail_bound
-from relu3d.net import evaluate_array, metrics, serialize
+from relu3d.net import _compile, evaluate_array, metrics, serialize
 from relu3d.polynd import PolyND
 from relu3d.targets import TargetSpec
 from relu3d.verify import gauss_l2_error, lp_error, sup_error, sweep
@@ -491,6 +491,14 @@ GOLDEN_FORWARD = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_forward_outputs(case, forward_sha):
     assert forward_sha(GOLDEN_CASES[case][2]().net) == GOLDEN_FORWARD[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_forward_takes_one_step_per_floor(case):
+    net = GOLDEN_CASES[case][2]().net
+    progs, _, _ = _compile(net)
+    assert [len(p.segments) for p in progs] == [len(layer.floors)
+                                                for layer in net.layers]
 
 
 # name -> (sha256 of serialize, the same net's constructor)

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from relu3d import blocks
 from relu3d.builders import THEOREM_IDS, THEOREMS
 from relu3d.cli import _build_parser, run
-from relu3d.net import deserialize, evaluate_array
+from relu3d.net import (deserialize, evaluate_array, identity_net,
+                        parallel_shared, serialize)
 
 
 def build_square(tmp_path):
@@ -80,8 +82,11 @@ def test_missing_net_file_is_usage_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["not json", '{"schema": "relu3d/v1", '
-                                  '"input_dim": 1, "layers": [1]}'])
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"schema": "relu3d/v1", "input_dim": 1, "layers": [1]}',
+    '{"schema": "relu3d/v1", "input_dim": Infinity, "layers": [], '
+    '"readout": {"w": [[]], "b": [0.0]}}'])
 @pytest.mark.parametrize("verb", [["eval"], ["size"],
                                   ["verify", "--target", "square"]])
 def test_malformed_net_file_is_usage_error(tmp_path, capsys, text, verb):
@@ -90,6 +95,23 @@ def test_malformed_net_file_is_usage_error(tmp_path, capsys, text, verb):
     args = [verb[0], str(path)] + (["0.5"] if verb == ["eval"] else verb[1:])
     assert run(args) == 2
     assert "network file" in capsys.readouterr().err
+
+
+def test_eval_prints_one_line_per_point_of_a_multi_output_net(tmp_path,
+                                                              capsys):
+    path = tmp_path / "pair.net"
+    path.write_text(serialize(parallel_shared([identity_net(1),
+                                               blocks.sawtooth_net(1)])))
+    assert run(["eval", str(path), "0.25", "0.5"]) == 0
+    assert capsys.readouterr().out == "0.25 0.5\n0.5 1.0\n"
+
+
+@pytest.mark.parametrize("point", ["inf", "nan", "1e308"])
+def test_eval_of_an_unusable_point_is_usage_error(tmp_path, capsys, point):
+    out = build_square(tmp_path)
+    capsys.readouterr()
+    assert run(["eval", str(out), point]) == 2
+    assert "non-finite activation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("report", ["{broken", "[1, 2]"])

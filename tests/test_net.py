@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relu3d import blocks
-from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, chain,
-                        deserialize, evaluate, evaluate_array, evaluate_batch,
+from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
+                        chain, deserialize, evaluate, evaluate_array,
+                        evaluate_batch,
                         evaluate_exact, flatten_to_2d, identity_net,
                         linear_combine, metrics, parallel, parallel_shared,
                         serialize)
@@ -50,6 +51,25 @@ def test_evaluate_rejects_dimension_mismatch():
     net = identity_net(1)
     with pytest.raises(NetFormatError):
         evaluate(net, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 3)), np.zeros((3, 1, 1)),
+                                    [0.1, 0.2]])
+def test_every_evaluator_rejects_a_wrong_point_width(points):
+    net = blocks.product2_unit(2)
+    with pytest.raises(NetFormatError, match="expected points of length 2"):
+        evaluate_array(net, points)
+    with pytest.raises(NetFormatError, match="expected points of length 2"):
+        evaluate_batch(net, points)
+    with pytest.raises(NetFormatError, match="expected points of length 2"):
+        evaluate(net, [0.1, 0.2, 0.3])
+
+
+def test_evaluate_array_of_no_points_is_empty():
+    assert evaluate_array(blocks.sawtooth_net(2), np.zeros((0, 1))).shape \
+        == (0,)
+    pair = parallel([identity_net(1), identity_net(1)])
+    assert evaluate_array(pair, np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_evaluate_rejects_nonfinite_intermediate():
@@ -238,6 +258,63 @@ def test_deserialize_rejects_non_object_parts(path, value):
         deserialize(doc)
 
 
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [p for k, v in items for p in _leaf_paths(v, path + (k,))]
+
+
+FUZZ_NETS = [identity_net(1), blocks.sawtooth_net(2), blocks.product2_unit(1),
+             flatten_to_2d(blocks.square_net(2)),
+             parallel([identity_net(1), blocks.sawtooth_net(1)])]
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.inf, -math.inf, 10 ** 400, -1, 2 ** 63]),
+    st.text(max_size=3), st.sampled_from([[], {}, [1], {"i": [0]}]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(range(len(FUZZ_NETS))), st.data())
+def test_deserialize_of_mutated_documents_raises_only_net_format_error(
+        which, data):
+    doc = json.loads(serialize(FUZZ_NETS[which]))
+    paths = _leaf_paths(doc)
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1,
+                                   max_size=3)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_LEAF)
+    for document in (doc, json.dumps(doc)):
+        try:
+            deserialize(document)
+        except NetFormatError:
+            pass
+
+
+@pytest.mark.parametrize("path", [
+    ("input_dim",),
+    ("readout", "w", 0, "i", 0),
+    ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "floor"),
+    ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "index"),
+    ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "coeff"),
+])
+@pytest.mark.parametrize("value", [math.inf, 10 ** 400],
+                         ids=["inf", "huge"])
+def test_deserialize_rejects_overflowing_numbers(path, value):
+    doc = json.loads(serialize(blocks.sawtooth_net(2)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(NetFormatError):
+        deserialize(json.dumps(doc))
+
+
 def test_deserialize_names_error_path():
     doc = json.loads(serialize(identity_net(1)))
     doc["layers"][0]["floors"][0]["neurons"][0]["w"] = "junk"
@@ -382,6 +459,16 @@ def test_golden_merge_forward_outputs(name, forward_sha):
     assert forward_sha(make()) == want
 
 
+def test_forward_runs_cover_the_flat_order():
+    net = GOLDEN_MERGE_FORWARD["flat-square-saw"][1]()
+    (prog,), _, _ = _compile(net)
+    rows = [r for r, _ in prog.segments]
+    assert len(rows) == 8
+    assert [r.start for r in rows[1:]] == [r.stop for r in rows[:-1]]
+    assert rows[0].start == 0 and rows[-1].stop == net.layers[0].size
+    assert [G is None for _, G in prog.segments] == [True] + [False] * 7
+
+
 # small gadgets with exact dyadic arithmetic; the flattened ones carry
 # intra links on a single floor
 PARTS = {
@@ -407,6 +494,12 @@ def _exact(net, x):
     return out if isinstance(out, list) else [out]
 
 
+def _floats(net, x):
+    """The float forward pass at one point, as exact rationals."""
+    out = evaluate_array(net, np.array([[float(v) for v in x]]))
+    return [Fraction(v) for v in np.reshape(out, -1)]
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.sampled_from(sorted(PARTS)), min_size=1, max_size=4),
        st.booleans(), st.data())
@@ -425,6 +518,12 @@ def test_merges_match_their_parts_exactly(names, shared, data):
         net = parallel(parts)
     want = [v for p, xi in zip(parts, xs) for v in _exact(p, xi)]
     assert _exact(net, x) == want
+    assert _floats(net, x) == want
+    for p, xi in zip(parts, xs):
+        m = metrics(p)
+        for flat in (flatten_to_2d(p),
+                     flatten_to_2d(p, pad_width_to=m.width * m.height)):
+            assert _exact(flat, xi) == _floats(flat, xi) == _exact(p, xi)
 
 
 @settings(deadline=None, max_examples=30)
