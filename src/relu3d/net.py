@@ -210,13 +210,14 @@ class _LayerProgram:
     """One hidden layer compiled for the forward pass.
 
     W, b: the affine part over the previous layer's outputs.  segments:
-    runs of the flat neuron order as (rows, G), G holding the intra-link
-    coefficients of those rows over the neurons before them (None for the
-    first run).  A neuron starts a new run when one of its intra sources
-    lies at or after the current run's start, so no neuron of a run reads
-    another and each run takes one step.  Where no intra link joins two
-    neurons of one floor (every builder, merge and pad), each floor starts
-    at most one run: a layer takes at most one step per floor.
+    (rows, G) for each segment, a run of the flat neuron order, G holding
+    the intra-link coefficients of those rows over the neurons before the
+    segment (None for the first).  A neuron starts a new segment when one
+    of its intra sources lies at or after the current segment's start, so
+    no neuron of a segment reads another and each segment takes one step.
+    Where no intra link joins two neurons of one floor (every builder,
+    merge and pad), each floor starts at most one segment: a layer takes
+    at most one step per floor.
     """
 
     __slots__ = ("W", "b", "segments")

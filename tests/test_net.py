@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from relu3d import blocks
 from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
                         chain, deserialize, evaluate, evaluate_array,
-                        evaluate_batch,
-                        evaluate_exact, flatten_to_2d, identity_net,
-                        linear_combine, metrics, parallel, parallel_shared,
-                        serialize)
+                        evaluate_batch, evaluate_exact, flatten_to_2d,
+                        identity_net, linear_combine, metrics, parallel,
+                        parallel_shared, serialize)
 
 GRID = np.linspace(0.0, 1.0, 1001)[:, None]
 
@@ -66,8 +65,8 @@ def test_every_evaluator_rejects_a_wrong_point_width(points):
 
 
 def test_evaluate_array_of_no_points_is_empty():
-    assert evaluate_array(blocks.sawtooth_net(2), np.zeros((0, 1))).shape \
-        == (0,)
+    saw = blocks.sawtooth_net(2)
+    assert evaluate_array(saw, np.zeros((0, 1))).shape == (0,)
     pair = parallel([identity_net(1), identity_net(1)])
     assert evaluate_array(pair, np.zeros((0, 2))).shape == (0, 2)
 
@@ -238,6 +237,13 @@ def test_deserialize_rejects_wrong_weight_length():
         deserialize(doc)
 
 
+def _put(doc, path, value):
+    """Set the JSON leaf at path (a tuple of keys and indices)."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 @pytest.mark.parametrize("path,value", [
     (("layers",), [1]),
     (("layers",), 1),
@@ -250,10 +256,7 @@ def test_deserialize_rejects_wrong_weight_length():
 ])
 def test_deserialize_rejects_non_object_parts(path, value):
     doc = json.loads(serialize(identity_net(1)))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _put(doc, path, value)
     with pytest.raises(NetFormatError):
         deserialize(doc)
 
@@ -285,10 +288,7 @@ def test_deserialize_of_mutated_documents_raises_only_net_format_error(
     paths = _leaf_paths(doc)
     for path in data.draw(st.lists(st.sampled_from(paths), min_size=1,
                                    max_size=3)):
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = data.draw(JSON_LEAF)
+        _put(doc, path, data.draw(JSON_LEAF))
     for document in (doc, json.dumps(doc)):
         try:
             deserialize(document)
@@ -307,10 +307,7 @@ def test_deserialize_of_mutated_documents_raises_only_net_format_error(
                          ids=["inf", "huge"])
 def test_deserialize_rejects_overflowing_numbers(path, value):
     doc = json.loads(serialize(blocks.sawtooth_net(2)))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _put(doc, path, value)
     with pytest.raises(NetFormatError):
         deserialize(json.dumps(doc))
 
@@ -435,32 +432,37 @@ def test_golden_merge_hashes(name):
     assert hashlib.sha256(serialize(make()).encode()).hexdigest() == want
 
 
-# name -> (forward_sha (conftest), the net), recorded before the forward
-# pass ran each layer in contiguous segments of its flat order
+def flat_square_saw():
+    """One floor whose two intra chains interleave: five dependency
+    levels, but the flat order starts a new segment eight times."""
+    return parallel_shared([flatten_to_2d(blocks.square_net(4)),
+                            flatten_to_2d(blocks.sawtooth_net(5))])
+
+
+# name -> forward_sha (conftest) of the GOLDEN_MERGES net or of
+# flat_square_saw, recorded before the forward pass ran each layer in
+# contiguous segments of its flat order
 GOLDEN_MERGE_FORWARD = {
-    name: (sha, GOLDEN_MERGES[name][1]) for name, sha in (
-        ("parallel-mixed", "b7d07469488c8d55789eaf70523447d52fbc7d7cfa88"
-                           "afe4c1cafb77e9d4d5c9"),
-        ("parallel-shared-flat", "b86b788494c4fdfa020e8340d8955fe60706d7"
-                                 "9b22fab04ce708bd994a03c6b7"),
-        ("linear-combine-dyadic", "1692f5ac276375ae93a3ba419fa9142997245c"
-                                  "f31892a3208fdb040e5f8cae05"))}
-# one floor whose two intra chains interleave: five dependency levels,
-# but the flat order restarts a segment eight times
-GOLDEN_MERGE_FORWARD["flat-square-saw"] = (
-    "b1eab1b1767219c370549c3101896f3df0c5afda3f75676a64786d46b1c31e5b",
-    lambda: parallel_shared([flatten_to_2d(blocks.square_net(4)),
-                             flatten_to_2d(blocks.sawtooth_net(5))]))
+    "flat-square-saw":
+        "b1eab1b1767219c370549c3101896f3df0c5afda3f75676a64786d46b1c31e5b",
+    "linear-combine-dyadic":
+        "1692f5ac276375ae93a3ba419fa9142997245cf31892a3208fdb040e5f8cae05",
+    "parallel-mixed":
+        "b7d07469488c8d55789eaf70523447d52fbc7d7cfa88afe4c1cafb77e9d4d5c9",
+    "parallel-shared-flat":
+        "b86b788494c4fdfa020e8340d8955fe60706d79b22fab04ce708bd994a03c6b7",
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MERGE_FORWARD))
 def test_golden_merge_forward_outputs(name, forward_sha):
-    want, make = GOLDEN_MERGE_FORWARD[name]
-    assert forward_sha(make()) == want
+    make = (GOLDEN_MERGES[name][1] if name in GOLDEN_MERGES
+            else flat_square_saw)
+    assert forward_sha(make()) == GOLDEN_MERGE_FORWARD[name]
 
 
-def test_forward_runs_cover_the_flat_order():
-    net = GOLDEN_MERGE_FORWARD["flat-square-saw"][1]()
+def test_forward_segments_cover_the_flat_order():
+    net = flat_square_saw()
     (prog,), _, _ = _compile(net)
     rows = [r for r, _ in prog.segments]
     assert len(rows) == 8
