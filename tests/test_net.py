@@ -423,6 +423,26 @@ GOLDEN_MERGES = {
         "a93ad6cb0066c530aa667cb28984d1e12ef064223bb79bb99e631802ecce392a",
         lambda: linear_combine([blocks.sawtooth_net(2), blocks.square_net(3),
                                 identity_net(1)], [0.5, -1.25, 0.75], 0.125)),
+    # the entries below were recorded before _merge padded short nets in
+    # its own layer loop: a 2-output net padded by two layers, a net with
+    # no hidden layers (its zero bias pads to a -0.0 bias), and a sum of
+    # nets of depth 0, 1 and 3
+    "parallel-padded-clip": (
+        "70a2a1e9eb447a5f67491383b521b8bdd0be972364a8e8d7c42e4efc4f73b15d",
+        lambda: parallel([blocks.clip_window_net(3.0, 0.5),
+                          blocks.power_chain_net(4, 2)])),
+    "parallel-affine-part": (
+        "5d7cfdcabdbf7226e9bfee0b3968b2e10cfdc2bb277a78fbf965bc188357eae4",
+        lambda: parallel([Net3D(2, [], [{0: 0.5, 1: -0.25}, {1: 2.0}],
+                                [0.0, -0.125]),
+                          blocks.power_chain_net(3, 2)])),
+    "linear-combine-unequal-depth": (
+        "80939fe0253327902c8d314e7cd71800d7ec61f9e845f963a6c18d2a49cc45ed",
+        lambda: linear_combine(
+            [Net3D(1, [], [{0: 1.0}], [0.0]), blocks.square_net(2),
+             chain(blocks.sawtooth_net(1),
+                   chain(blocks.square_net(3), blocks.sawtooth_net(2)))],
+            [0.75, -0.5, 0.25], -0.0625)),
 }
 
 
@@ -441,7 +461,8 @@ def flat_square_saw():
 
 # name -> forward_sha (conftest) of the GOLDEN_MERGES net or of
 # flat_square_saw, recorded before the forward pass ran each layer in
-# contiguous segments of its flat order
+# contiguous segments of its flat order (the padding entries together with
+# their GOLDEN_MERGES hashes)
 GOLDEN_MERGE_FORWARD = {
     "flat-square-saw":
         "b1eab1b1767219c370549c3101896f3df0c5afda3f75676a64786d46b1c31e5b",
@@ -451,6 +472,12 @@ GOLDEN_MERGE_FORWARD = {
         "b7d07469488c8d55789eaf70523447d52fbc7d7cfa88afe4c1cafb77e9d4d5c9",
     "parallel-shared-flat":
         "b86b788494c4fdfa020e8340d8955fe60706d79b22fab04ce708bd994a03c6b7",
+    "parallel-padded-clip":
+        "bf16ee8eaf5a237daac82e86c4f3b92db255f12c069c297fd26520dae4db2504",
+    "parallel-affine-part":
+        "ca56267bbb1752a85dbb4953eb2567f46def02d0d643377689204c985ca32e0b",
+    "linear-combine-unequal-depth":
+        "fafea566575d8b10e9d71cf2abb8759a2bd258cf87e0a45a8888a5ad8976543b",
 }
 
 
