@@ -66,6 +66,14 @@ def _load_doc(path, what="parameter document"):
     return doc
 
 
+def _number(value, what):
+    """value as a float if it is a finite JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise UsageError(f"{what} must be a finite number, got {value!r:.40}")
+    return float(value)
+
+
 def _load_net(path):
     try:
         return deserialize(_read_json(path, "network file"))
@@ -114,7 +122,10 @@ def _target_from(args, doc):
         return None
     cid = TARGET_ALIASES.get(tdoc["catalog_id"], tdoc["catalog_id"])
     tdoc["catalog_id"] = cid
-    return TargetSpec.from_document(tdoc)
+    try:
+        return TargetSpec.from_document(tdoc)
+    except KeyError as exc:
+        raise UsageError(_reason(exc))
 
 
 def _flag_params(verb):
@@ -180,16 +191,11 @@ def _cmd_build(args):
 
 def _cmd_eval(args):
     net = _load_net(args.net)
-    pts = []
-    for arg in args.points:
-        coords = _parse_floats(arg)
-        if len(coords) != net.input_dim:
-            raise UsageError(f"point {arg!r} has {len(coords)} coordinates; "
-                             f"network expects {net.input_dim}")
-        pts.append(coords)
+    pts = [_parse_floats(arg) for arg in args.points]
     try:
-        vals = evaluate_array(net, np.asarray(pts))
-    except NetFormatError as exc:
+        vals = evaluate_array(net, np.array(pts))
+    except ValueError as exc:
+        # points of unequal or wrong length, or a non-finite value
         raise UsageError(f"cannot evaluate {args.net}: {exc}")
     for v in vals:
         print(" ".join(repr(float(u)) for u in np.atleast_1d(v)))
@@ -221,26 +227,33 @@ def _cmd_verify(args):
         if os.path.exists(report_path) else {}
     doc = _load_doc(args.params)
     target = _target_callable(args, doc, net.input_dim)
-    bound = args.bound if args.bound is not None else build_doc.get("bound")
+    bound = args.bound
     if bound is None:
-        raise UsageError(f"verify needs a bound: pass --bound or keep the "
-                         f"build report {report_path}")
+        if build_doc.get("bound") is None:
+            raise UsageError(f"verify needs a bound: pass --bound or keep "
+                             f"the build report {report_path}")
+        bound = _number(build_doc["bound"],
+                        f"bound in build report {report_path}")
     domain = args.domain or target.domain
-    if args.norm == "sup":
-        report = verify.sup_error(net, target, domain, bound=bound)
-    elif args.norm == "lp":
-        report = verify.lp_error(net, target, args.p, domain, bound=bound)
-    elif args.norm == "gauss":
-        support = args.support
-        if support is None:
-            support = build_doc.get("meta", {}).get("support")
-        if support is None:
+    support = args.support
+    if args.norm == "gauss" and support is None:
+        meta = build_doc.get("meta")
+        if not isinstance(meta, dict) or meta.get("support") is None:
             raise UsageError("gauss norm needs --support (or a build report "
                              "recording it)")
-        report = verify.gauss_l2_error(net, target, float(support),
-                                       bound=bound)
-    else:
-        raise UsageError(f"unknown norm {args.norm!r}")
+        support = _number(meta["support"],
+                          f"support in build report {report_path}")
+    try:
+        if args.norm == "sup":
+            report = verify.sup_error(net, target, domain, bound=bound)
+        elif args.norm == "lp":
+            report = verify.lp_error(net, target, args.p, domain, bound=bound)
+        else:
+            report = verify.gauss_l2_error(net, target, support, bound=bound)
+    except (KeyError, ValueError, NotImplementedError) as exc:
+        # an unknown or unbounded domain, or a net the norm cannot measure:
+        # wrong dimension, no compact support, non-finite values
+        raise UsageError(f"cannot measure {args.net}: {_reason(exc)}")
     out = args.output or (args.net + ".verify.json")
     _write_report(out, report.to_document())
     status = "pass" if report.passed else "FAIL"

@@ -271,7 +271,10 @@ def _forward(net, X):
         if not np.all(np.isfinite(out)):
             raise NetFormatError(f"non-finite activation in layer {li}")
         acts = out
-    return R @ acts + c[:, None]
+    y = R @ acts + c[:, None]
+    if not np.all(np.isfinite(y)):
+        raise NetFormatError("non-finite output in the readout")
+    return y
 
 
 def evaluate(net, x):
@@ -570,43 +573,21 @@ def chain(outer, inner):
                  outer.readout_weights, outer.readout_bias)
 
 
-def _pad_to_depth(net, depth):
-    """Append pass-through layers so the net has the requested depth.
-
-    Each padding layer carries the current readout as (sigma(y), sigma(-y))
-    pairs on one floor; the readout is rebuilt as their difference.
-    """
-    if len(net.layers) > depth:
-        raise ValueError("cannot shrink depth")
-    layers = list(net.layers)
-    rows = list(net.readout_weights)
-    bias = list(net.readout_bias)
-    while len(layers) < depth:
-        floor = []
-        for row, b in zip(rows, bias):
-            floor.append(Neuron(weights=dict(row), bias=b))
-            floor.append(Neuron(weights={i: -w for i, w in row.items()},
-                                bias=-b))
-        layers.append(Layer(floors=(tuple(floor),)))
-        rows = [{2 * o: 1.0, 2 * o + 1: -1.0} for o in range(len(rows))]
-        bias = [0.0] * len(bias)
-    return Net3D(net.input_dim, layers, rows, bias)
-
-
 def _merge(nets, share_input):
     """Run nets side by side, floors aligned (widths add, heights max).
 
-    With share_input=False, inputs are concatenated; otherwise all nets read
-    the same input.  Nets of unequal depth are padded with pass-through
-    layers first.  Outputs are concatenated in net order.  Merged floor f
-    holds each net's floor f in net order, so neuron (f, i) of a net moves
-    to (f, col[f] + i), col[f] being that net's start column in floor f.
+    Returns the parts (input_dim, layers, readout rows, readout biases) of
+    the merged net.  With share_input=False, inputs are concatenated;
+    otherwise all nets read the same input.  Outputs are concatenated in
+    net order.  Merged floor f holds each net's floor f in net order, so
+    neuron (f, i) of a net moves to (f, col[f] + i), col[f] being that
+    net's start column in floor f.  A net shorter than the deepest carries
+    its readout y on through each missing layer as one floor of
+    (sigma(y), sigma(-y)) pairs, and reads it back as their difference.
     """
     if not nets:
         raise NetFormatError("need at least one net")
     depth = max(len(n.layers) for n in nets)
-    nets = [n if len(n.layers) == depth else _pad_to_depth(n, depth)
-            for n in nets]
     if share_input:
         input_dim = nets[0].input_dim
         if any(n.input_dim != input_dim for n in nets):
@@ -618,10 +599,25 @@ def _merge(nets, share_input):
             remap.append(range(input_dim, input_dim + n.input_dim))
             input_dim += n.input_dim
 
-    # remap[j][i]: merged flat index of net j's flat index i one layer back
+    # remap[j][i]: merged flat index of net j's flat index i one layer back;
+    # reads[j]: net j's readout (rows, biases) over those indices
+    reads = [(n.readout_weights, n.readout_bias) for n in nets]
     layers = []
     for k in range(depth):
-        parts = [n.layers[k] for n in nets]
+        parts = []
+        for j, n in enumerate(nets):
+            if k < len(n.layers):
+                parts.append(n.layers[k])
+                continue
+            rows, bias = reads[j]
+            floor = []
+            for row, b in zip(rows, bias):
+                floor.append(Neuron(weights=row, bias=b))
+                floor.append(Neuron(weights={i: -w for i, w in row.items()},
+                                    bias=-b))
+            parts.append(Layer(floors=(tuple(floor),)))
+            reads[j] = ([{2 * o: 1.0, 2 * o + 1: -1.0}
+                         for o in range(len(bias))], [0.0] * len(bias))
         floors = [[] for _ in range(max(len(l.floors) for l in parts))]
         cols = []
         for j, layer in enumerate(parts):
@@ -645,21 +641,21 @@ def _merge(nets, share_input):
         layers.append(merged)
 
     rows, bias = [], []
-    for j, n in enumerate(nets):
-        for row, b in zip(n.readout_weights, n.readout_bias):
+    for j, (n_rows, n_bias) in enumerate(reads):
+        for row, b in zip(n_rows, n_bias):
             rows.append({remap[j][i]: v for i, v in row.items()})
             bias.append(b)
-    return Net3D(input_dim, layers, rows, bias)
+    return input_dim, layers, rows, bias
 
 
 def parallel(nets):
     """Disjoint inputs, concatenated outputs."""
-    return _merge(list(nets), share_input=False)
+    return Net3D(*_merge(list(nets), share_input=False))
 
 
 def parallel_shared(nets):
     """Same input for every net, concatenated outputs."""
-    return _merge(list(nets), share_input=True)
+    return Net3D(*_merge(list(nets), share_input=True))
 
 
 def linear_combine(nets, coeffs, bias):
@@ -670,8 +666,10 @@ def linear_combine(nets, coeffs, bias):
         raise NetFormatError("one coefficient per net required")
     if any(n.output_dim != 1 for n in nets):
         raise NetFormatError("linear_combine requires scalar nets")
-    return chain(Net3D(len(nets), [], [dict(enumerate(coeffs))], [bias]),
-                 _merge(nets, share_input=True))
+    input_dim, layers, rows, biases = _merge(nets, share_input=True)
+    row, b = _affine_compose(dict(enumerate(coeffs)), float(bias), rows,
+                             biases)
+    return Net3D(input_dim, layers, [row], [b])
 
 
 def identity_net(dim=1):

@@ -3,8 +3,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relu3d.net import evaluate_array
+
+# every run draws the same examples, so a failure repeats on the next run;
+# each test keeps its own max_examples
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,6 +6,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_net import FUZZ_NETS, JSON_LEAF, _leaf_paths, _put
 
 from relu3d import blocks
 from relu3d.builders import THEOREM_IDS, THEOREMS
@@ -114,12 +117,92 @@ def test_eval_of_an_unusable_point_is_usage_error(tmp_path, capsys, point):
     assert "non-finite activation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("report", ["{broken", "[1, 2]"])
-def test_corrupt_build_report_is_usage_error(tmp_path, capsys, report):
+@pytest.mark.parametrize("points", [["0.5,0.5"], ["0.5", "0.5,0.5"], [""]])
+def test_eval_of_a_point_of_the_wrong_length_is_usage_error(tmp_path, capsys,
+                                                            points):
+    out = build_square(tmp_path)
+    capsys.readouterr()
+    assert run(["eval", str(out)] + points) == 2
+    assert "cannot evaluate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["inf", "nan", "1e308"])
+def test_eval_of_a_point_with_a_non_finite_output_is_usage_error(
+        tmp_path, capsys, point):
+    # degree 1 is affine: the net has no hidden layers, only a readout
+    out = tmp_path / "line.net"
+    assert run(["build", "--theorem", "poly", "--coeffs", "0.5,2", "--H", "2",
+                "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["eval", str(out), point]) == 2
+    assert "non-finite output" in capsys.readouterr().err
+
+
+def _mutated(data, doc):
+    """doc with one to three of its JSON leaves replaced."""
+    for path in data.draw(st.lists(st.sampled_from(_leaf_paths(doc)),
+                                   min_size=1, max_size=3)):
+        _put(doc, path, data.draw(JSON_LEAF))
+    return json.dumps(doc)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(range(len(FUZZ_NETS))), st.data())
+def test_cli_on_mutated_net_files_exits_0_1_or_2(tmp_path_factory, which,
+                                                  data):
+    net = FUZZ_NETS[which]
+    path = tmp_path_factory.mktemp("fuzz") / "mut.net"
+    path.write_text(_mutated(data, json.loads(serialize(net))))
+    point = ",".join(["0.25"] * net.input_dim)
+    # the Gaussian norm measures on a fixed 1-D quadrature, so the cost of a
+    # run does not grow with a mutated input_dim
+    for args in (["eval", str(path), point], ["size", str(path)],
+                 ["verify", str(path), "--target", "cosine", "--norm",
+                  "gauss", "--support", "1", "--bound", "1"]):
+        assert run(args) in (0, 1, 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_verify_on_mutated_build_reports_exits_0_1_or_2(tmp_path_factory,
+                                                        data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = build_square(tmp)
+    report = tmp / "sq.net.report.json"
+    report.write_text(_mutated(data, json.loads(report.read_text())))
+    for norm in ("sup", "gauss"):
+        assert run(["verify", str(out), "--target", "square", "--norm",
+                    norm]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("report,norm", [
+    ("{broken", "sup"), ("[1, 2]", "sup"),
+    ('{"bound": "0.5"}', "sup"), ('{"bound": true}', "sup"),
+    ('{"bound": 1%s}' % ("0" * 400), "sup"),
+    ('{"bound": 1.0, "meta": [3]}', "gauss"),
+    ('{"bound": 1.0, "meta": {"support": "3"}}', "gauss")],
+    ids=["broken", "list", "text-bound", "bool-bound", "huge-bound",
+         "list-meta", "text-support"])
+def test_corrupt_build_report_is_usage_error(tmp_path, capsys, report, norm):
     out = build_square(tmp_path)
     (tmp_path / "sq.net.report.json").write_text(report)
-    assert run(["verify", str(out), "--target", "square"]) == 2
+    assert run(["verify", str(out), "--target", "square", "--norm",
+                norm]) == 2
     assert "build report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,err", [
+    (["--domain", "gaussian-line"], "bounded domain"),
+    (["--domain", "no-such-domain"], "unknown domain"),
+    (["--target", "no-such-target"], "unknown catalog id"),
+    # the square net is not 0 outside [-1, 1]
+    (["--norm", "gauss", "--support", "1"], "does not vanish")])
+def test_verify_of_an_unmeasurable_net_is_usage_error(tmp_path, capsys,
+                                                      args, err):
+    out = build_square(tmp_path)
+    capsys.readouterr()
+    assert run(["verify", str(out), "--target", "square"] + args) == 2
+    assert err in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("report", [None, "{}"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relu3d import blocks
+from relu3d import net as rnet
 from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
                         chain, deserialize, evaluate, evaluate_array,
                         evaluate_batch, evaluate_exact, flatten_to_2d,
@@ -75,8 +76,20 @@ def test_evaluate_rejects_nonfinite_intermediate():
     net = single_neuron_net(1e308, 0.0)
     outer = single_neuron_net(1e308, 0.0)
     both = chain(outer, net)
-    with pytest.raises(NetFormatError):
+    with pytest.raises(NetFormatError, match="non-finite activation"):
         evaluate(both, [1e308])
+
+
+@pytest.mark.parametrize("net,x", [
+    (linear_combine([identity_net(1)], [4.0], 0.0), 1e308),
+    (Net3D(1, [], [{0: 2.0}], [0.5]), 1e308),
+    (Net3D(1, [], [{0: 2.0}], [0.5]), math.nan),
+], ids=["overflow", "no-hidden-layers", "nan"])
+def test_evaluate_rejects_nonfinite_output(net, x):
+    with pytest.raises(NetFormatError, match="non-finite output"):
+        evaluate(net, [x])
+    with pytest.raises(NetFormatError, match="non-finite output"):
+        evaluate_array(net, np.array([[0.25], [x]]))
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
@@ -388,6 +401,32 @@ def test_parallel_shared_duplicates_input():
     net = parallel_shared([blocks.sawtooth_net(1), identity_net(1)])
     out = evaluate(net, [0.5])
     assert np.allclose(out, [1.0, 0.5], atol=0)
+
+
+COMPOSITIONS = {
+    # power_chain_net and the chain are two layers deeper than the sawtooth
+    # and the square, so the merges pad
+    "parallel": lambda saw, sq, pw, deep: parallel([saw, pw, sq]),
+    "parallel_shared": lambda saw, sq, pw, deep: parallel_shared([saw, pw,
+                                                                  sq]),
+    "linear_combine": lambda saw, sq, pw, deep: linear_combine(
+        [saw, deep, sq], [0.5, -1.0, 0.25], 0.125),
+    "chain": lambda saw, sq, pw, deep: chain(pw, sq),
+    "flatten_to_2d": lambda saw, sq, pw, deep: flatten_to_2d(
+        pw, pad_width_to=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITIONS))
+def test_each_composition_validates_one_net(name, monkeypatch):
+    saw, sq = blocks.sawtooth_net(2), blocks.square_net(3)
+    parts = (saw, sq, blocks.power_chain_net(3, 2), chain(saw, chain(sq, saw)))
+    validated = []
+    check = rnet._validate
+    monkeypatch.setattr(rnet, "_validate",
+                        lambda net: (validated.append(net), check(net)))
+    net = COMPOSITIONS[name](*parts)
+    assert len(validated) == 1 and validated[0] is net
 
 
 @settings(deadline=None, max_examples=25)
