@@ -576,14 +576,12 @@ def chain(outer, inner):
 def _merge(nets, share_input):
     """Run nets side by side, floors aligned (widths add, heights max).
 
-    Returns the parts (input_dim, layers, readout rows, readout biases) of
-    the merged net.  With share_input=False, inputs are concatenated;
-    otherwise all nets read the same input.  Outputs are concatenated in
-    net order.  Merged floor f holds each net's floor f in net order, so
-    neuron (f, i) of a net moves to (f, col[f] + i), col[f] being that
-    net's start column in floor f.  A net shorter than the deepest carries
-    its readout y on through each missing layer as one floor of
-    (sigma(y), sigma(-y)) pairs, and reads it back as their difference.
+    Returns (input_dim, layers, readout rows, readout biases).  Inputs are
+    concatenated, or with share_input all nets read the same input; outputs
+    are concatenated in net order.  Neuron (f, i) of a net moves to
+    (f, col[f] + i), col[f] being that net's start column in merged floor f.
+    A net shorter than the deepest carries its outputs y through each
+    missing layer as (sigma(y), sigma(-y)) pairs on one floor.
     """
     if not nets:
         raise NetFormatError("need at least one net")

@@ -175,15 +175,23 @@ def test_verify_on_mutated_build_reports_exits_0_1_or_2(tmp_path_factory,
                     norm]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("report", ["{broken", "[1, 2]"])
+def test_corrupt_build_report_is_usage_error(tmp_path, capsys, report):
+    out = build_square(tmp_path)
+    (tmp_path / "sq.net.report.json").write_text(report)
+    assert run(["verify", str(out), "--target", "square"]) == 2
+    assert "build report" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("report,norm", [
-    ("{broken", "sup"), ("[1, 2]", "sup"),
     ('{"bound": "0.5"}', "sup"), ('{"bound": true}', "sup"),
-    ('{"bound": 1%s}' % ("0" * 400), "sup"),
+    ('{"bound": 1%s}' % ("0" * 400), "sup"), ('{"bound": Infinity}', "sup"),
     ('{"bound": 1.0, "meta": [3]}', "gauss"),
     ('{"bound": 1.0, "meta": {"support": "3"}}', "gauss")],
-    ids=["broken", "list", "text-bound", "bool-bound", "huge-bound",
+    ids=["text-bound", "bool-bound", "huge-bound", "infinite-bound",
          "list-meta", "text-support"])
-def test_corrupt_build_report_is_usage_error(tmp_path, capsys, report, norm):
+def test_build_report_numbers_must_be_finite_numbers(tmp_path, capsys,
+                                                     report, norm):
     out = build_square(tmp_path)
     (tmp_path / "sq.net.report.json").write_text(report)
     assert run(["verify", str(out), "--target", "square", "--norm",
