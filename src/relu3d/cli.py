@@ -250,10 +250,10 @@ def _cmd_verify(args):
             report = verify.lp_error(net, target, args.p, domain, bound=bound)
         else:
             report = verify.gauss_l2_error(net, target, support, bound=bound)
-    except (KeyError, ValueError, NotImplementedError) as exc:
-        # an unknown or unbounded domain, or a net the norm cannot measure:
-        # wrong dimension, no compact support, non-finite values
-        raise UsageError(f"cannot measure {args.net}: {_reason(exc)}")
+    except (ValueError, NotImplementedError) as exc:
+        # an unbounded domain, or a net the norm cannot measure: wrong
+        # dimension, no compact support, non-finite values
+        raise UsageError(f"cannot measure {args.net}: {exc}")
     out = args.output or (args.net + ".verify.json")
     _write_report(out, report.to_document())
     status = "pass" if report.passed else "FAIL"
