@@ -518,6 +518,49 @@ GOLDEN_GADGETS = {
     "clipped-hermite-4": (
         "8af31bc7c5bf99fd286c56d4e1e7173b8f389b89af407786b69ab7ebacbdf815",
         lambda: build_clipped_hermite(4, 3.0, 0.5, 4).net),
+    # trig fold branches: s = sp = 0 at k = 1, one tent floor at k = 2,
+    # three at k = 7; the shortest chain (N2 = 1) and a longer one
+    "trig-cos-1-1": (
+        "d2a9c804b419284d79d27b193ac99f7923978cff4d034bb99dffbeb935b58146",
+        lambda: build_trig(1, 1, kind="cos").net),
+    "trig-cos-2-1": (
+        "fd824f1ed08a93f229caa2f2afb460b6d12d3b8dff80b9a7f0622263f82ded84",
+        lambda: build_trig(2, 1, kind="cos").net),
+    "trig-cos-7-1": (
+        "555782975ea1edb3a06f4823cdb92ef98add501fa2ce37fb9ebd1ee98c368053",
+        lambda: build_trig(7, 1, kind="cos").net),
+    "trig-cos-1-8": (
+        "4f549458e190c7f8bece59f7e6c2791229ebc669404b68bb607548fb1785a4e3",
+        lambda: build_trig(1, 8, kind="cos").net),
+    "trig-cos-2-8": (
+        "4f66e4c8b2f294710615cbf34975bc65fc2c37cd03ddb00005fbe6c2d7728a23",
+        lambda: build_trig(2, 8, kind="cos").net),
+    "trig-cos-7-8": (
+        "a0abc020460c5298dff3c57998d67c1d8c42adeec89907721af03334531fd9be",
+        lambda: build_trig(7, 8, kind="cos").net),
+    "trig-sin-1-1": (
+        "e2ab4e5ea0ca73ab850f6b7f28468fbd31cf24ce394b1296b5ac1253b9c37b5c",
+        lambda: build_trig(1, 1, kind="sin").net),
+    "trig-sin-2-1": (
+        "aeac9c45a85ce08dc3b3a043ac2c1321ec7c530868d006e18b2e4d751a14db4e",
+        lambda: build_trig(2, 1, kind="sin").net),
+    "trig-sin-7-1": (
+        "f9bbe9c745dac814ae0f4165dace3fe28cd9fb9a2c1c8126095bb68e8feae435",
+        lambda: build_trig(7, 1, kind="sin").net),
+    "trig-sin-1-8": (
+        "015602df23e74e895cd07debf9151034dda74f13c84f81bde6b26d3be5978d95",
+        lambda: build_trig(1, 8, kind="sin").net),
+    "trig-sin-2-8": (
+        "b7bd370e535b2d68df76384872409b2b99ec3015d282d9e1ddb8842b9d3e2c0b",
+        lambda: build_trig(2, 8, kind="sin").net),
+    "trig-sin-7-8": (
+        "b54e44ac60b8a1288c1217b89cd24cfcdf9ab54b35de7aaa112f7549dc3bce41",
+        lambda: build_trig(7, 8, kind="sin").net),
+    # an odd target: the lp goldens above are even and build no sine factor
+    "lp-step-4-8": (
+        "a5269ffdbd0797c4f1033dbbf28ef1f8f1ad09a45742aba7c0557e3974f7e42c",
+        lambda: build_lp(TargetSpec.catalog("step", domain="sym-cube"),
+                         4, 8).net),
 }
 
 
