@@ -15,6 +15,7 @@ reports.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -24,13 +25,14 @@ from itertools import product as iproduct
 import numpy as np
 
 from .blocks import (_clip_wires, _fold_wire, _sym_prod_wires,
-                     _unit_prod_bank, _unit_prod_wires, product_d_net)
+                     _unit_prod_bank, _unit_prod_wires, periodic_fold_net,
+                     product_d_net)
 from .builder_dsl import NetBuilder, Wire
 from .chebyshev import chebyshev_interpolant_1d, chebyshev_tensor_coeffs
 from .hermite import hermite_expansion, hermite_poly_coeffs, hermite_tail_bound
 from .net import (Net3D, SizeMetrics, chain, linear_combine, metrics,
                   parallel)
-from .polynd import PolyND, exact_degree_indices
+from .polynd import PolyND, exact_degree_indices, tensor_points
 from .smoothness import modulus_smoothness
 from .trig_operator import trig_operator_nd
 from .targets import parity_decompose
@@ -520,9 +522,11 @@ def _tensor_sum(terms, const, d, H, M):
 # trigonometric
 
 
-def _cos_chain_params(N2, budget):
-    """Chebyshev coefficients of cos(pi t) on [0, 1] at degree N2 + 1 and
-    the minimal chain height meeting the budget."""
+@functools.lru_cache(maxsize=None)
+def _cos_chain(N2, budget):
+    """Chebyshev coefficients of cos(pi t) on [0, 1] at degree N2 + 1 (a
+    tuple), the minimal chain height meeting the budget, and the
+    interpolation error."""
     m = N2 + 1
     poly = chebyshev_interpolant_1d(
         lambda pts: np.cos(math.pi * pts[:, 0]), m)
@@ -530,39 +534,36 @@ def _cos_chain_params(N2, budget):
     interp = math.pi ** (m + 1) / (2.0 ** (2 * m + 1) * math.factorial(m + 1))
     A = max(abs(c) for c in a[1:])
     H = _min_height(A * 3.0 * m * m, budget - interp)
-    return list(map(float, a)), H, interp
+    return tuple(map(float, a)), H, interp
 
 
-def _cos_fold_chain(k, a, H):
-    """Net for cos(k pi x) on [-1, 1]: tent-fold of |x| then the cosine
-    polynomial chain."""
-    s = max(0, math.ceil(math.log2(k)))
-    b = NetBuilder(1)
-    g = _fold_wire(b.layer(), b.input(0), s, k / float(2 ** s))
-    b.commit()
-    out = _unit_chain(b, g, a, H)
-    return b.finish([out]), s + 1
+@functools.lru_cache(maxsize=None)
+def _chain_net(a, H):
+    """The build_poly1d chain for coefficients a at height H, built once
+    and shared by every fold composed with it."""
+    return build_poly1d(a, H).net
 
 
-def _sin_branch(k, a, H, sign):
-    """Half of the odd construction: approximates sin(k pi t) at t =
-    sigma(sign * x), via cos(pi |k t - 1/2|) under tent folding."""
+def _sin_fold(k, sign):
+    """Fold of one odd branch: |k t - 1/2| through sp tent floors at
+    t = sigma(sign * x), so that the cosine chain after it approximates
+    sin(k pi t)."""
     sp = max(0, math.ceil(math.log2(k - 0.5)))
     b = NetBuilder(1)
     L = b.layer()
     t = L.floor().neuron(sign * b.input(0))
     g = _fold_wire(L, k * t - 0.5, sp, 1.0 / 2 ** sp)
     b.commit()
-    out = _unit_chain(b, g, a, H)
-    return b.finish([out]), sp + 2
+    return b.finish([g])
 
 
 def build_trig(k, N2, kind="cos"):
     """Network within 2^-N2 of cos(k pi x) or sin(k pi x) on [-1, 1].
 
-    The sine is the difference of two mirrored branches evaluated at
-    sigma(x) and sigma(-x) (width 16, exactly zero at the origin); the
-    cosine folds |x| through a sawtooth first (width 8).
+    Each is the cosine polynomial chain composed with a fold.  The cosine
+    folds |x| through a sawtooth (periodic_fold_net, width 8); the sine is
+    the difference of two mirrored branches evaluated at sigma(x) and
+    sigma(-x) (width 16, exactly zero at the origin).
     """
     k = int(k)
     N2 = int(N2)
@@ -573,16 +574,18 @@ def build_trig(k, N2, kind="cos"):
     bound = expected_bound("trig", {"N2": N2})
     inputs = {"k": k, "N2": N2, "kind": kind}
     if kind == "cos":
-        a, H, interp = _cos_chain_params(N2, bound)
-        net, fold_h = _cos_fold_chain(k, a, H)
+        a, H, interp = _cos_chain(N2, bound)
+        net = chain(_chain_net(a, H), periodic_fold_net(k))
+        fold_h = max(0, math.ceil(math.log2(k))) + 1
         width = 8
     else:
-        a, H, interp = _cos_chain_params(N2, bound / 2.0)
-        b1, fold_h = _sin_branch(k, a, H, 1.0)
-        b2, _ = _sin_branch(k, a, H, -1.0)
-        net = linear_combine([b1, b2], [1.0, -1.0], 0.0)
+        a, H, interp = _cos_chain(N2, bound / 2.0)
+        net = linear_combine([chain(_chain_net(a, H), _sin_fold(k, 1.0)),
+                              chain(_chain_net(a, H), _sin_fold(k, -1.0))],
+                             [1.0, -1.0], 0.0)
+        fold_h = max(0, math.ceil(math.log2(k - 0.5))) + 2
         width = 16
-    meta = {"chain_coeffs": a, "chain_height": H,
+    meta = {"chain_coeffs": list(a), "chain_height": H,
             "interpolation_bound": interp,
             "stated_height": expected_size("trig", inputs).height}
     return _finish_report(net, width, N2 + 1, max(H, fold_h), bound,
@@ -592,10 +595,7 @@ def build_trig(k, N2, kind="cos"):
 def _const_one_net():
     """Scalar net that outputs 1 for any input (one dead-weight neuron)."""
     b = NetBuilder(1)
-    b.input(0)
-    L = b.layer()
-    fl = L.floor()
-    one = fl.neuron(Wire.const(1.0))
+    one = b.layer().floor().neuron(Wire.const(1.0))
     b.commit()
     return b.finish([one])
 
@@ -638,17 +638,12 @@ def build_lp(target, N1, N2, r=2, d=1):
                 dropped += abs(aj)
                 continue
             terms.append((comp.eta, j, aj))
-    psi_cache = {}
 
+    @functools.lru_cache(maxsize=None)
     def psi(jk, eta):
-        key = (jk, eta)
-        if key not in psi_cache:
-            if jk == 0:
-                psi_cache[key] = _const_one_net()
-            else:
-                kind = "cos" if eta == 0 else "sin"
-                psi_cache[key] = build_trig(jk, N2, kind).net
-        return psi_cache[key]
+        if jk == 0:
+            return _const_one_net()
+        return build_trig(jk, N2, "cos" if eta == 0 else "sin").net
 
     factored = []
     for eta, j, aj in terms:
@@ -663,13 +658,13 @@ def build_lp(target, N1, N2, r=2, d=1):
     inputs = {"N1": N1, "N2": N2, "r": r, "d": d}
     shape = expected_bound("lp", dict(inputs, omega=omega, norm=norm))
     stated = expected_size("lp", inputs)
-    a_cos, H_cos, _ = _cos_chain_params(N2, 2.0 ** (-N2))
-    _, H_sin, _ = _cos_chain_params(N2, 2.0 ** (-N2) / 2.0)
+    a_cos, H_cos, _ = _cos_chain(N2, 2.0 ** (-N2))
+    _, H_sin, _ = _cos_chain(N2, 2.0 ** (-N2) / 2.0)
     meta = {
         "terms": terms,
         "constant": const,
         "dropped_mass": dropped,
-        "chain_coeffs": a_cos,
+        "chain_coeffs": list(a_cos),
         "chain_H_cos": H_cos,
         "chain_H_sin": H_sin,
         "omega_r": omega,
@@ -685,15 +680,8 @@ def build_lp(target, N1, N2, r=2, d=1):
 def _l2_norm(target, d):
     n = 512 if d == 1 else 96
     u = -1.0 + 2.0 * (np.arange(n) + 0.5) / n
-    if d == 1:
-        pts = u[:, None]
-    else:
-        grids = np.meshgrid(*([u] * d), indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
-    vals = np.asarray(target(pts), dtype=float)
+    vals = np.asarray(target(tensor_points([u] * d)), dtype=float)
     return float(math.sqrt(np.mean(vals ** 2) * 2.0 ** d))
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polynd import PolyND
+from .polynd import PolyND, tensor_points
 
 __all__ = [
     "chebyshev_interpolant_1d",
@@ -107,8 +107,7 @@ def chebyshev_tensor_coeffs(target, N, d):
         return poly
     A, nodes = _analysis_matrix(N)
     x_nodes = (nodes + 1.0) / 2.0
-    grids = np.meshgrid(*([x_nodes] * d), indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
+    pts = tensor_points([x_nodes] * d)
     F = np.asarray(target(pts), dtype=float).reshape([N + 1] * d)
     # per-axis analysis then per-axis monomial conversion
     C = cheb_to_monomial_matrix(N)

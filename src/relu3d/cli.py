@@ -227,16 +227,21 @@ def _cmd_verify(args):
         if os.path.exists(report_path) else {}
     doc = _load_doc(args.params)
     target = _target_callable(args, doc, net.input_dim)
-    bound = args.bound
-    if bound is None:
-        if build_doc.get("bound") is None:
-            raise UsageError(f"verify needs a bound: pass --bound or keep "
-                             f"the build report {report_path}")
+    if args.bound is not None:
+        bound = _number(args.bound, "--bound")
+    elif build_doc.get("bound") is not None:
         bound = _number(build_doc["bound"],
                         f"bound in build report {report_path}")
+    else:
+        raise UsageError(f"verify needs a bound: pass --bound or keep "
+                         f"the build report {report_path}")
+    if bound <= 0:
+        raise UsageError(f"the bound must be positive, got {bound!r}")
     domain = args.domain or target.domain
     support = args.support
-    if args.norm == "gauss" and support is None:
+    if support is not None:
+        support = _number(support, "--support")
+    elif args.norm == "gauss":
         meta = build_doc.get("meta")
         if not isinstance(meta, dict) or meta.get("support") is None:
             raise UsageError("gauss norm needs --support (or a build report "

@@ -13,6 +13,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from .polynd import tensor_points
+
 __all__ = [
     "hermite_poly_coeffs",
     "hermite_eval",
@@ -107,8 +109,7 @@ def hermite_expansion(target, n, d=1, Q=None):
         proj = (vals * w) @ f
         coeffs = {(k,): float(proj[k]) for k in range(n + 1)}
     else:
-        grids = np.meshgrid(*([x] * d), indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
+        pts = tensor_points([x] * d)
         F = np.asarray(target(pts), dtype=float).reshape([Q] * d)
         # contract one axis at a time with (Xi_k(x_i) w_i)
         basis = vals * w  # (n+1, Q)

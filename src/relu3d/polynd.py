@@ -6,7 +6,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["PolyND", "total_degree_indices", "exact_degree_indices"]
+__all__ = ["PolyND", "total_degree_indices", "exact_degree_indices",
+           "tensor_points"]
+
+
+def tensor_points(axes):
+    """The tensor grid of the 1-d axes as an (m, len(axes)) point array,
+    the last axis varying fastest."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
 
 
 def exact_degree_indices(d, k):

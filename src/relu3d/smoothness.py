@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy.special import comb
 
+from .polynd import tensor_points
+
 __all__ = ["modulus_smoothness", "r_th_difference"]
 
 H_SAMPLES = 32
@@ -46,11 +48,7 @@ def modulus_smoothness(target, r, t, p=2, d=1, half_width=1.0):
     else:
         n_side = max(64, int(round(QUAD_NODES ** (1.0 / d))))
     u = -T + 2.0 * T * np.arange(n_side) / n_side
-    if d == 1:
-        pts = u[:, None]
-    else:
-        grids = np.meshgrid(*([u] * d), indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
+    pts = tensor_points([u] * d)
 
     def wrapped(q):
         z = np.mod(q + T, 2.0 * T) - T

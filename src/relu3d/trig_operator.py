@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import comb
 
 from .jackson import jackson_kernel
+from .polynd import tensor_points
 
 __all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_1d",
            "apply_Tn", "trig_operator_nd", "apply_Tn_nd", "fourier_integrals"]
@@ -137,8 +138,7 @@ def trig_operator_nd(target, n, r, d, parity, nodes=None):
         I = mats[0] @ F * h
         coeff_arr = alpha * I
     else:
-        grids = np.meshgrid(*([u] * d), indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids]) / math.pi
+        pts = tensor_points([u] * d) / math.pi
         F = np.asarray(target(pts), dtype=float).reshape([nodes] * d)
         C = F
         for axis in range(d):

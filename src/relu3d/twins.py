@@ -10,6 +10,7 @@ wherever a twin substitutes for network evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -101,6 +102,16 @@ def trig_net_twin(x, k, kind, chain_coeffs, chain_H):
     return branch(np.maximum(x, 0.0)) - branch(np.maximum(-x, 0.0))
 
 
+def _factor_twin(meta, x, jk, eta):
+    """Closed form of one 1-D factor of an L^p net: 1 at frequency 0,
+    else the cos (eta = 0) or sin (eta = 1) net at frequency jk."""
+    if jk == 0:
+        return np.ones_like(x)
+    kind, H = ("cos", meta["chain_H_cos"]) if eta == 0 \
+        else ("sin", meta["chain_H_sin"])
+    return trig_net_twin(x, jk, kind, meta["chain_coeffs"], H)
+
+
 def lp_net_twin(pts, report):
     """Closed form of an L^p builder output, driven by the coefficient map
     recorded in the BuildReport meta (valid for d <= 2)."""
@@ -108,31 +119,22 @@ def lp_net_twin(pts, report):
     if pts.ndim == 1:
         pts = pts[:, None]
     d = report.inputs["d"]
-    N1, N2 = report.inputs["N1"], report.inputs["N2"]
+    N1 = report.inputs["N1"]
     meta = report.meta
-    a = meta["chain_coeffs"]
-    psi = {}
 
-    def psi_vals(jk, eta, col):
-        key = (jk, eta, col)
-        if key not in psi:
-            if jk == 0:
-                psi[key] = np.ones(pts.shape[0])
-            else:
-                kind = "cos" if eta == 0 else "sin"
-                H = meta["chain_H_cos"] if eta == 0 else meta["chain_H_sin"]
-                psi[key] = trig_net_twin(pts[:, col], jk, kind, a, H)
-        return psi[key]
+    @functools.lru_cache(maxsize=None)
+    def psi(jk, eta, col):
+        return _factor_twin(meta, pts[:, col], jk, eta)
 
     total = np.full(pts.shape[0], meta["constant"])
     for eta, j, aj in meta["terms"]:
         if d == 1:
             if j[0] == 0:
                 continue  # folded into the constant at build time
-            total = total + aj * psi_vals(j[0], eta[0], 0)
+            total = total + aj * psi(j[0], eta[0], 0)
         elif d == 2:
-            u = psi_vals(j[0], eta[0], 0)
-            v = psi_vals(j[1], eta[1], 1)
+            u = psi(j[0], eta[0], 0)
+            v = psi(j[1], eta[1], 1)
             total = total + aj * prodtil2(u, v, N1, M=2.0)
         else:
             raise NotImplementedError("twin evaluation covers d <= 2")
@@ -147,20 +149,10 @@ def lp_net_twin_grid(axes, report):
     u1, u2 = (np.asarray(ax, dtype=float) for ax in axes)
     meta = report.meta
     N1 = report.inputs["N1"]
-    a = meta["chain_coeffs"]
-    tables = {}
 
+    @functools.lru_cache(maxsize=None)
     def table(jk, eta, col):
-        key = (jk, eta, col)
-        if key not in tables:
-            ax = u1 if col == 0 else u2
-            if jk == 0:
-                tables[key] = np.ones_like(ax)
-            else:
-                kind = "cos" if eta == 0 else "sin"
-                H = meta["chain_H_cos"] if eta == 0 else meta["chain_H_sin"]
-                tables[key] = trig_net_twin(ax, jk, kind, a, H)
-        return tables[key]
+        return _factor_twin(meta, (u1, u2)[col], jk, eta)
 
     total = np.full((u1.size, u2.size), meta["constant"])
     for eta, j, aj in meta["terms"]:

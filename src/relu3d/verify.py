@@ -19,6 +19,7 @@ import numpy as np
 from . import builders
 from .builders import expected_bound, expected_size
 from .net import evaluate_array, flatten_to_2d, metrics
+from .polynd import tensor_points
 from .targets import DOMAINS
 from .twins import lp_net_twin, lp_net_twin_grid, spot_check
 
@@ -39,6 +40,7 @@ __all__ = [
 PASS_SLACK = 1e-9
 SUP_POINT_CAP = 4_000_000
 LP_NODES = {1: 2048, 2: 2048, 3: 256}
+GAUSS_NODE_CAP = 4_000_000
 
 
 @dataclass
@@ -120,13 +122,6 @@ def _domain_bounds(domain):
     return float(lo), float(hi)
 
 
-def _tensor_points(axis_list):
-    if len(axis_list) == 1:
-        return axis_list[0][:, None]
-    grids = np.meshgrid(*axis_list, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
-
-
 def _abs_diff(net, target, pts):
     got = np.asarray(evaluate_array(net, pts), dtype=float)
     want = np.asarray(target(pts), dtype=float)
@@ -142,17 +137,22 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf):
 
     The base grid has 2^(H+4) + 1 points per dimension (H the network
     height), so it contains every dyadic breakpoint of the tent gadgets and
-    their cell midpoints; the total is capped at 4e6 points.  One local
-    refinement pass with the step halved four times runs around the arg-max.
+    their cell midpoints; the total is capped at 4e6 points (ValueError if
+    that leaves fewer than 2 per axis).  One local refinement pass with the
+    step halved four times runs around the arg-max.
     """
     lo, hi = _domain_bounds(domain)
     d = net.input_dim
     H = metrics(net).height
     n_side = base_resolution or (2 ** (H + 4) + 1)
-    while n_side ** d > SUP_POINT_CAP:
+    too_wide = d >= SUP_POINT_CAP.bit_length()  # 2^d > SUP_POINT_CAP
+    while not too_wide and n_side ** d > SUP_POINT_CAP:
         n_side = (n_side - 1) // 2 + 1
+    if too_wide or n_side < 2:
+        raise ValueError(f"fewer than 2 points per axis of a sup grid over "
+                         f"{d} inputs fit its cap of {SUP_POINT_CAP}")
     axis = np.linspace(lo, hi, n_side)
-    pts = _tensor_points([axis] * d)
+    pts = tensor_points([axis] * d)
     err = _abs_diff(net, target, pts)
     i = int(np.argmax(err))
     best = float(err[i])
@@ -162,7 +162,7 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf):
     center = pts[i]
     local_axes = [np.clip(np.linspace(c - step, c + step, 33), lo, hi)
                   for c in center]
-    local = _tensor_points(local_axes)
+    local = tensor_points(local_axes)
     best = max(best, float(np.max(_abs_diff(net, target, local))))
     res = {"kind": "dense-grid", "points_per_dim": int(n_side), "d": d,
            "domain": [lo, hi], "refined": True}
@@ -194,7 +194,7 @@ def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
     axis, w_axis = _gauss_panels(lo, hi, panel_width=(hi - lo) / panels,
                                  order=order)
     axes = [axis] * d
-    pts = _tensor_points(axes)
+    pts = tensor_points(axes)
     want = np.asarray(target(pts), dtype=float)
     if eval_grid_fn is not None:
         got = np.asarray(eval_grid_fn(axes), dtype=float).reshape(-1)
@@ -213,9 +213,14 @@ def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
 
 
 def _gauss_panels(lo, hi, panel_width=0.25, order=16):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
+    """Composite Gauss-Legendre nodes and weights on [lo, hi]; more than
+    GAUSS_NODE_CAP nodes raise ValueError."""
+    panels = (hi - lo) / panel_width
+    if not panels * order <= GAUSS_NODE_CAP:
+        raise ValueError(f"[{lo}, {hi}] needs about {panels * order:.3g} "
+                         f"quadrature nodes, over the cap of {GAUSS_NODE_CAP}")
     x0, w0 = np.polynomial.legendre.leggauss(order)
-    n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
+    n_panels = max(1, int(math.ceil(panels)))
     edges = np.linspace(lo, hi, n_panels + 1)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -235,11 +240,13 @@ def gauss_l2_error(net, target, M_support, bound=math.inf):
     construction guarantees this); the interior integral runs over
     [-M-2, M+2] by Gauss-weighted composite panels and the tail adds the
     target's own mass outside, from its catalog closed form.  Unknown tails
-    are rejected rather than guessed.
+    are rejected rather than guessed, and so is a support whose panels
+    would hold more than GAUSS_NODE_CAP nodes.
     """
     if net.input_dim != 1:
         raise NotImplementedError("Gaussian-norm measurement is univariate")
     M = float(M_support)
+    x, w = _gauss_panels(-M - 2.0, M + 2.0, order=GAUSS_PANEL_ORDER)
     probe = np.array([[-M - 2.0], [-M - 1.0], [-M - 0.25],
                       [M + 0.25], [M + 1.0], [M + 2.0]])
     outside = np.max(np.abs(evaluate_array(net, probe)))
@@ -252,7 +259,6 @@ def gauss_l2_error(net, target, M_support, bound=math.inf):
     if not hasattr(target, "gauss_tail_sq"):
         raise ValueError("target has no Gaussian tail envelope")
     tail_sq = target.gauss_tail_sq(M + 2.0)
-    x, w = _gauss_panels(-M - 2.0, M + 2.0, order=GAUSS_PANEL_ORDER)
     diff = _abs_diff(net, target, x[:, None])
     density = np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
     interior = math.fsum(w * density * diff ** 2)

@@ -311,6 +311,24 @@ def test_lp_even_target_uses_only_cosines():
     assert all(eta == (0,) for eta, _, _ in rep.meta["terms"])
 
 
+@pytest.mark.parametrize("name,N2,chains", [
+    ("step", 8, 1), ("abs", 8, 1),
+    # cosine and sine factors: their budgets give heights 9 and 9 at
+    # N2 = 8, so one shared chain, and 9 and 10 at N2 = 9
+    ("scaled-exponential", 8, 1), ("scaled-exponential", 9, 2)])
+def test_lp_builds_each_cosine_chain_once(name, N2, chains, monkeypatch):
+    builders._chain_net.cache_clear()
+    calls = []
+    wire = builders._unit_chain
+    monkeypatch.setattr(builders, "_unit_chain",
+                        lambda *a, **kw: calls.append(a[3]) or wire(*a, **kw))
+    rep = build_lp(TargetSpec.catalog(name, domain="sym-cube"), 8, N2)
+    heights = {rep.meta["chain_H_cos"] if eta == (0,)
+               else rep.meta["chain_H_sin"]
+               for eta, _, _ in rep.meta["terms"]}
+    assert sorted(calls) == sorted(heights) and len(calls) == chains
+
+
 def test_lp_rejects_small_degree():
     target = TargetSpec.catalog("abs", domain="sym-cube")
     with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from test_net import FUZZ_NETS, JSON_LEAF, _leaf_paths, _put
 from relu3d import blocks
 from relu3d.builders import THEOREM_IDS, THEOREMS
 from relu3d.cli import _build_parser, run
-from relu3d.net import (deserialize, evaluate_array, identity_net,
+from relu3d.net import (Net3D, deserialize, evaluate_array, identity_net,
                         parallel_shared, serialize)
 
 
@@ -233,6 +233,32 @@ def test_verify_bound_flag_replaces_a_deleted_report(tmp_path, capsys):
                 "--bound", "1e-3"]) == 0
     doc = json.loads((tmp_path / "sq.net.verify.json").read_text())
     assert doc["bound"] == 1e-3 and doc["pass"] is True
+
+
+@pytest.mark.parametrize("args,err", [
+    (["--bound", "inf"], "--bound"), (["--bound", "nan"], "--bound"),
+    (["--bound", "0"], "positive"), (["--bound", "-1"], "positive"),
+    (["--bound", "1", "--norm", "gauss", "--support", "inf"], "--support"),
+    (["--bound", "1", "--norm", "gauss", "--support", "nan"], "--support"),
+    (["--bound", "1", "--norm", "gauss", "--support", "1e12"], "nodes")],
+    ids=["inf-bound", "nan-bound", "zero-bound", "negative-bound",
+         "inf-support", "nan-support", "huge-support"])
+def test_verify_of_an_unusable_bound_or_support_is_usage_error(
+        tmp_path, capsys, args, err):
+    out = build_square(tmp_path)
+    capsys.readouterr()
+    assert run(["verify", str(out), "--target", "square"] + args) == 2
+    assert err in capsys.readouterr().err
+    assert not (tmp_path / "sq.net.verify.json").exists()
+
+
+def test_verify_of_a_net_with_22_inputs_is_usage_error(tmp_path, capsys):
+    # a sup grid of 2 points per axis over 22 inputs exceeds the point cap
+    path = tmp_path / "wide.net"
+    path.write_text(serialize(Net3D(22, [], [{0: 1.0}], [0.0])))
+    assert run(["verify", str(path), "--target", "linear",
+                "--bound", "1"]) == 2
+    assert "cannot measure" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -74,6 +74,27 @@ def test_sup_error_grid_refinement_stability():
     assert abs(a.measured - b.measured) <= 0.01 * max(a.measured, b.measured)
 
 
+@pytest.mark.parametrize("d", [22, 1000])
+def test_sup_error_refuses_fewer_than_two_points_per_axis(d):
+    # 2^22 points exceed SUP_POINT_CAP; the net needs no hidden layer
+    net = Net3D(d, [], [{0: 1.0}], [0.0])
+    with pytest.raises(ValueError, match="cap"):
+        sup_error(net, lambda p: p[:, 0], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("d,side", [(1, 2 ** 4 + 1), (2, 2 ** 4 + 1),
+                                    (6, 9), (21, 2)])
+def test_sup_error_grid_side_under_the_point_cap(d, side, monkeypatch):
+    # the largest halving of 2^(H+4) + 1 (H = 0 here) whose d-th power
+    # fits the cap; the grid itself is not evaluated
+    monkeypatch.setattr(verify, "tensor_points",
+                        lambda axes: np.zeros((1, len(axes))))
+    monkeypatch.setattr(verify, "_abs_diff",
+                        lambda net, target, pts: np.zeros(len(pts)))
+    er = sup_error(Net3D(d, [], [{0: 1.0}], [0.0]), None, (0.0, 1.0))
+    assert er.resolution["points_per_dim"] == side
+
+
 # -- lp_error -----------------------------------------------------------------
 
 
@@ -165,6 +186,22 @@ def test_gauss_l2_rejects_non_compact_net():
 def test_gauss_l2_rejects_unknown_tail():
     with pytest.raises(ValueError, match="tail"):
         gauss_l2_error(zero_net(), lambda p: p[:, 0], 2.0)
+
+
+def test_gauss_l2_refuses_a_support_over_the_node_cap():
+    target = TargetSpec.catalog("linear", domain="gaussian-line")
+    for M in (1e12, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nodes"):
+            gauss_l2_error(zero_net(), target, M)
+
+
+def test_hermite_supports_stay_under_the_node_cap():
+    for n in (1, 10, 50, 100):
+        for B in (0.5, 1.0 / math.sqrt(2.0), 5.0):
+            M = builders.choose_hermite_params(n, B).M
+            x, _ = verify._gauss_panels(-M - 2.0, M + 2.0,
+                                        order=verify.GAUSS_PANEL_ORDER)
+            assert x.size <= verify.GAUSS_NODE_CAP
 
 
 # -- sweep / fit_and_check ----------------------------------------------------
