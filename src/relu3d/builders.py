@@ -524,9 +524,8 @@ def _tensor_sum(terms, const, d, H, M):
 
 @functools.lru_cache(maxsize=None)
 def _cos_chain(N2, budget):
-    """Chebyshev coefficients of cos(pi t) on [0, 1] at degree N2 + 1 (a
-    tuple), the minimal chain height meeting the budget, and the
-    interpolation error."""
+    """Chebyshev coefficients of cos(pi t) on [0, 1] at degree N2 + 1, the
+    minimal chain height meeting the budget, and the interpolation error."""
     m = N2 + 1
     poly = chebyshev_interpolant_1d(
         lambda pts: np.cos(math.pi * pts[:, 0]), m)
@@ -537,10 +536,11 @@ def _cos_chain(N2, budget):
     return tuple(map(float, a)), H, interp
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _chain_net(a, H):
     """The build_poly1d chain for coefficients a at height H, built once
-    and shared by every fold composed with it."""
+    and shared by every fold composed with it.  A build uses at most two
+    chains; the bound keeps a long sweep from holding every chain."""
     return build_poly1d(a, H).net
 
 
