@@ -391,6 +391,7 @@ _RECIP = TargetSpec.catalog("reciprocal-shift")
 _COS = TargetSpec.catalog("cosine", domain="gaussian-line")
 _ABS_POW = TargetSpec.catalog("abs-power", domain="sym-cube")
 _ABS_SUM = TargetSpec.catalog("abs-sum", d=2, domain="sym-cube")
+_GEO2_SYM = TargetSpec.catalog("geometric-product", d=2, domain="sym-cube")
 _POLY2 = PolyND(2, {(0, 0): 0.25, (1, 0): -0.5, (1, 1): 1.0, (0, 2): 0.5}, 2)
 
 # case -> (theorem id, sweep params, the same build as a direct call)
@@ -579,6 +580,10 @@ GOLDEN_GADGETS = {
         "a5269ffdbd0797c4f1033dbbf28ef1f8f1ad09a45742aba7c0557e3974f7e42c",
         lambda: build_lp(TargetSpec.catalog("step", domain="sym-cube"),
                          4, 8).net),
+    # a d = 2 target with terms in all four parity components (25 terms)
+    "lp-geo-d2-3-6": (
+        "862f8ec0f0e98afbca8db5d7fb93303c1d924e8e72dd38caa2c468f6b16bce5e",
+        lambda: build_lp(_GEO2_SYM, 3, 6, d=2).net),
 }
 
 
@@ -586,6 +591,15 @@ GOLDEN_GADGETS = {
 def test_golden_gadget_hashes(name):
     want, make = GOLDEN_GADGETS[name]
     assert _sha(make()) == want
+
+
+def test_golden_lp_d2_terms_in_every_parity_component():
+    rep = build_lp(_GEO2_SYM, 3, 6, d=2)
+    terms, dropped = rep.meta["terms"], rep.meta["dropped_mass"]
+    assert len(terms) == 25
+    assert {eta for eta, _, _ in terms} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert hashlib.sha256(repr((terms, dropped)).encode()).hexdigest() == \
+        "5f8979f5d5d5857165fd730b1f7192a8c8a10943aef9184e773b61925ab9ab9f"
 
 
 # (id, params) -> repr of (width, depth, height) and of the stated bound
