@@ -19,6 +19,7 @@ import functools
 import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -34,8 +35,7 @@ from .net import (Net3D, SizeMetrics, chain, linear_combine, metrics,
                   parallel)
 from .polynd import PolyND, exact_degree_indices, tensor_points
 from .smoothness import modulus_smoothness
-from .trig_operator import trig_operator_nd
-from .targets import parity_decompose
+from .trig_operator import trig_operator_parts
 
 __all__ = [
     "BuildReport",
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 LOG2E = math.log2(math.e)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class WidthBudgetError(ValueError):
@@ -445,6 +446,9 @@ def choose_hermite_params(n, B):
         raise ValueError("need n >= 1 and B > 0")
     M = math.sqrt(12.0 * n * math.log(6.0 * n) + 24.0 * B * math.sqrt(n))
     sq6M = math.sqrt(6.0) * M
+    if n * math.log(sq6M) > LOG_FLOAT_MAX:
+        raise ValueError(f"n = {n} is too large: (sqrt(6) M)^n = "
+                         f"{sq6M:.4g}^{n} exceeds the float range")
     H_star = 0.5 * (n * math.log2(sq6M) + math.log2(5.0 * n * n)
                     + B * math.sqrt(n) * LOG2E) - 1.0
     H = max(1, math.ceil(H_star))
@@ -473,10 +477,17 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
     params = choose_hermite_params(N, B)
     M, H, delta = params.M, params.H, params.delta
     bound = expected_bound("hermite", {"N": N, "B": B})
+    R = 1.0 + 2.0 * (math.sqrt(6.0) * M) ** N
+    if d > 1:
+        # the product net below needs the height for 6 (d - 1) R^d / bound
+        log_amount = math.log(6.0 * (d - 1)) + d * math.log(R)
+        if log_amount - min(0.0, math.log(bound)) > LOG_FLOAT_MAX:
+            raise ValueError(f"N = {N} is too large for d = {d}: the "
+                             f"product range R^d = {R:.4g}^{d} exceeds the "
+                             f"float range")
     exp = hermite_expansion(target, N, d=d)
     basis = {nu: build_clipped_hermite(nu, M, delta, H).net
              for nu in range(N + 1)}
-    sq6M = math.sqrt(6.0) * M
     meta = {
         "params": params,
         "coeffs": dict(exp.coeffs),
@@ -493,7 +504,6 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
         return _finish_report(net, width_exp, N + d - 1, height_exp, bound,
                               "hermite-gauss", inputs, meta)
     # d >= 2: per-index product of one-dimensional basis networks
-    R = 1.0 + 2.0 * sq6M ** N
     Hp = _min_height(6.0 * (d - 1) * R ** d, bound)
     meta["product_height"] = Hp
     meta["product_range"] = R
@@ -522,7 +532,6 @@ def _tensor_sum(terms, const, d, H, M):
 # trigonometric
 
 
-@functools.lru_cache(maxsize=None)
 def _cos_chain(N2, budget):
     """Chebyshev coefficients of cos(pi t) on [0, 1] at degree N2 + 1, the
     minimal chain height meeting the budget, and the interpolation error."""
@@ -536,12 +545,12 @@ def _cos_chain(N2, budget):
     return tuple(map(float, a)), H, interp
 
 
-@functools.lru_cache(maxsize=8)
-def _chain_net(a, H):
-    """The build_poly1d chain for coefficients a at height H, built once
-    and shared by every fold composed with it.  A build uses at most two
-    chains; the bound keeps a long sweep from holding every chain."""
-    return build_poly1d(a, H).net
+def _chain_nets():
+    """A memo of build_poly1d chain nets by (coefficients, height): the
+    folds of one build share each chain net, and the memo lives only as
+    long as that build."""
+    return functools.lru_cache(maxsize=None)(
+        lambda a, H: build_poly1d(a, H).net)
 
 
 def _sin_fold(k, sign):
@@ -565,6 +574,11 @@ def build_trig(k, N2, kind="cos"):
     the difference of two mirrored branches evaluated at sigma(x) and
     sigma(-x) (width 16, exactly zero at the origin).
     """
+    return _build_trig(k, N2, kind, _chain_nets())
+
+
+def _build_trig(k, N2, kind, chain_net):
+    """build_trig with the chain nets taken from chain_net(a, H)."""
     k = int(k)
     N2 = int(N2)
     if k < 1 or N2 < 1:
@@ -575,13 +589,13 @@ def build_trig(k, N2, kind="cos"):
     inputs = {"k": k, "N2": N2, "kind": kind}
     if kind == "cos":
         a, H, interp = _cos_chain(N2, bound)
-        net = chain(_chain_net(a, H), periodic_fold_net(k))
+        net = chain(chain_net(a, H), periodic_fold_net(k))
         fold_h = max(0, math.ceil(math.log2(k))) + 1
         width = 8
     else:
         a, H, interp = _cos_chain(N2, bound / 2.0)
-        net = linear_combine([chain(_chain_net(a, H), _sin_fold(k, 1.0)),
-                              chain(_chain_net(a, H), _sin_fold(k, -1.0))],
+        net = linear_combine([chain(chain_net(a, H), _sin_fold(k, 1.0)),
+                              chain(chain_net(a, H), _sin_fold(k, -1.0))],
                              [1.0, -1.0], 0.0)
         fold_h = max(0, math.ceil(math.log2(k - 0.5))) + 2
         width = 16
@@ -622,28 +636,29 @@ def build_lp(target, N1, N2, r=2, d=1):
     d = int(d)
     if N1 < r:
         raise ValueError("need N1 >= r")
-    comps = parity_decompose(target)
-    expansions = [(comp, trig_operator_nd(comp, N1, r, d, comp.eta))
-                  for comp in comps]
+    expansions = trig_operator_parts(target, N1, r, d)
     terms = []
     const = 0.0
     scale = max((abs(aj) for _, tc in expansions for aj in tc.a.values()),
                 default=0.0)
     dropped = 0.0
-    for comp, tc in expansions:
+    for eta, tc in expansions:
         for j, aj in sorted(tc.a.items()):
-            if any(j[q] == 0 and comp.eta[q] == 1 for q in range(d)):
+            if any(j[q] == 0 and eta[q] == 1 for q in range(d)):
                 continue  # a sine factor at frequency 0 vanishes identically
             if abs(aj) <= DROP_TOL * scale:
                 dropped += abs(aj)
                 continue
-            terms.append((comp.eta, j, aj))
+            terms.append((eta, j, aj))
+
+    chain_net = _chain_nets()
 
     @functools.lru_cache(maxsize=None)
     def psi(jk, eta):
         if jk == 0:
             return _const_one_net()
-        return build_trig(jk, N2, "cos" if eta == 0 else "sin").net
+        return _build_trig(jk, N2, "cos" if eta == 0 else "sin",
+                           chain_net).net
 
     factored = []
     for eta, j, aj in terms:

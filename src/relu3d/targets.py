@@ -19,7 +19,7 @@ from scipy import integrate
 from .polynd import PolyND
 
 __all__ = ["TargetSpec", "catalog_ids", "ParityComponent", "parity_decompose",
-           "power_series_truncate"]
+           "parity_values", "power_series_truncate"]
 
 # domain descriptors: name -> (lo, hi) per coordinate (None = unbounded)
 DOMAINS = {
@@ -113,9 +113,7 @@ class TargetSpec:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if self.d == 1 else pts[None, :]
+        pts = _as_points(pts, self.d)
         if pts.shape[1] != self.d:
             raise ValueError(f"target expects dimension {self.d}")
         if self.kind == "explicit-power-series":
@@ -197,18 +195,37 @@ class ParityComponent:
     eta: tuple
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if self.base.d == 1 else pts[None, :]
-        d = self.base.d
-        total = np.zeros(pts.shape[0])
-        for signs in iproduct((1.0, -1.0), repeat=d):
-            weight = 1.0
-            for k, s in enumerate(signs):
-                if self.eta[k] == 1 and s < 0:
-                    weight = -weight
-            total += weight * self.base(pts * np.array(signs))
-        return total / (2.0 ** d)
+        pts = _as_points(pts, self.base.d)
+        return _parity_sum(self.eta, _reflections(self.base, pts))
+
+
+def _as_points(pts, d):
+    """pts as an (m, d) float array; a 1-d array is m points when d == 1
+    and one point otherwise."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None] if d == 1 else pts[None, :]
+    return pts
+
+
+def _reflections(base, pts):
+    """base(pts * signs) for each sign vector in {1, -1}^d, iproduct order."""
+    return [base(pts * np.array(signs))
+            for signs in iproduct((1.0, -1.0), repeat=base.d)]
+
+
+def _parity_sum(eta, reflected):
+    """The eta component from the reflected values: their sum, each taken
+    with the sign prod_k s_k^eta_k, over 2^d."""
+    d = len(eta)
+    total = np.zeros(len(reflected[0]))
+    for signs, values in zip(iproduct((1.0, -1.0), repeat=d), reflected):
+        weight = 1.0
+        for k, s in enumerate(signs):
+            if eta[k] == 1 and s < 0:
+                weight = -weight
+        total += weight * values
+    return total / (2.0 ** d)
 
 
 def parity_decompose(target):
@@ -216,3 +233,11 @@ def parity_decompose(target):
     d = target.d
     return [ParityComponent(base=target, eta=eta)
             for eta in iproduct((0, 1), repeat=d)]
+
+
+def parity_values(target, pts):
+    """{eta: values of the eta parity component at pts} for every eta in
+    {0, 1}^d, from one evaluation of the target per sign reflection."""
+    reflected = _reflections(target, _as_points(pts, target.d))
+    return {eta: _parity_sum(eta, reflected)
+            for eta in iproduct((0, 1), repeat=target.d)}

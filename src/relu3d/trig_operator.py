@@ -28,9 +28,11 @@ from scipy.special import comb
 
 from .jackson import jackson_kernel
 from .polynd import tensor_points
+from .targets import parity_values
 
 __all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_1d",
-           "apply_Tn", "trig_operator_nd", "apply_Tn_nd", "fourier_integrals"]
+           "apply_Tn", "trig_operator_nd", "trig_operator_parts", "apply_Tn_nd",
+           "fourier_integrals"]
 
 DEFAULT_NODES = 4096
 
@@ -116,31 +118,55 @@ def trig_operator_nd(target, n, r, d, parity, nodes=None):
     a_j = (prod_k alpha_{j_k}) * int F(u) prod_k phi_{j_k}(u_k) du, with
     phi = cos for even coordinates and sin for odd ones.
     """
-    n, r, d = int(n), int(r), int(d)
+    d = int(d)
     parity = tuple(int(e) for e in parity)
     if len(parity) != d:
         raise ValueError("parity must have one entry per dimension")
     if nodes is None:
-        nodes = DEFAULT_NODES if d == 1 else 1024
+        nodes = _default_nodes(d)
+    return _expand(target(_torus_grid(d, nodes)), n, r, d, parity, nodes)
+
+
+def trig_operator_parts(target, n, r, d):
+    """[(eta, trig_operator_nd of the eta parity component)] for every eta
+    in {0, 1}^d, from one evaluation of the target per sign reflection of
+    the torus grid."""
+    d = int(d)
+    nodes = _default_nodes(d)
+    values = parity_values(target, _torus_grid(d, nodes))
+    return [(eta, _expand(F, n, r, d, eta, nodes))
+            for eta, F in values.items()]
+
+
+def _default_nodes(d):
+    return DEFAULT_NODES if d == 1 else 1024
+
+
+def _torus(nodes):
+    """The trapezoid nodes of [-pi, pi)."""
+    return -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
+
+
+def _torus_grid(d, nodes):
+    """The tensor grid of the torus nodes, over pi: points of [-1, 1)^d."""
+    return tensor_points([_torus(nodes)] * d) / math.pi
+
+
+def _expand(F, n, r, d, parity, nodes):
+    """TrigOperatorCoeffs from the component's values F on the torus grid
+    (last axis fastest)."""
+    n, r = int(n), int(r)
     alpha, K = alpha_coeffs(n, r)
-    T = math.pi
-    u = -T + 2.0 * T * np.arange(nodes) / nodes
-    h = 2.0 * T / nodes
+    u = _torus(nodes)
+    h = 2.0 * math.pi / nodes
     js = np.arange(n + 1)
-    mats = []
-    for eta in parity:
-        if eta == 0:
-            mats.append(np.cos(np.outer(js, u)))
-        else:
-            mats.append(np.sin(np.outer(js, u)))
+    mats = [np.cos(np.outer(js, u)) if eta == 0 else np.sin(np.outer(js, u))
+            for eta in parity]
+    F = np.asarray(F, dtype=float)
     if d == 1:
-        F = np.asarray(target(u[:, None] / math.pi), dtype=float)
-        I = mats[0] @ F * h
-        coeff_arr = alpha * I
+        coeff_arr = alpha * (mats[0] @ F * h)
     else:
-        pts = tensor_points([u] * d) / math.pi
-        F = np.asarray(target(pts), dtype=float).reshape([nodes] * d)
-        C = F
+        C = F.reshape([nodes] * d)
         for axis in range(d):
             C = np.tensordot(mats[axis] * h, C, axes=([1], [axis]))
             C = np.moveaxis(C, 0, axis)
@@ -150,9 +176,8 @@ def trig_operator_nd(target, n, r, d, parity, nodes=None):
             shape[axis] = n + 1
             coeff_arr = coeff_arr * alpha.reshape(shape)
     a = {}
-    it = iproduct(range(n + 1), repeat=d)
     arr = np.atleast_1d(coeff_arr)
-    for j in it:
+    for j in iproduct(range(n + 1), repeat=d):
         v = float(arr[j] if d > 1 else arr[j[0]])
         if v != 0.0:
             a[j] = v

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +230,20 @@ def test_choose_hermite_params_proof_chain():
         assert 0 < delta < M / 2 + 1e-12
 
 
+@pytest.mark.parametrize("n,B", [(129, 0.5), (150, 0.5), (1000, 0.5),
+                                 (116, 100.0)])
+def test_choose_hermite_params_refuses_an_overflowing_power(n, B):
+    with pytest.raises(ValueError, match="float range"):
+        choose_hermite_params(n, B)
+
+
+@pytest.mark.parametrize("n,B", [(128, 0.5), (115, 100.0)])
+def test_choose_hermite_params_keeps_the_largest_n_in_range(n, B):
+    params = choose_hermite_params(n, B)
+    assert n * math.log(math.sqrt(6.0) * params.M) < \
+        math.log(sys.float_info.max)
+
+
 # -- Gaussian-weighted expansion --------------------------------------------
 
 
@@ -242,6 +257,15 @@ def test_hermite_gauss_bound_and_metrics():
         m = metrics(rep.net)
         assert m.depth == N
         assert m.width <= rep.expected_metrics.width
+
+
+@pytest.mark.parametrize("N,d", [(68, 2), (48, 3)])
+def test_hermite_gauss_refuses_an_overflowing_product_range(N, d):
+    # choose_hermite_params accepts these N; the d-fold product range does not
+    choose_hermite_params(N, 1.0 / math.sqrt(2.0))
+    target = TargetSpec.catalog("gaussian-bump", d=d, domain="gaussian-line")
+    with pytest.raises(ValueError, match="float range"):
+        build_hermite_gauss(target, N, d=d, beta=(1.0,) * d)
 
 
 def test_hermite_gauss_rejects_uncertified_target():
@@ -317,7 +341,6 @@ def test_lp_even_target_uses_only_cosines():
     # N2 = 8, so one shared chain, and 9 and 10 at N2 = 9
     ("scaled-exponential", 8, 1), ("scaled-exponential", 9, 2)])
 def test_lp_builds_each_cosine_chain_once(name, N2, chains, monkeypatch):
-    builders._chain_net.cache_clear()
     calls = []
     wire = builders._unit_chain
     monkeypatch.setattr(builders, "_unit_chain",
@@ -327,6 +350,21 @@ def test_lp_builds_each_cosine_chain_once(name, N2, chains, monkeypatch):
                else rep.meta["chain_H_sin"]
                for eta, _, _ in rep.meta["terms"]}
     assert sorted(calls) == sorted(heights) and len(calls) == chains
+
+
+def test_lp_evaluates_the_target_once_per_sign_reflection(monkeypatch):
+    # the d = 2 torus grid has 1024^2 points; smaller grids measure the net
+    calls = []
+    call = TargetSpec.__call__
+
+    def counted(self, pts):
+        if len(pts) >= 1024 ** 2:
+            calls.append(self)
+        return call(self, pts)
+
+    monkeypatch.setattr(TargetSpec, "__call__", counted)
+    build_lp(_ABS_SUM, 4, 8, d=2)
+    assert len(calls) == 4
 
 
 def test_lp_rejects_small_degree():

@@ -261,6 +261,14 @@ def test_verify_of_a_net_with_22_inputs_is_usage_error(tmp_path, capsys):
     assert "cannot measure" in capsys.readouterr().err
 
 
+def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
+                                                               capsys):
+    assert run(["build", "--theorem", "hermite", "--target", "cosine",
+                "--domain", "gaussian-line", "--N", "150",
+                "-o", str(tmp_path / "h.net")]) == 2
+    assert "float range" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["build", "--theorem", "poly", "--bogus", "1",
                 "-o", "/tmp/x.net"]) == 2

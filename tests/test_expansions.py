@@ -18,10 +18,11 @@ from relu3d.jackson import fejer_coeffs, jackson_kernel, kernel_eval, \
     kernel_moments
 from relu3d.smoothness import modulus_smoothness
 from relu3d.targets import (ParityComponent, TargetSpec, parity_decompose,
-                            power_series_truncate)
-from relu3d.trig_operator import (alpha_coeffs, apply_Tn, apply_Tn_nd,
-                                  fourier_integrals, trig_operator_1d,
-                                  trig_operator_nd)
+                            parity_values, power_series_truncate)
+from relu3d.trig_operator import (_default_nodes, _torus_grid, alpha_coeffs,
+                                  apply_Tn, apply_Tn_nd, fourier_integrals,
+                                  trig_operator_1d, trig_operator_nd,
+                                  trig_operator_parts)
 
 # -- Chebyshev --------------------------------------------------------------
 
@@ -359,6 +360,37 @@ def test_parity_of_odd_function():
     pts = pts[np.abs(pts[:, 0]) > 1e-9]
     assert np.max(np.abs(even(pts))) <= 1e-12
     assert np.max(np.abs(odd(pts) - np.sign(pts[:, 0]))) <= 1e-12
+
+
+PARITY_TARGETS = ("abs-sum", "geometric-product", "gaussian-bump", "step")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", PARITY_TARGETS)
+def test_parity_values_match_each_component_bitwise(name, d):
+    target = TargetSpec.catalog(name, d=d, domain="sym-cube")
+    rng = np.random.default_rng(d)
+    # the L^p torus grid at d = 1 and 2; its default 1024^3 is too large
+    nodes = _default_nodes(d) if d < 3 else 24
+    for pts in (rng.uniform(-1, 1, size=(257, d)), _torus_grid(d, nodes)):
+        values = parity_values(target, pts)
+        assert list(values) == [c.eta for c in parity_decompose(target)]
+        for eta, got in values.items():
+            assert got.tobytes() == ParityComponent(target, eta)(pts).tobytes()
+
+
+@pytest.mark.parametrize("name,d", [
+    ("abs-sum", 1), ("step", 1), ("abs-sum", 2), ("geometric-product", 2),
+    ("gaussian-bump", 2), ("step", 2)])
+def test_trig_operator_parts_match_each_component(name, d):
+    target = TargetSpec.catalog(name, d=d, domain="sym-cube")
+    parts = trig_operator_parts(target, 4, 2, d)
+    comps = parity_decompose(target)
+    assert [eta for eta, _ in parts] == [c.eta for c in comps]
+    for (eta, got), comp in zip(parts, comps):
+        want = trig_operator_nd(comp, 4, 2, d, comp.eta)
+        assert got.a == want.a
+        assert (got.parity, got.meta) == (want.parity, want.meta)
 
 
 # -- modulus of smoothness --------------------------------------------------
