@@ -31,8 +31,8 @@ from .polynd import tensor_points
 from .targets import parity_values
 
 __all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_1d",
-           "apply_Tn", "trig_operator_nd", "trig_operator_parts", "apply_Tn_nd",
-           "fourier_integrals"]
+           "apply_Tn", "trig_operator_nd", "trig_operator_parts",
+           "apply_Tn_nd", "fourier_integrals"]
 
 DEFAULT_NODES = 4096
 
