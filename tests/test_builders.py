@@ -631,6 +631,21 @@ def test_golden_gadget_hashes(name):
     assert _sha(make()) == want
 
 
+# the lp-wide-forward benchmark net, build_lp(abs-power, N1=32, N2=24, d=1)
+# (108k neurons): sha256 of serialize and of its forward output on 257
+# evenly spaced points of [-1, 1]
+GOLDEN_LP_WIDE = (
+    "0d5b951f9265bdc3a516ea8e5b6068a3e54da73e9ddc98b6546345330812e506",
+    "375f98d412fddfd39704c87b4277dd0dbb58b72c51c4dedf483d3325f90076b7")
+
+
+def test_golden_lp_wide_net():
+    net = build_lp(_ABS_POW, 32, 24, d=1).net
+    y = evaluate_array(net, np.linspace(-1.0, 1.0, 257))
+    assert (_sha(net), hashlib.sha256(y.tobytes()).hexdigest()) == \
+        GOLDEN_LP_WIDE
+
+
 def test_golden_lp_d2_terms_in_every_parity_component():
     rep = build_lp(_GEO2_SYM, 3, 6, d=2)
     terms, dropped = rep.meta["terms"], rep.meta["dropped_mass"]
