@@ -13,6 +13,11 @@ Activation is ReLU everywhere except the readout.
 
 Size vocabulary: width = max neurons on any single floor, depth = number of
 hidden layers, height = max floor count over layers.
+
+A Net3D stores each hidden layer, and its readout, as packed arrays
+(``_Rows``); validation, metrics, compilation, serialization and the
+compositions work on those arrays.  ``Layer``/``Neuron`` objects are the
+input form of the constructor and the read view ``Net3D.layers``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain as iconcat
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,23 +100,170 @@ class SizeMetrics:
     param_count: int
 
 
+# ---------------------------------------------------------------------------
+# packed rows
+
+_NO_INTS = np.zeros(0, dtype=np.int64)
+_NO_FLOATS = np.zeros(0)
+
+
+def _ptr(counts):
+    """Row offsets from per-row entry counts."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _row_ids(ptr):
+    """The row of each entry."""
+    return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+
+
+def _take(ptr, rows):
+    """Row offsets and entry positions of `rows`, taken in that order."""
+    counts = ptr[rows + 1] - ptr[rows]
+    new = _ptr(counts)
+    return new, np.repeat(ptr[rows] - new[:-1], counts) + np.arange(new[-1])
+
+
+def _ints(values):
+    """int64 array; an object array when a value does not fit (it is out of
+    every range that validation accepts)."""
+    values = list(values)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _starts(sizes):
+    """Flat index of the first neuron of each floor."""
+    return np.cumsum(sizes) - sizes
+
+
+class _Rows:
+    """The neurons of one hidden layer, or the readout rows, packed.
+
+    sizes: the floor sizes (None for the readout).  Row r, in flat order,
+    has inbound weights w_idx/w_val[w_ptr[r]:w_ptr[r + 1]] in their given
+    order with explicit zeros kept, bias bias[r], and intra links
+    (l_floor, l_index, l_coeff)[l_ptr[r]:l_ptr[r + 1]] in their given
+    order with duplicates kept.  The arrays are read-only and may be
+    shared between nets.
+    """
+
+    __slots__ = ("sizes", "w_ptr", "w_idx", "w_val", "bias", "l_ptr",
+                 "l_floor", "l_index", "l_coeff")
+
+    def __init__(self, sizes, w_ptr, w_idx, w_val, bias, l_ptr=None,
+                 l_floor=_NO_INTS, l_index=_NO_INTS, l_coeff=_NO_FLOATS):
+        if l_ptr is None:
+            l_ptr = np.zeros(len(w_ptr), dtype=np.int64)
+        self.sizes = sizes
+        self.w_ptr, self.w_idx, self.w_val = w_ptr, w_idx, w_val
+        self.bias = bias
+        self.l_ptr, self.l_floor = l_ptr, l_floor
+        self.l_index, self.l_coeff = l_index, l_coeff
+        for name in self.__slots__:
+            arr = getattr(self, name)
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @property
+    def n(self):
+        return len(self.w_ptr) - 1
+
+    def same(self, other):
+        """Equality with the semantics of the Neuron view: weights compare
+        as dicts (any order), intra links as tuples (in order)."""
+        pairs = [(self.w_ptr, other.w_ptr), (self.bias, other.bias),
+                 (self.l_ptr, other.l_ptr), (self.l_floor, other.l_floor),
+                 (self.l_index, other.l_index),
+                 (self.l_coeff, other.l_coeff)]
+        if (self.sizes is None) != (other.sizes is None):
+            return False
+        if self.sizes is not None:
+            pairs.append((self.sizes, other.sizes))
+        if not all(np.array_equal(a, b) for a, b in pairs):
+            return False
+        mine, theirs = self._by_index(), other._by_index()
+        return (np.array_equal(mine[0], theirs[0])
+                and np.array_equal(mine[1], theirs[1]))
+
+    def _by_index(self):
+        order = np.lexsort((self.w_idx, _row_ids(self.w_ptr)))
+        return self.w_idx[order], self.w_val[order]
+
+
+def _pack(sizes, weights, biases, intras=None):
+    """_Rows from per-row weight dicts, biases and intra-link tuples."""
+    w_ptr = _ptr([len(w) for w in weights])
+    w_idx = _ints(iconcat.from_iterable(weights))
+    w_val = np.fromiter(iconcat.from_iterable(w.values() for w in weights),
+                        dtype=float, count=int(w_ptr[-1]))
+    bias = np.array(biases, dtype=float).reshape(-1)
+    if intras is None:
+        return _Rows(sizes, w_ptr, w_idx, w_val, bias)
+    links = list(iconcat.from_iterable(intras))
+    return _Rows(sizes, w_ptr, w_idx, w_val, bias,
+                 _ptr([len(t) for t in intras]),
+                 _ints(t[0] for t in links), _ints(t[1] for t in links),
+                 np.array([t[2] for t in links], dtype=float).reshape(-1))
+
+
+def _pack_layer(layer):
+    if not isinstance(layer, Layer):
+        layer = Layer(floors=())  # rejected by _validate at its position
+    neurons = list(layer.flat_neurons())
+    return _pack(np.array([len(f) for f in layer.floors], dtype=np.int64),
+                 [n.weights for n in neurons], [n.bias for n in neurons],
+                 [n.intra for n in neurons])
+
+
+def _layer_view(rows):
+    idx, val = rows.w_idx.tolist(), rows.w_val.tolist()
+    wp, lp = rows.w_ptr.tolist(), rows.l_ptr.tolist()
+    links = list(zip(rows.l_floor.tolist(), rows.l_index.tolist(),
+                     rows.l_coeff.tolist()))
+    neurons = [Neuron(weights=dict(zip(idx[wp[r]:wp[r + 1]],
+                                       val[wp[r]:wp[r + 1]])),
+                      bias=b, intra=tuple(links[lp[r]:lp[r + 1]]))
+               for r, b in enumerate(rows.bias.tolist())]
+    floors, at = [], 0
+    for size in rows.sizes.tolist():
+        floors.append(tuple(neurons[at:at + size]))
+        at += size
+    return Layer(floors=tuple(floors))
+
+
 class Net3D:
     """Immutable intra-linked ReLU network with affine (multi-)readout.
 
-    readout_weights: tuple of rows, one per output, each {flat_index: coeff}
-    over the last hidden layer (or over the input if there are no hidden
-    layers).  Scalar networks have exactly one row; ``evaluate`` returns a
-    plain float for those.
+    layers: hidden layers of Neuron floors, read as a view built on each
+    access.  readout_weights: tuple of rows, one per output, each
+    {flat_index: coeff} over the last hidden layer (or over the input if
+    there are no hidden layers), also a view.  Scalar networks have exactly
+    one row; ``evaluate`` returns a plain float for those.
     """
 
-    __slots__ = ("input_dim", "layers", "readout_weights", "readout_bias",
-                 "_program")
+    __slots__ = ("input_dim", "_hidden", "_readout", "_program")
 
     def __init__(self, input_dim, layers, readout_weights, readout_bias):
+        readout = _pack(None, list(readout_weights),
+                        [float(b) for b in readout_bias])
+        self._set(input_dim, [_pack_layer(l) for l in layers], readout)
+
+    @classmethod
+    def _of(cls, input_dim, hidden, readout):
+        """A net over packed rows (no Neuron objects)."""
+        net = object.__new__(cls)
+        net._set(input_dim, hidden, readout)
+        return net
+
+    def _set(self, input_dim, hidden, readout):
         object.__setattr__(self, "input_dim", int(input_dim))
-        object.__setattr__(self, "layers", tuple(layers))
-        object.__setattr__(self, "readout_weights", tuple(readout_weights))
-        object.__setattr__(self, "readout_bias", tuple(float(b) for b in readout_bias))
+        object.__setattr__(self, "_hidden", tuple(hidden))
+        object.__setattr__(self, "_readout", readout)
         object.__setattr__(self, "_program", None)
         _validate(self)
 
@@ -118,21 +271,37 @@ class Net3D:
         raise AttributeError("Net3D is immutable")
 
     @property
+    def layers(self):
+        return tuple(_layer_view(rows) for rows in self._hidden)
+
+    @property
+    def readout_weights(self):
+        idx, val = self._readout.w_idx.tolist(), self._readout.w_val.tolist()
+        wp = self._readout.w_ptr.tolist()
+        return tuple(dict(zip(idx[a:b], val[a:b]))
+                     for a, b in zip(wp, wp[1:]))
+
+    @property
+    def readout_bias(self):
+        return tuple(self._readout.bias.tolist())
+
+    @property
     def output_dim(self):
-        return len(self.readout_bias)
+        return len(self._readout.bias)
 
     def __eq__(self, other):
         if not isinstance(other, Net3D):
             return NotImplemented
         return (self.input_dim == other.input_dim
-                and self.layers == other.layers
-                and self.readout_weights == other.readout_weights
-                and self.readout_bias == other.readout_bias)
+                and len(self._hidden) == len(other._hidden)
+                and all(a.same(b) for a, b in zip(self._hidden,
+                                                  other._hidden))
+                and self._readout.same(other._readout))
 
     def __hash__(self):
         # a cheap key over fields __eq__ compares, so equal nets hash equally
         return hash((self.input_dim, self.readout_bias,
-                     tuple(layer.size for layer in self.layers)))
+                     tuple(rows.n for rows in self._hidden)))
 
 
 def _check_finite(value, where):
@@ -140,47 +309,84 @@ def _check_finite(value, where):
         raise NetFormatError(f"non-finite value at {where}")
 
 
+def _bad_rows(rows, prev):
+    """Rows with an out-of-range weight index, a non-finite value or (in
+    a hidden layer) an intra link that is out of range or not earlier."""
+    bad = ~np.isfinite(rows.bias)
+    w_bad = ((rows.w_idx < 0) | (rows.w_idx >= prev)
+             | ~np.isfinite(rows.w_val))
+    bad[_row_ids(rows.w_ptr)[w_bad]] = True
+    if rows.sizes is not None and len(rows.l_floor):
+        sizes, starts = rows.sizes, _starts(rows.sizes)
+        fi = np.repeat(np.arange(len(sizes)), sizes)  # floor of each row
+        row = _row_ids(rows.l_ptr)
+        sf, si = rows.l_floor, rows.l_index
+        ok = (sf >= 0) & (sf < len(sizes))
+        sf_in = np.where(ok, sf, 0).astype(np.int64)
+        ok &= (si >= 0) & (si < sizes[sf_in])
+        ok &= ((sf_in < fi[row])
+               | ((sf_in == fi[row]) & (si < row - starts[fi[row]])))
+        bad[row[~(ok & np.isfinite(rows.l_coeff))]] = True
+    return np.flatnonzero(bad)
+
+
+def _row_fault(rows, r, prev, where, fi=None, ni=None):
+    """Raise the first fault of row r, in the order the checks are listed."""
+    a, b = int(rows.w_ptr[r]), int(rows.w_ptr[r + 1])
+    for idx, w in zip(rows.w_idx[a:b].tolist(), rows.w_val[a:b].tolist()):
+        if not (0 <= idx < prev):
+            if fi is None:
+                raise NetFormatError(f"readout weight index {idx} out of "
+                                     f"range at {where}")
+            raise NetFormatError(f"inbound weight index {idx} out of range "
+                                 f"at {where} (previous size {prev})")
+        _check_finite(w, where + ".w")
+    _check_finite(rows.bias[r], where + ".b")
+    a, b = int(rows.l_ptr[r]), int(rows.l_ptr[r + 1])
+    for sf, si, coeff in zip(rows.l_floor[a:b].tolist(),
+                             rows.l_index[a:b].tolist(),
+                             rows.l_coeff[a:b].tolist()):
+        if sf < 0 or sf >= len(rows.sizes):
+            raise NetFormatError(f"intra source floor {sf} out of range at "
+                                 f"{where}")
+        if si < 0 or si >= rows.sizes[sf]:
+            raise NetFormatError(f"intra source index {si} out of range at "
+                                 f"{where}")
+        if (sf, si) >= (fi, ni):
+            raise NetFormatError(
+                f"intra link at {where} must point to a strictly earlier "
+                f"neuron (got floor {sf}, index {si})")
+        _check_finite(coeff, where + ".intra")
+
+
 def _validate(net):
+    """Vectorized checks; the first fault in (layer, floor, neuron) order
+    is raised with the message a neuron-by-neuron pass would give."""
     if net.input_dim < 1:
         raise NetFormatError("input_dim must be positive")
     prev = net.input_dim
-    for k, layer in enumerate(net.layers):
-        if not isinstance(layer, Layer) or not layer.floors:
+    for k, rows in enumerate(net._hidden):
+        if not len(rows.sizes):
             raise NetFormatError(f"layers[{k}] must be a nonempty Layer")
-        for fi, floor in enumerate(layer.floors):
-            if not floor:
-                raise NetFormatError(f"layers[{k}].floors[{fi}] is empty")
-            for ni, nrn in enumerate(floor):
-                where = f"layers[{k}].floors[{fi}].neurons[{ni}]"
-                for idx, w in nrn.weights.items():
-                    if not (0 <= idx < prev):
-                        raise NetFormatError(
-                            f"inbound weight index {idx} out of range at {where}"
-                            f" (previous size {prev})")
-                    _check_finite(w, where + ".w")
-                _check_finite(nrn.bias, where + ".b")
-                for (sf, si, coeff) in nrn.intra:
-                    if sf < 0 or sf >= len(layer.floors):
-                        raise NetFormatError(f"intra source floor {sf} out of "
-                                             f"range at {where}")
-                    if si < 0 or si >= len(layer.floors[sf]):
-                        raise NetFormatError(f"intra source index {si} out of "
-                                             f"range at {where}")
-                    if (sf, si) >= (fi, ni):
-                        raise NetFormatError(
-                            f"intra link at {where} must point to a strictly "
-                            f"earlier neuron (got floor {sf}, index {si})")
-                    _check_finite(coeff, where + ".intra")
-        prev = layer.size
-    if not net.readout_weights or len(net.readout_weights) != len(net.readout_bias):
+        bad = _bad_rows(rows, prev)
+        empty = np.flatnonzero(rows.sizes == 0)
+        fi = None
+        if len(bad):
+            r = int(bad[0])
+            fi = int(np.searchsorted(np.cumsum(rows.sizes), r, side="right"))
+        if len(empty) and (fi is None or fi > empty[0]):
+            raise NetFormatError(f"layers[{k}].floors[{empty[0]}] is empty")
+        if fi is not None:
+            ni = r - int(_starts(rows.sizes)[fi])
+            _row_fault(rows, r, prev,
+                       f"layers[{k}].floors[{fi}].neurons[{ni}]", fi, ni)
+        prev = rows.n
+    ro = net._readout
+    if not ro.n or ro.n != len(ro.bias):
         raise NetFormatError("readout must have matching weight rows and biases")
-    for oi, row in enumerate(net.readout_weights):
-        for idx, w in row.items():
-            if not (0 <= idx < prev):
-                raise NetFormatError(f"readout weight index {idx} out of range "
-                                     f"at readout[{oi}]")
-            _check_finite(w, f"readout[{oi}].w")
-        _check_finite(net.readout_bias[oi], f"readout[{oi}].b")
+    bad = _bad_rows(ro, prev)
+    if len(bad):
+        _row_fault(ro, int(bad[0]), prev, f"readout[{int(bad[0])}]")
 
 
 def _flat_offsets(layer):
@@ -193,17 +399,11 @@ def _flat_offsets(layer):
     return offs
 
 
-def _sparse_from_rows(rows, n_cols):
-    data, indices, indptr = [], [], [0]
-    for row in rows:
-        for idx, w in sorted(row.items()):
-            indices.append(idx)
-            data.append(w)
-        indptr.append(len(indices))
-    return sp.csr_matrix((np.array(data, dtype=float),
-                          np.array(indices, dtype=np.int64),
-                          np.array(indptr, dtype=np.int64)),
-                         shape=(len(rows), n_cols))
+def _csr(ptr, idx, val, n_cols):
+    """CSR matrix of packed rows, indices sorted within each row."""
+    order = np.argsort(_row_ids(ptr) * n_cols + idx, kind="stable")
+    return sp.csr_matrix((val[order], idx[order], np.array(ptr)),
+                         shape=(len(ptr) - 1, n_cols))
 
 
 class _LayerProgram:
@@ -222,37 +422,44 @@ class _LayerProgram:
 
     __slots__ = ("W", "b", "segments")
 
-    def __init__(self, layer, prev_size):
-        offs = _flat_offsets(layer)
-        w_rows, intra_rows, starts = [], [], [0]
-        for i, nrn in enumerate(layer.flat_neurons()):
-            w_rows.append(nrn.weights)
-            irow = {}
-            for (sf, si, coeff) in nrn.intra:
-                src = offs[sf] + si
-                irow[src] = irow.get(src, 0.0) + coeff
-            if irow and max(irow) >= starts[-1]:
+    def __init__(self, rows, prev_size):
+        n = rows.n
+        self.W = _csr(rows.w_ptr, rows.w_idx, rows.w_val, prev_size)
+        self.b = rows.bias
+        # links as (row, flat source) entries sorted that way; duplicate
+        # links are summed from 0.0 in their given order
+        src = _starts(rows.sizes)[rows.l_floor] + rows.l_index
+        keys, inv = np.unique(_row_ids(rows.l_ptr) * n + src,
+                              return_inverse=True)
+        coeff = np.zeros(len(keys))
+        np.add.at(coeff, inv, rows.l_coeff)
+        row, src = np.divmod(keys, n)
+        linked = np.flatnonzero(np.diff(row, append=n))  # last entry per row
+        starts = [0]
+        for i, s in zip(row[linked].tolist(), src[linked].tolist()):
+            if s >= starts[-1]:
                 starts.append(i)
-            intra_rows.append(irow)
-        self.W = _sparse_from_rows(w_rows, prev_size)
-        self.b = np.array([nrn.bias for nrn in layer.flat_neurons()],
-                          dtype=float)
-        ends = starts[1:] + [len(intra_rows)]
-        self.segments = [
-            (slice(a, c), _sparse_from_rows(intra_rows[a:c], a) if a else None)
-            for a, c in zip(starts, ends)]
+        self.segments = []
+        for a, c in zip(starts, starts[1:] + [n]):
+            G = None
+            if a:
+                ptr = np.searchsorted(row, np.arange(a, c + 1))
+                lo, hi = ptr[0], ptr[-1]
+                G = sp.csr_matrix((coeff[lo:hi], src[lo:hi], ptr - lo),
+                                  shape=(c - a, a))
+            self.segments.append((slice(a, c), G))
 
 
 def _compile(net):
     if net._program is None:
         progs = []
         prev = net.input_dim
-        for layer in net.layers:
-            progs.append(_LayerProgram(layer, prev))
-            prev = layer.size
-        R = _sparse_from_rows(net.readout_weights, prev)
-        c = np.array(net.readout_bias, dtype=float)
-        object.__setattr__(net, "_program", (progs, R, c))
+        for rows in net._hidden:
+            progs.append(_LayerProgram(rows, prev))
+            prev = rows.n
+        ro = net._readout
+        R = _csr(ro.w_ptr, ro.w_idx, ro.w_val, prev)
+        object.__setattr__(net, "_program", (progs, R, ro.bias))
     return net._program
 
 
@@ -268,7 +475,9 @@ def _forward(net, X):
             if G is not None:
                 seg += G @ out[:rows.start]
             np.maximum(seg, 0.0, out=seg)
-        if not np.all(np.isfinite(out)):
+        # after the ReLU a value is >= 0, +inf or nan, so the max is finite
+        # exactly when every value is
+        if out.size and not math.isfinite(out.max()):
             raise NetFormatError(f"non-finite activation in layer {li}")
         acts = out
     y = R @ acts + c[:, None]
@@ -310,7 +519,7 @@ def evaluate_array(net, pts, chunk=None):
                              f"got an array of shape {pts.shape}")
     m = pts.shape[0]
     if chunk is None:
-        n_widest = max([net.input_dim] + [l.size for l in net.layers])
+        n_widest = max([net.input_dim] + [rows.n for rows in net._hidden])
         chunk = max(64, min(m, int(4e7 // max(1, n_widest))))
     # an empty batch still runs one (empty) chunk, giving an empty result
     outs = [_forward(net, pts[start:start + chunk].T).T
@@ -351,41 +560,45 @@ def evaluate_exact(net, x):
 
 
 def metrics(net):
-    width = 0
-    height = 0
-    neuron_count = 0
+    """Size metrics; parameters are the nonzero weights, biases and intra
+    coefficients, readout included."""
+    sizes = [rows.sizes for rows in net._hidden]
     param_count = 0
-    for layer in net.layers:
-        height = max(height, len(layer.floors))
-        for floor in layer.floors:
-            width = max(width, len(floor))
-            neuron_count += len(floor)
-            for nrn in floor:
-                param_count += sum(1 for w in nrn.weights.values() if w != 0.0)
-                param_count += 1 if nrn.bias != 0.0 else 0
-                param_count += sum(1 for (_, _, c) in nrn.intra if c != 0.0)
-    for row, b in zip(net.readout_weights, net.readout_bias):
-        param_count += sum(1 for w in row.values() if w != 0.0)
-        param_count += 1 if b != 0.0 else 0
-    return SizeMetrics(width=width, depth=len(net.layers), height=height,
-                       neuron_count=neuron_count, param_count=param_count)
+    for rows in net._hidden + (net._readout,):
+        param_count += (np.count_nonzero(rows.w_val)
+                        + np.count_nonzero(rows.bias)
+                        + np.count_nonzero(rows.l_coeff))
+    return SizeMetrics(width=max((int(s.max()) for s in sizes), default=0),
+                       depth=len(sizes),
+                       height=max((len(s) for s in sizes), default=0),
+                       neuron_count=sum(int(s.sum()) for s in sizes),
+                       param_count=int(param_count))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _w_doc(weights, n_prev):
-    # drop exact zeros first so the dense/sparse choice is canonical: the
-    # parser discards zero entries, and round-tripping must be bit-stable
-    weights = {i: w for i, w in weights.items() if w != 0.0}
-    if n_prev and len(weights) > 0.6 * n_prev:
-        dense = [0.0] * n_prev
-        for idx, w in weights.items():
-            dense[idx] = w
-        return dense
-    items = sorted(weights.items())
-    return {"i": [i for i, _ in items], "v": [v for _, v in items]}
+def _w_docs(rows, n_prev):
+    """Each row's weight document.  Exact zeros are dropped first so the
+    dense/sparse choice is canonical: the parser discards zero entries, and
+    round-tripping must be bit-stable."""
+    keep = rows.w_val != 0.0
+    row = _row_ids(rows.w_ptr)[keep]
+    order = np.lexsort((rows.w_idx[keep], row))
+    idx = rows.w_idx[keep][order].tolist()
+    val = rows.w_val[keep][order].tolist()
+    ptr = _ptr(np.bincount(row, minlength=rows.n)).tolist()
+    docs = []
+    for a, b in zip(ptr, ptr[1:]):
+        if n_prev and b - a > 0.6 * n_prev:
+            dense = [0.0] * n_prev
+            for i, v in zip(idx[a:b], val[a:b]):
+                dense[i] = v
+            docs.append(dense)
+        else:
+            docs.append({"i": idx[a:b], "v": val[a:b]})
+    return docs
 
 
 def _w_parse(doc, n_prev, where):
@@ -413,26 +626,28 @@ def serialize(net):
     """Return the schema-versioned document (a JSON string)."""
     prev = net.input_dim
     layers = []
-    for layer in net.layers:
-        floors = []
-        for floor in layer.floors:
-            neurons = []
-            for nrn in floor:
-                neurons.append({
-                    "w": _w_doc(nrn.weights, prev),
-                    "b": nrn.bias,
+    for rows in net._hidden:
+        w_docs = _w_docs(rows, prev)
+        links = list(zip(rows.l_floor.tolist(), rows.l_index.tolist(),
+                         rows.l_coeff.tolist()))
+        lp = rows.l_ptr.tolist()
+        neurons = [{"w": w, "b": b,
                     "intra": [{"floor": sf, "index": si, "coeff": c}
-                              for (sf, si, c) in nrn.intra],
-                })
-            floors.append({"neurons": neurons})
+                              for (sf, si, c) in links[lp[r]:lp[r + 1]]]}
+                   for r, (w, b) in enumerate(zip(w_docs,
+                                                  rows.bias.tolist()))]
+        floors, at = [], 0
+        for size in rows.sizes.tolist():
+            floors.append({"neurons": neurons[at:at + size]})
+            at += size
         layers.append({"floors": floors})
-        prev = layer.size
+        prev = rows.n
     doc = {
         "schema": SCHEMA_ID,
         "input_dim": net.input_dim,
         "layers": layers,
         "readout": {
-            "w": [_w_doc(row, prev) for row in net.readout_weights],
+            "w": _w_docs(net._readout, prev),
             "b": list(net.readout_bias),
         },
     }
@@ -469,27 +684,26 @@ def deserialize(document):
     except (KeyError, TypeError, ValueError, OverflowError):
         raise NetFormatError("missing or invalid input_dim")
     prev = input_dim
-    layers = []
+    hidden = []
     for k, layer_doc in enumerate(_items(doc, "layers", "document")):
-        floors = []
+        sizes, weights, biases, intras = [], [], [], []
         for fi, floor_doc in enumerate(_items(layer_doc, "floors",
                                               f"layers[{k}]")):
-            neurons = []
-            for ni, nd in enumerate(_items(floor_doc, "neurons",
-                                           f"layers[{k}].floors[{fi}]")):
+            neurons = _items(floor_doc, "neurons", f"layers[{k}].floors[{fi}]")
+            for ni, nd in enumerate(neurons):
                 where = f"layers[{k}].floors[{fi}].neurons[{ni}]"
                 try:
-                    weights = _w_parse(nd["w"], prev, where + ".w")
-                    bias = float(nd["b"])
-                    intra = tuple((int(l["floor"]), int(l["index"]),
-                                   float(l["coeff"]))
-                                  for l in nd.get("intra", []))
+                    weights.append(_w_parse(nd["w"], prev, where + ".w"))
+                    biases.append(float(nd["b"]))
+                    intras.append(tuple((int(l["floor"]), int(l["index"]),
+                                         float(l["coeff"]))
+                                        for l in nd.get("intra", [])))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise NetFormatError(f"malformed neuron at {where}: {exc}")
-                neurons.append(Neuron(weights=weights, bias=bias, intra=intra))
-            floors.append(tuple(neurons))
-        layers.append(Layer(floors=tuple(floors)))
-        prev = layers[-1].size
+            sizes.append(len(neurons))
+        hidden.append(_pack(np.array(sizes, dtype=np.int64), weights, biases,
+                            intras))
+        prev = len(biases)
     ro = doc.get("readout")
     if not isinstance(ro, dict) or "w" not in ro or "b" not in ro:
         raise NetFormatError("missing readout section")
@@ -499,7 +713,7 @@ def deserialize(document):
         bias = [float(b) for b in ro["b"]]
     except (TypeError, ValueError, OverflowError) as exc:
         raise NetFormatError(f"malformed readout: {exc}")
-    return Net3D(input_dim, layers, rows, bias)
+    return Net3D._of(input_dim, hidden, _pack(None, rows, bias))
 
 
 # ---------------------------------------------------------------------------
@@ -515,34 +729,53 @@ def flatten_to_2d(net, pad_width_to=None):
     ``pad_width_to`` so that the flattened width equals width x height of the
     original network, matching the 2D-equivalence size statement.
     """
-    new_layers = []
-    widest = max((l.size for l in net.layers), default=0)
-    for layer in net.layers:
-        offs = _flat_offsets(layer)
-        merged = []
-        for fi, floor in enumerate(layer.floors):
-            for nrn in floor:
-                intra = tuple((0, offs[sf] + si, c) for (sf, si, c) in nrn.intra)
-                merged.append(Neuron(weights=nrn.weights, bias=nrn.bias,
-                                     intra=intra))
-        if pad_width_to and layer.size == widest and layer.size < pad_width_to:
-            pad = pad_width_to - layer.size
-            merged.extend(Neuron(weights={}, bias=0.0) for _ in range(pad))
+    hidden = []
+    widest = max((rows.n for rows in net._hidden), default=0)
+    for rows in net._hidden:
+        n, pad = rows.n, 0
+        if pad_width_to and n == widest and n < pad_width_to:
+            pad = pad_width_to - n
             widest = pad_width_to  # pad only one layer
-        new_layers.append(Layer(floors=(tuple(merged),)))
-    return Net3D(net.input_dim, new_layers, net.readout_weights,
-                 net.readout_bias)
+        hidden.append(_Rows(
+            np.array([n + pad], dtype=np.int64),
+            np.append(rows.w_ptr, np.full(pad, rows.w_ptr[-1])),
+            rows.w_idx, rows.w_val, np.append(rows.bias, np.zeros(pad)),
+            np.append(rows.l_ptr, np.full(pad, rows.l_ptr[-1])),
+            np.zeros(len(rows.l_floor), dtype=np.int64),
+            _starts(rows.sizes)[rows.l_floor] + rows.l_index,
+            rows.l_coeff))
+    return Net3D._of(net.input_dim, hidden, net._readout)
 
 
-def _affine_compose(outer_row, outer_bias, inner_rows, inner_bias):
-    """Compose affine maps: outer over inner's outputs -> over inner's basis."""
-    new = {}
-    b = outer_bias
-    for o, w in outer_row.items():
-        b += w * inner_bias[o]
-        for idx, v in inner_rows[o].items():
-            new[idx] = new.get(idx, 0.0) + w * v
-    return new, b
+def _compose(outer, inner, n_basis):
+    """outer's rows, read over inner's readout outputs, composed with that
+    readout into rows over inner's basis (n_basis columns).
+
+    Row by row and in outer's weight order, each product w * v joins the
+    basis column of v: a column's sum starts from 0.0 and the columns keep
+    the order they are first met.  The bias is outer's plus each w times
+    inner's bias, in the same order.  Sizes and intra links stay outer's.
+    """
+    row = _row_ids(outer.w_ptr)
+    o, w = outer.w_idx, outer.w_val
+    counts = inner.w_ptr[o + 1] - inner.w_ptr[o]
+    _, pos = _take(inner.w_ptr, o)
+    keys = np.repeat(row, counts) * n_basis + inner.w_idx[pos]
+    keys, first, inv = np.unique(keys, return_index=True,
+                                 return_inverse=True)
+    val = np.zeros(len(keys))
+    np.add.at(val, inv, np.repeat(w, counts) * inner.w_val[pos])
+    order = np.argsort(first)
+    new_row, new_idx = np.divmod(keys[order], n_basis)
+    bias = np.array(outer.bias)
+    np.add.at(bias, row, w * inner.bias[o])
+    return _Rows(outer.sizes, _ptr(np.bincount(new_row, minlength=outer.n)),
+                 new_idx, val[order], bias, outer.l_ptr, outer.l_floor,
+                 outer.l_index, outer.l_coeff)
+
+
+def _basis_size(net):
+    return net._hidden[-1].n if net._hidden else net.input_dim
 
 
 def chain(outer, inner):
@@ -550,33 +783,51 @@ def chain(outer, inner):
     if outer.input_dim != inner.output_dim:
         raise NetFormatError(f"chain mismatch: outer expects {outer.input_dim}"
                              f" inputs, inner produces {inner.output_dim}")
-    in_rows = inner.readout_weights
-    in_bias = inner.readout_bias
-    if not outer.layers:
-        rows, biases = [], []
-        for row, b in zip(outer.readout_weights, outer.readout_bias):
-            nr, nb = _affine_compose(row, b, in_rows, in_bias)
-            rows.append(nr)
-            biases.append(nb)
-        return Net3D(inner.input_dim, inner.layers, rows, biases)
-    first = outer.layers[0]
-    floors = []
-    for floor in first.floors:
-        nf = []
-        for nrn in floor:
-            w, b = _affine_compose(nrn.weights, nrn.bias, in_rows, in_bias)
-            nf.append(Neuron(weights=w, bias=b, intra=nrn.intra))
-        floors.append(tuple(nf))
-    new_first = Layer(floors=tuple(floors))
-    return Net3D(inner.input_dim,
-                 list(inner.layers) + [new_first] + list(outer.layers[1:]),
-                 outer.readout_weights, outer.readout_bias)
+    n_basis = _basis_size(inner)
+    if not outer._hidden:
+        return Net3D._of(inner.input_dim, inner._hidden,
+                         _compose(outer._readout, inner._readout, n_basis))
+    first = _compose(outer._hidden[0], inner._readout, n_basis)
+    return Net3D._of(inner.input_dim,
+                     inner._hidden + (first,) + outer._hidden[1:],
+                     outer._readout)
+
+
+def _stack(blocks, remaps, sizes=None):
+    """Concatenate the rows of blocks, remapping each block's weight
+    columns by its array in remaps (intra links unchanged)."""
+    return _Rows(
+        sizes, _ptr(np.concatenate([np.diff(b.w_ptr) for b in blocks])),
+        np.concatenate([m[b.w_idx] for b, m in zip(blocks, remaps)]),
+        np.concatenate([b.w_val for b in blocks]),
+        np.concatenate([b.bias for b in blocks]),
+        _ptr(np.concatenate([np.diff(b.l_ptr) for b in blocks])),
+        np.concatenate([b.l_floor for b in blocks]),
+        np.concatenate([b.l_index for b in blocks]),
+        np.concatenate([b.l_coeff for b in blocks]))
+
+
+def _carry(readout):
+    """One floor of (sigma(y), sigma(-y)) pairs for each output y of the
+    readout, and the readout that recovers y from them."""
+    n = readout.n
+    ptr, pos = _take(readout.w_ptr, np.repeat(np.arange(n), 2))
+    val = readout.w_val[pos]
+    neg = np.repeat(np.arange(2 * n) % 2 == 1, np.diff(ptr))
+    val[neg] = -val[neg]
+    bias = np.repeat(readout.bias, 2)
+    bias[1::2] = -bias[1::2]
+    pad = _Rows(np.array([2 * n], dtype=np.int64), ptr, readout.w_idx[pos],
+                val, bias)
+    pairs = _Rows(None, np.arange(0, 2 * n + 1, 2), np.arange(2 * n),
+                  np.tile([1.0, -1.0], n), np.zeros(n))
+    return pad, pairs
 
 
 def _merge(nets, share_input):
     """Run nets side by side, floors aligned (widths add, heights max).
 
-    Returns (input_dim, layers, readout rows, readout biases).  Inputs are
+    Returns (input_dim, hidden layers, readout) as packed rows.  Inputs are
     concatenated, or with share_input all nets read the same input; outputs
     are concatenated in net order.  Neuron (f, i) of a net moves to
     (f, col[f] + i), col[f] being that net's start column in merged floor f.
@@ -585,75 +836,64 @@ def _merge(nets, share_input):
     """
     if not nets:
         raise NetFormatError("need at least one net")
-    depth = max(len(n.layers) for n in nets)
+    depth = max(len(n._hidden) for n in nets)
     if share_input:
         input_dim = nets[0].input_dim
         if any(n.input_dim != input_dim for n in nets):
             raise NetFormatError("shared-input merge requires equal input_dim")
-        remap = [range(input_dim)] * len(nets)
+        remap = [np.arange(input_dim)] * len(nets)
     else:
-        remap, input_dim = [], 0
-        for n in nets:
-            remap.append(range(input_dim, input_dim + n.input_dim))
-            input_dim += n.input_dim
+        ends = np.cumsum([n.input_dim for n in nets])
+        input_dim = int(ends[-1])
+        remap = [np.arange(e - n.input_dim, e) for n, e in zip(nets, ends)]
 
     # remap[j][i]: merged flat index of net j's flat index i one layer back;
-    # reads[j]: net j's readout (rows, biases) over those indices
-    reads = [(n.readout_weights, n.readout_bias) for n in nets]
-    layers = []
+    # reads[j]: net j's readout over those indices
+    reads = [n._readout for n in nets]
+    hidden = []
     for k in range(depth):
         parts = []
         for j, n in enumerate(nets):
-            if k < len(n.layers):
-                parts.append(n.layers[k])
-                continue
-            rows, bias = reads[j]
-            floor = []
-            for row, b in zip(rows, bias):
-                floor.append(Neuron(weights=row, bias=b))
-                floor.append(Neuron(weights={i: -w for i, w in row.items()},
-                                    bias=-b))
-            parts.append(Layer(floors=(tuple(floor),)))
-            reads[j] = ([{2 * o: 1.0, 2 * o + 1: -1.0}
-                         for o in range(len(bias))], [0.0] * len(bias))
-        floors = [[] for _ in range(max(len(l.floors) for l in parts))]
-        cols = []
-        for j, layer in enumerate(parts):
-            col = []
-            for f, floor in enumerate(layer.floors):
-                col.append(len(floors[f]))
-                floors[f].extend(
-                    Neuron(weights={remap[j][i]: w
-                                    for i, w in nrn.weights.items()},
-                           bias=nrn.bias,
-                           intra=tuple((sf, col[sf] + si, c)
-                                       for (sf, si, c) in nrn.intra))
-                    for nrn in floor)
-            cols.append(col)
-        merged = Layer(floors=tuple(tuple(f) for f in floors))
-        offs = _flat_offsets(merged)
-        remap = [[offs[f] + col[f] + i
-                  for f, floor in enumerate(layer.floors)
-                  for i in range(len(floor))]
-                 for layer, col in zip(parts, cols)]
-        layers.append(merged)
-
-    rows, bias = [], []
-    for j, (n_rows, n_bias) in enumerate(reads):
-        for row, b in zip(n_rows, n_bias):
-            rows.append({remap[j][i]: v for i, v in row.items()})
-            bias.append(b)
-    return input_dim, layers, rows, bias
+            if k < len(n._hidden):
+                parts.append(n._hidden[k])
+            else:
+                pad, reads[j] = _carry(reads[j])
+                parts.append(pad)
+        S = np.zeros((len(parts), max(len(p.sizes) for p in parts)),
+                     dtype=np.int64)
+        for j, p in enumerate(parts):
+            S[j, :len(p.sizes)] = p.sizes
+        col = np.cumsum(S, axis=0) - S  # part j's start column in floor f
+        sizes = S.sum(axis=0)
+        starts = _starts(sizes)
+        new_remap = []
+        for j, p in enumerate(parts):
+            fi = np.repeat(np.arange(len(p.sizes)), p.sizes)
+            at = np.arange(p.n) - _starts(p.sizes)[fi]
+            new_remap.append(starts[fi] + col[j, fi] + at)
+        cat = _stack(parts, remap)
+        shift = np.concatenate([col[j, p.l_floor]
+                                for j, p in enumerate(parts)])
+        order = np.argsort(np.concatenate(new_remap))  # merged row -> cat row
+        w_ptr, w_pos = _take(cat.w_ptr, order)
+        l_ptr, l_pos = _take(cat.l_ptr, order)
+        hidden.append(_Rows(sizes, w_ptr, cat.w_idx[w_pos],
+                            cat.w_val[w_pos], cat.bias[order], l_ptr,
+                            cat.l_floor[l_pos],
+                            (cat.l_index + shift)[l_pos],
+                            cat.l_coeff[l_pos]))
+        remap = new_remap
+    return input_dim, hidden, _stack(reads, remap)
 
 
 def parallel(nets):
     """Disjoint inputs, concatenated outputs."""
-    return Net3D(*_merge(list(nets), share_input=False))
+    return Net3D._of(*_merge(list(nets), share_input=False))
 
 
 def parallel_shared(nets):
     """Same input for every net, concatenated outputs."""
-    return Net3D(*_merge(list(nets), share_input=True))
+    return Net3D._of(*_merge(list(nets), share_input=True))
 
 
 def linear_combine(nets, coeffs, bias):
@@ -664,10 +904,11 @@ def linear_combine(nets, coeffs, bias):
         raise NetFormatError("one coefficient per net required")
     if any(n.output_dim != 1 for n in nets):
         raise NetFormatError("linear_combine requires scalar nets")
-    input_dim, layers, rows, biases = _merge(nets, share_input=True)
-    row, b = _affine_compose(dict(enumerate(coeffs)), float(bias), rows,
-                             biases)
-    return Net3D(input_dim, layers, [row], [b])
+    input_dim, hidden, readout = _merge(nets, share_input=True)
+    combo = _Rows(None, np.array([0, len(coeffs)]), np.arange(len(coeffs)),
+                  np.array(coeffs, dtype=float), np.array([float(bias)]))
+    n_basis = hidden[-1].n if hidden else input_dim
+    return Net3D._of(input_dim, hidden, _compose(combo, readout, n_basis))
 
 
 def identity_net(dim=1):

@@ -35,6 +35,9 @@ __all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_1d",
            "apply_Tn_nd", "fourier_integrals"]
 
 DEFAULT_NODES = 4096
+# points of a torus grid (nodes ** d); d = 2 uses 1024 ** 2, d = 3 would
+# need 1024 ** 3 points of 3 coordinates (about 25 GB)
+TORUS_POINT_CAP = 4_000_000
 
 
 @dataclass
@@ -148,7 +151,13 @@ def _torus(nodes):
 
 
 def _torus_grid(d, nodes):
-    """The tensor grid of the torus nodes, over pi: points of [-1, 1)^d."""
+    """The tensor grid of the torus nodes, over pi: points of [-1, 1)^d.
+    A grid of more than TORUS_POINT_CAP points raises ValueError."""
+    # 2^d > TORUS_POINT_CAP is refused before any integer power is formed
+    if d >= TORUS_POINT_CAP.bit_length() or nodes ** d > TORUS_POINT_CAP:
+        raise ValueError(f"a torus grid of {nodes} nodes per axis over {d} "
+                         f"dimensions exceeds its cap of {TORUS_POINT_CAP} "
+                         f"points")
     return tensor_points([_torus(nodes)] * d) / math.pi
 
 

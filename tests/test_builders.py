@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relu3d import blocks, builders
+import reference_net
+from relu3d import blocks, builders, trig_operator
 from relu3d.builders import (WidthBudgetError, build_analytic_cube,
                              build_analytic_ellipse, build_clipped_hermite,
                              build_hermite_gauss, build_lp, build_poly1d,
@@ -17,7 +18,8 @@ from relu3d.builders import (WidthBudgetError, build_analytic_cube,
                              choose_hermite_params, expected_bound,
                              expected_size)
 from relu3d.hermite import hermite_eval, hermite_tail_bound
-from relu3d.net import _compile, evaluate_array, metrics, serialize
+from relu3d.net import (Layer, Net3D, Neuron, _compile, evaluate_array,
+                        metrics, serialize)
 from relu3d.polynd import PolyND
 from relu3d.targets import TargetSpec
 from relu3d.verify import gauss_l2_error, lp_error, sup_error, sweep
@@ -412,6 +414,24 @@ def test_builder_reports_carry_formula_ids():
     assert rep.expected_metrics.depth == metrics(rep.net).depth
 
 
+def test_lp_refuses_a_torus_grid_over_the_cap(monkeypatch):
+    # d = 3 would ask for 1024^3 torus points; the cap is checked before
+    # any grid is made
+    def no_grid(axes):
+        raise AssertionError("tensor_points called")
+
+    monkeypatch.setattr(trig_operator, "tensor_points", no_grid)
+    target = TargetSpec.catalog("abs-sum", d=3, domain="sym-cube")
+    with pytest.raises(ValueError, match="cap of 4000000 points"):
+        build_lp(target, 2, 6, d=3)
+
+
+def test_default_torus_grids_of_one_and_two_dimensions_fit_the_cap():
+    for d, nodes in ((1, 4096), (2, 1024)):
+        assert trig_operator._default_nodes(d) == nodes
+        assert nodes ** d <= trig_operator.TORUS_POINT_CAP
+
+
 # -- golden outputs ---------------------------------------------------------
 # One small config per theorem id: the sha256 of serialize(rep.net) and the
 # repr of the measured error and bound a sweep reports, recorded before the
@@ -556,6 +576,71 @@ def test_forward_takes_one_step_per_floor(case):
     progs, _, _ = _compile(net)
     assert [len(p.segments) for p in progs] == [len(layer.floors)
                                                 for layer in net.layers]
+
+
+def _with_fault(parts, kind, k, r):
+    """parts with one fault at neuron r (flat) of layer k, or at readout row
+    r when k is the depth."""
+    input_dim, layers, rows, bias = parts
+    layers, rows, bias = list(layers), list(rows), list(bias)
+    prev = layers[k - 1].size if k else input_dim
+    if k == len(layers):
+        r %= len(rows)
+        if kind == "bias":
+            bias[r] = math.nan
+        else:
+            rows[r] = {**rows[r], prev if kind == "index" else 0: math.inf}
+        return input_dim, layers, rows, bias
+    if not isinstance(layers[k], Layer) or not layers[k].size:
+        return parts  # an earlier fault removed the layer's neurons
+    floors = [list(f) for f in layers[k].floors]
+    r %= layers[k].size
+    fi = 0
+    while r >= len(floors[fi]):
+        r -= len(floors[fi])
+        fi += 1
+    nrn = floors[fi][r]
+    link = {"floor": (len(floors), 0, 1.0), "huge": (10 ** 400, 0, 1.0),
+            "link-index": (fi, len(floors[fi]), 1.0), "forward": (fi, r, 1.0),
+            "coeff": (0, 0, math.inf)}.get(kind)
+    if kind == "empty":
+        floors[fi] = []
+    elif kind == "layer":
+        layers[k] = floors
+    elif link is not None:
+        floors[fi][r] = Neuron(nrn.weights, nrn.bias, nrn.intra + (link,))
+    elif kind == "bias":
+        floors[fi][r] = Neuron(nrn.weights, math.nan, nrn.intra)
+    else:
+        floors[fi][r] = Neuron({**nrn.weights,
+                                prev if kind == "index" else 0: math.inf},
+                               nrn.bias, nrn.intra)
+    if kind != "layer":
+        layers[k] = Layer(floors=tuple(tuple(f) for f in floors))
+    return input_dim, layers, rows, bias
+
+
+FAULTS = ("index", "weight", "bias", "floor", "huge", "link-index", "forward",
+          "coeff", "empty", "layer")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_array_checks_match_the_scalar_reference(case):
+    net = GOLDEN_CASES[case][2]().net
+    parts = reference_net.parts(net)
+    reference_net.validate(*parts)
+    assert metrics(net) == reference_net.metrics(*parts)
+    rng = np.random.default_rng(0)
+    depth = len(parts[1])
+    for _ in range(24):
+        faulty = parts
+        for _ in range(rng.integers(1, 3)):  # one or two faults
+            faulty = _with_fault(faulty, FAULTS[rng.integers(len(FAULTS))],
+                                 int(rng.integers(depth + 1)),
+                                 int(rng.integers(1 << 30)))
+        want = reference_net.decision(lambda: faulty)
+        assert reference_net.array_decision(lambda: Net3D(*faulty)) == want
+        assert want[0] == "error"
 
 
 # name -> (sha256 of serialize, the same net's constructor)

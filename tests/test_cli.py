@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_net import FUZZ_NETS, JSON_LEAF, _leaf_paths, _put
 
-from relu3d import blocks
+from relu3d import blocks, trig_operator
 from relu3d.builders import THEOREM_IDS, THEOREMS
 from relu3d.cli import _build_parser, run
 from relu3d.net import (Net3D, deserialize, evaluate_array, identity_net,
@@ -267,6 +267,18 @@ def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
                 "--domain", "gaussian-line", "--N", "150",
                 "-o", str(tmp_path / "h.net")]) == 2
     assert "float range" in capsys.readouterr().err
+
+
+def test_build_of_a_torus_grid_over_the_cap_is_usage_error(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_grid(axes):
+        raise AssertionError("tensor_points called")
+
+    monkeypatch.setattr(trig_operator, "tensor_points", no_grid)
+    assert run(["build", "--theorem", "lp", "--target", "abs-sum", "--d",
+                "3", "--domain", "sym-cube", "--N1", "2", "--N2", "6",
+                "-o", str(tmp_path / "lp3.net")]) == 2
+    assert "cap of 4000000 points" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):

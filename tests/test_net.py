@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_net
 from relu3d import blocks
 from relu3d import net as rnet
 from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
@@ -330,6 +331,132 @@ def test_deserialize_names_error_path():
     doc["layers"][0]["floors"][0]["neurons"][0]["w"] = "junk"
     with pytest.raises(NetFormatError, match=r"layers\[0\]"):
         deserialize(doc)
+
+
+# -- array checks against the scalar reference ------------------------------
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(range(len(FUZZ_NETS))), st.data())
+def test_array_checks_match_the_scalar_reference_on_mutated_documents(
+        which, data):
+    doc = json.loads(serialize(FUZZ_NETS[which]))
+    paths = _leaf_paths(doc)
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1,
+                                   max_size=3)):
+        _put(doc, path, data.draw(JSON_LEAF))
+    for document in (doc, json.dumps(doc)):
+        assert reference_net.array_decision(
+            lambda: deserialize(document)) == reference_net.decision(
+                lambda: reference_net.parse(document))
+
+
+@pytest.mark.parametrize("path", [
+    ("readout", "w", 0, "v", 0),
+    ("readout", "b", 0),
+    ("layers", 0, "floors", 0, "neurons", 1, "b"),
+    ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "floor"),
+    ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "index"),
+    ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "coeff"),
+])
+@pytest.mark.parametrize("value", [math.inf, 10 ** 400, 2 ** 63, -1, 1, 2],
+                         ids=["inf", "huge", "2^63", "-1", "1", "2"])
+def test_array_checks_match_the_scalar_reference_on_single_values(path,
+                                                                   value):
+    doc = json.loads(serialize(blocks.sawtooth_net(2)))
+    _put(doc, path, value)
+    document = json.dumps(doc)
+    assert reference_net.array_decision(
+        lambda: deserialize(document)) == reference_net.decision(
+            lambda: reference_net.parse(document))
+
+
+def test_deserialize_of_a_huge_intra_floor_names_it():
+    doc = json.loads(serialize(blocks.sawtooth_net(2)))
+    _put(doc, ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "floor"),
+         10 ** 400)
+    with pytest.raises(NetFormatError, match=f"intra source floor {10 ** 400} "
+                                             f"out of range"):
+        deserialize(json.dumps(doc))
+
+
+# -- equality and hashing ---------------------------------------------------
+
+
+def two_input_net(weights, intra):
+    first = (Neuron(weights={0: 1.0}, bias=0.0),
+             Neuron(weights={1: 1.0}, bias=0.0))
+    top = (Neuron(weights=weights, bias=0.5, intra=intra),)
+    return Net3D(2, [Layer(floors=(first, top))], [{2: 1.0}], [0.0])
+
+
+def test_nets_differing_by_an_explicit_zero_weight_are_unequal():
+    a = two_input_net({0: 1.0}, ())
+    b = two_input_net({0: 1.0, 1: 0.0}, ())
+    assert a != b
+    assert metrics(a) == metrics(b)
+
+
+def test_nets_differing_by_the_order_of_two_intra_links_are_unequal():
+    a = two_input_net({}, ((0, 0, 1.0), (0, 1, 2.0)))
+    b = two_input_net({}, ((0, 1, 2.0), (0, 0, 1.0)))
+    assert a != b
+
+
+def test_weight_order_does_not_change_equality_or_hash():
+    a = two_input_net({0: 1.0, 1: -2.0}, ((0, 0, 1.0),))
+    b = two_input_net({1: -2.0, 0: 1.0}, ((0, 0, 1.0),))
+    assert a == b and hash(a) == hash(b)
+
+
+def composition_parts():
+    saw, sq = blocks.sawtooth_net(2), blocks.square_net(3)
+    return (saw, sq, blocks.power_chain_net(3, 2), chain(saw, chain(sq, saw)))
+
+
+def composed_nets(parts):
+    return {name: make(*parts) for name, make in sorted(COMPOSITIONS.items())}
+
+
+def test_round_trips_and_rebuilds_equal_the_composed_net():
+    for name, net in composed_nets(composition_parts()).items():
+        back = deserialize(serialize(net))
+        rebuilt = Net3D(net.input_dim, net.layers, net.readout_weights,
+                        net.readout_bias)
+        for other in (back, rebuilt):
+            assert other == net, name
+            assert hash(other) == hash(net), name
+
+
+def test_a_net_built_from_layers_equals_its_composition():
+    x0, x1 = ({0: 1.0}, {0: -1.0}), ({1: 1.0}, {1: -1.0})
+    floor = tuple(Neuron(weights=w, bias=0.0) for w in x0 + x1)
+    by_hand = Net3D(2, [Layer(floors=(floor,))],
+                    [{0: 1.0, 1: -1.0}, {2: 1.0, 3: -1.0}], [0.0, 0.0])
+    composed = parallel([identity_net(1), identity_net(1)])
+    assert by_hand == composed and hash(by_hand) == hash(composed)
+    assert serialize(by_hand) == serialize(composed)
+
+
+def test_compositions_and_net_io_build_no_neuron_objects(monkeypatch):
+    parts = composition_parts()
+    nets = composed_nets(parts)
+    made = []
+    init = Neuron.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Neuron, "__init__", counting_init)
+    for name, net in composed_nets(parts).items():
+        assert net == nets[name]
+        back = deserialize(serialize(net))
+        metrics(back)
+        evaluate_array(back, np.full((5, net.input_dim), 0.25))
+    assert made == []
+    nets["chain"].layers  # the view does build them
+    assert made
 
 
 # -- flatten ----------------------------------------------------------------
