@@ -23,7 +23,9 @@ built; using stale wires raises.
 
 from __future__ import annotations
 
-from .net import Layer, Net3D, NetFormatError, Neuron
+import numpy as np
+
+from .net import Net3D, NetFormatError, _pack
 
 __all__ = ["NetBuilder", "Wire"]
 
@@ -121,8 +123,7 @@ class _FloorBuilder:
         intra.sort()
         ref = _Ref(layer=k, floor=self.floor_index,
                    index=len(lb.floors[self.floor_index]))
-        lb.floors[self.floor_index].append(
-            Neuron(weights=weights, bias=pre.bias, intra=tuple(intra)))
+        lb.floors[self.floor_index].append((weights, pre.bias, tuple(intra)))
         lb.refs.append(ref)
         return Wire({ref: 1.0})
 
@@ -167,7 +168,10 @@ class NetBuilder:
         for ref in sorted(lb.refs, key=lambda r: (r.floor, r.index)):
             ref.flat = pos
             pos += 1
-        self._layers.append(Layer(floors=tuple(tuple(f) for f in lb.floors)))
+        # the layer's neurons, packed in flat order as (weights, bias, intra)
+        self._layers.append(_pack(
+            np.array([len(f) for f in lb.floors], dtype=np.int64),
+            *zip(*(nrn for floor in lb.floors for nrn in floor))))
         self._open = None
 
     @property
@@ -192,4 +196,4 @@ class NetBuilder:
                 row[ref.flat] = row.get(ref.flat, 0.0) + c
             rows.append(row)
             bias.append(out.bias)
-        return Net3D(self.input_dim, self._layers, rows, bias)
+        return Net3D(self.input_dim, self._layers, _pack(None, rows, bias))

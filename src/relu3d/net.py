@@ -75,11 +75,44 @@ class Neuron:
     intra: tuple = ()
 
 
-@dataclass(frozen=True)
 class Layer:
-    """floors: tuple of floors, each a tuple of Neuron."""
+    """floors: tuple of floors, each a tuple of Neuron.  Immutable.
 
-    floors: tuple
+    A layer of ``Net3D.layers`` is a view of the net's packed rows: its
+    size is read from them and its floors are built when first read.
+    """
+
+    __slots__ = ("_floors", "_rows")
+
+    def __init__(self, floors):
+        object.__setattr__(self, "_floors", floors)
+        object.__setattr__(self, "_rows", None)
+
+    @classmethod
+    def _view(cls, rows):
+        layer = cls(None)
+        object.__setattr__(layer, "_rows", rows)
+        return layer
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Layer is immutable")
+
+    @property
+    def floors(self):
+        if self._floors is None:
+            object.__setattr__(self, "_floors", _floors_of(self._rows))
+        return self._floors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.floors == other.floors
+
+    def __hash__(self):
+        return hash(self.floors)
+
+    def __repr__(self):
+        return f"Layer(floors={self.floors!r})"
 
     def flat_neurons(self):
         for floor in self.floors:
@@ -88,6 +121,8 @@ class Layer:
 
     @property
     def size(self):
+        if self._floors is None:
+            return self._rows.n
         return sum(len(f) for f in self.floors)
 
 
@@ -212,15 +247,19 @@ def _pack(sizes, weights, biases, intras=None):
 
 
 def _pack_layer(layer):
+    if isinstance(layer, _Rows):
+        return layer
     if not isinstance(layer, Layer):
         layer = Layer(floors=())  # rejected by _validate at its position
+    if layer._rows is not None:
+        return layer._rows
     neurons = list(layer.flat_neurons())
     return _pack(np.array([len(f) for f in layer.floors], dtype=np.int64),
                  [n.weights for n in neurons], [n.bias for n in neurons],
                  [n.intra for n in neurons])
 
 
-def _layer_view(rows):
+def _floors_of(rows):
     idx, val = rows.w_idx.tolist(), rows.w_val.tolist()
     wp, lp = rows.w_ptr.tolist(), rows.l_ptr.tolist()
     links = list(zip(rows.l_floor.tolist(), rows.l_index.tolist(),
@@ -233,36 +272,33 @@ def _layer_view(rows):
     for size in rows.sizes.tolist():
         floors.append(tuple(neurons[at:at + size]))
         at += size
-    return Layer(floors=tuple(floors))
+    return tuple(floors)
 
 
 class Net3D:
     """Immutable intra-linked ReLU network with affine (multi-)readout.
 
-    layers: hidden layers of Neuron floors, read as a view built on each
+    layers: hidden layers of Neuron floors, read as views built on each
     access.  readout_weights: tuple of rows, one per output, each
     {flat_index: coeff} over the last hidden layer (or over the input if
     there are no hidden layers), also a view.  Scalar networks have exactly
     one row; ``evaluate`` returns a plain float for those.
+
+    The compositions and ``deserialize`` pass packed rows instead: each
+    layer a _Rows, readout_weights the readout's _Rows and no readout_bias.
     """
 
     __slots__ = ("input_dim", "_hidden", "_readout", "_program")
 
-    def __init__(self, input_dim, layers, readout_weights, readout_bias):
-        readout = _pack(None, list(readout_weights),
-                        [float(b) for b in readout_bias])
-        self._set(input_dim, [_pack_layer(l) for l in layers], readout)
-
-    @classmethod
-    def _of(cls, input_dim, hidden, readout):
-        """A net over packed rows (no Neuron objects)."""
-        net = object.__new__(cls)
-        net._set(input_dim, hidden, readout)
-        return net
-
-    def _set(self, input_dim, hidden, readout):
+    def __init__(self, input_dim, layers, readout_weights, readout_bias=None):
+        if isinstance(readout_weights, _Rows):
+            readout = readout_weights
+        else:
+            readout = _pack(None, list(readout_weights),
+                            [float(b) for b in readout_bias])
         object.__setattr__(self, "input_dim", int(input_dim))
-        object.__setattr__(self, "_hidden", tuple(hidden))
+        object.__setattr__(self, "_hidden",
+                           tuple(_pack_layer(l) for l in layers))
         object.__setattr__(self, "_readout", readout)
         object.__setattr__(self, "_program", None)
         _validate(self)
@@ -272,7 +308,7 @@ class Net3D:
 
     @property
     def layers(self):
-        return tuple(_layer_view(rows) for rows in self._hidden)
+        return tuple(Layer._view(rows) for rows in self._hidden)
 
     @property
     def readout_weights(self):
@@ -713,7 +749,7 @@ def deserialize(document):
         bias = [float(b) for b in ro["b"]]
     except (TypeError, ValueError, OverflowError) as exc:
         raise NetFormatError(f"malformed readout: {exc}")
-    return Net3D._of(input_dim, hidden, _pack(None, rows, bias))
+    return Net3D(input_dim, hidden, _pack(None, rows, bias))
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +780,7 @@ def flatten_to_2d(net, pad_width_to=None):
             np.zeros(len(rows.l_floor), dtype=np.int64),
             _starts(rows.sizes)[rows.l_floor] + rows.l_index,
             rows.l_coeff))
-    return Net3D._of(net.input_dim, hidden, net._readout)
+    return Net3D(net.input_dim, hidden, net._readout)
 
 
 def _compose(outer, inner, n_basis):
@@ -785,10 +821,10 @@ def chain(outer, inner):
                              f" inputs, inner produces {inner.output_dim}")
     n_basis = _basis_size(inner)
     if not outer._hidden:
-        return Net3D._of(inner.input_dim, inner._hidden,
+        return Net3D(inner.input_dim, inner._hidden,
                          _compose(outer._readout, inner._readout, n_basis))
     first = _compose(outer._hidden[0], inner._readout, n_basis)
-    return Net3D._of(inner.input_dim,
+    return Net3D(inner.input_dim,
                      inner._hidden + (first,) + outer._hidden[1:],
                      outer._readout)
 
@@ -888,12 +924,12 @@ def _merge(nets, share_input):
 
 def parallel(nets):
     """Disjoint inputs, concatenated outputs."""
-    return Net3D._of(*_merge(list(nets), share_input=False))
+    return Net3D(*_merge(list(nets), share_input=False))
 
 
 def parallel_shared(nets):
     """Same input for every net, concatenated outputs."""
-    return Net3D._of(*_merge(list(nets), share_input=True))
+    return Net3D(*_merge(list(nets), share_input=True))
 
 
 def linear_combine(nets, coeffs, bias):
@@ -908,7 +944,7 @@ def linear_combine(nets, coeffs, bias):
     combo = _Rows(None, np.array([0, len(coeffs)]), np.arange(len(coeffs)),
                   np.array(coeffs, dtype=float), np.array([float(bias)]))
     n_basis = hidden[-1].n if hidden else input_dim
-    return Net3D._of(input_dim, hidden, _compose(combo, readout, n_basis))
+    return Net3D(input_dim, hidden, _compose(combo, readout, n_basis))
 
 
 def identity_net(dim=1):

@@ -421,8 +421,11 @@ def composed_nets(parts):
 def test_round_trips_and_rebuilds_equal_the_composed_net():
     for name, net in composed_nets(composition_parts()).items():
         back = deserialize(serialize(net))
-        rebuilt = Net3D(net.input_dim, net.layers, net.readout_weights,
-                        net.readout_bias)
+        views = net.layers
+        rebuilt = Net3D(net.input_dim,
+                        [Layer(floors=view.floors) for view in views],
+                        net.readout_weights, net.readout_bias)
+        assert [Layer(floors=view.floors) for view in views] == list(views)
         for other in (back, rebuilt):
             assert other == net, name
             assert hash(other) == hash(net), name
@@ -455,8 +458,9 @@ def test_compositions_and_net_io_build_no_neuron_objects(monkeypatch):
         metrics(back)
         evaluate_array(back, np.full((5, net.input_dim), 0.25))
     assert made == []
-    nets["chain"].layers  # the view does build them
-    assert made
+    layer = nets["chain"].layers[0]
+    assert layer.size == nets["chain"].layers[0].size > 0 and made == []
+    assert layer.floors and made  # reading a view's floors builds them
 
 
 # -- flatten ----------------------------------------------------------------
