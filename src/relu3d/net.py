@@ -211,23 +211,14 @@ class _Rows:
     def same(self, other):
         """Equality with the semantics of the Neuron view: weights compare
         as dicts (any order), intra links as tuples (in order)."""
-        pairs = [(self.w_ptr, other.w_ptr), (self.bias, other.bias),
-                 (self.l_ptr, other.l_ptr), (self.l_floor, other.l_floor),
-                 (self.l_index, other.l_index),
-                 (self.l_coeff, other.l_coeff)]
-        if (self.sizes is None) != (other.sizes is None):
-            return False
-        if self.sizes is not None:
-            pairs.append((self.sizes, other.sizes))
-        if not all(np.array_equal(a, b) for a, b in pairs):
-            return False
-        mine, theirs = self._by_index(), other._by_index()
-        return (np.array_equal(mine[0], theirs[0])
-                and np.array_equal(mine[1], theirs[1]))
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self._key(), other._key()))
 
-    def _by_index(self):
+    def _key(self):
         order = np.lexsort((self.w_idx, _row_ids(self.w_ptr)))
-        return self.w_idx[order], self.w_val[order]
+        return (self.sizes, self.w_ptr, self.w_idx[order], self.w_val[order],
+                self.bias, self.l_ptr, self.l_floor, self.l_index,
+                self.l_coeff)
 
 
 def _pack(sizes, weights, biases, intras=None):
@@ -352,16 +343,14 @@ def _bad_rows(rows, prev):
     w_bad = ((rows.w_idx < 0) | (rows.w_idx >= prev)
              | ~np.isfinite(rows.w_val))
     bad[_row_ids(rows.w_ptr)[w_bad]] = True
-    if rows.sizes is not None and len(rows.l_floor):
-        sizes, starts = rows.sizes, _starts(rows.sizes)
-        fi = np.repeat(np.arange(len(sizes)), sizes)  # floor of each row
+    if len(rows.l_floor):  # the readout has no links
         row = _row_ids(rows.l_ptr)
         sf, si = rows.l_floor, rows.l_index
-        ok = (sf >= 0) & (sf < len(sizes))
+        ok = (sf >= 0) & (sf < len(rows.sizes))
         sf_in = np.where(ok, sf, 0).astype(np.int64)
-        ok &= (si >= 0) & (si < sizes[sf_in])
-        ok &= ((sf_in < fi[row])
-               | ((sf_in == fi[row]) & (si < row - starts[fi[row]])))
+        ok &= (si >= 0) & (si < rows.sizes[sf_in])
+        # within range, (floor, index) order is flat order
+        ok &= _starts(rows.sizes)[sf_in] + si < row
         bad[row[~(ok & np.isfinite(rows.l_coeff))]] = True
     return np.flatnonzero(bad)
 
@@ -810,8 +799,9 @@ def _compose(outer, inner, n_basis):
                  outer.l_index, outer.l_coeff)
 
 
-def _basis_size(net):
-    return net._hidden[-1].n if net._hidden else net.input_dim
+def _last_width(input_dim, hidden):
+    """Size of the layer a readout reads."""
+    return hidden[-1].n if hidden else input_dim
 
 
 def chain(outer, inner):
@@ -819,21 +809,21 @@ def chain(outer, inner):
     if outer.input_dim != inner.output_dim:
         raise NetFormatError(f"chain mismatch: outer expects {outer.input_dim}"
                              f" inputs, inner produces {inner.output_dim}")
-    n_basis = _basis_size(inner)
+    n_basis = _last_width(inner.input_dim, inner._hidden)
     if not outer._hidden:
         return Net3D(inner.input_dim, inner._hidden,
-                         _compose(outer._readout, inner._readout, n_basis))
+                     _compose(outer._readout, inner._readout, n_basis))
     first = _compose(outer._hidden[0], inner._readout, n_basis)
     return Net3D(inner.input_dim,
-                     inner._hidden + (first,) + outer._hidden[1:],
-                     outer._readout)
+                 inner._hidden + (first,) + outer._hidden[1:],
+                 outer._readout)
 
 
-def _stack(blocks, remaps, sizes=None):
+def _stack(blocks, remaps):
     """Concatenate the rows of blocks, remapping each block's weight
     columns by its array in remaps (intra links unchanged)."""
     return _Rows(
-        sizes, _ptr(np.concatenate([np.diff(b.w_ptr) for b in blocks])),
+        None, _ptr(np.concatenate([np.diff(b.w_ptr) for b in blocks])),
         np.concatenate([m[b.w_idx] for b, m in zip(blocks, remaps)]),
         np.concatenate([b.w_val for b in blocks]),
         np.concatenate([b.bias for b in blocks]),
@@ -943,8 +933,8 @@ def linear_combine(nets, coeffs, bias):
     input_dim, hidden, readout = _merge(nets, share_input=True)
     combo = _Rows(None, np.array([0, len(coeffs)]), np.arange(len(coeffs)),
                   np.array(coeffs, dtype=float), np.array([float(bias)]))
-    n_basis = hidden[-1].n if hidden else input_dim
-    return Net3D(input_dim, hidden, _compose(combo, readout, n_basis))
+    return Net3D(input_dim, hidden,
+                 _compose(combo, readout, _last_width(input_dim, hidden)))
 
 
 def identity_net(dim=1):
