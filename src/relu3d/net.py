@@ -250,15 +250,20 @@ def _pack_layer(layer):
                  [n.intra for n in neurons])
 
 
-def _floors_of(rows):
+def _weight_dicts(rows):
     idx, val = rows.w_idx.tolist(), rows.w_val.tolist()
-    wp, lp = rows.w_ptr.tolist(), rows.l_ptr.tolist()
+    wp = rows.w_ptr.tolist()
+    return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(wp, wp[1:])]
+
+
+def _floors_of(rows):
+    """The Neuron floors of a hidden layer's packed rows."""
     links = list(zip(rows.l_floor.tolist(), rows.l_index.tolist(),
                      rows.l_coeff.tolist()))
-    neurons = [Neuron(weights=dict(zip(idx[wp[r]:wp[r + 1]],
-                                       val[wp[r]:wp[r + 1]])),
-                      bias=b, intra=tuple(links[lp[r]:lp[r + 1]]))
-               for r, b in enumerate(rows.bias.tolist())]
+    lp = rows.l_ptr.tolist()
+    neurons = [Neuron(weights=w, bias=b, intra=tuple(links[a:c]))
+               for w, b, a, c in zip(_weight_dicts(rows), rows.bias.tolist(),
+                                     lp, lp[1:])]
     floors, at = [], 0
     for size in rows.sizes.tolist():
         floors.append(tuple(neurons[at:at + size]))
@@ -303,10 +308,7 @@ class Net3D:
 
     @property
     def readout_weights(self):
-        idx, val = self._readout.w_idx.tolist(), self._readout.w_val.tolist()
-        wp = self._readout.w_ptr.tolist()
-        return tuple(dict(zip(idx[a:b], val[a:b]))
-                     for a, b in zip(wp, wp[1:]))
+        return tuple(_weight_dicts(self._readout))
 
     @property
     def readout_bias(self):
