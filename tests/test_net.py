@@ -371,15 +371,6 @@ def test_array_checks_match_the_scalar_reference_on_single_values(path,
             lambda: reference_net.parse(document))
 
 
-def test_deserialize_of_a_huge_intra_floor_names_it():
-    doc = json.loads(serialize(blocks.sawtooth_net(2)))
-    _put(doc, ("layers", 0, "floors", 1, "neurons", 0, "intra", 0, "floor"),
-         10 ** 400)
-    with pytest.raises(NetFormatError, match=f"intra source floor {10 ** 400} "
-                                             f"out of range"):
-        deserialize(json.dumps(doc))
-
-
 # -- equality and hashing ---------------------------------------------------
 
 
