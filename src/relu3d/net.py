@@ -280,8 +280,9 @@ class Net3D:
     there are no hidden layers), also a view.  Scalar networks have exactly
     one row; ``evaluate`` returns a plain float for those.
 
-    The compositions and ``deserialize`` pass packed rows instead: each
-    layer a _Rows, readout_weights the readout's _Rows and no readout_bias.
+    The compositions, ``deserialize`` and the builder DSL pass packed rows
+    instead: each layer a _Rows, readout_weights the readout's _Rows and no
+    readout_bias.
     """
 
     __slots__ = ("input_dim", "_hidden", "_readout", "_program")
