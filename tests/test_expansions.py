@@ -1,6 +1,7 @@
 """Expansion machinery: Chebyshev, power series, Hermite, Jackson kernels,
 the kernel trigonometric operator, parity split, and the smoothness modulus."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -80,6 +81,30 @@ def test_chebyshev_tensor_product_target():
     for j, a in poly.coeffs.items():
         want = 1.0 if j == (1, 1) else 0.0
         assert a == pytest.approx(want, abs=1e-10)
+
+
+# (expansion, target, degree, d) -> sha256 of repr(sorted(coeffs.items())),
+# recorded before the axis-by-axis contraction moved into polynd.contract
+GOLDEN_TENSOR_EXPANSIONS = {
+    ("chebyshev", "geometric-product", 4, 2):
+        "65839d4d2dffa6940cbab10d3a1b976dc1f108c51283ec1d0c06a6cbf1f715cc",
+    ("hermite", "gaussian-bump", 4, 2):
+        "757410a7f308c9587a6dbd20413117dbb13f97dd7ec75d6e820d9f47a5be8b5b",
+    ("hermite", "gaussian-bump", 3, 3):
+        "249adcf3cbc9c72f4baf497308f98342b6c83f7c7028ca53c03ebb9efd4f6634",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TENSOR_EXPANSIONS))
+def test_golden_tensor_expansion_coefficients(case):
+    kind, name, degree, d = case
+    target = TargetSpec.catalog(name, d=d)
+    if kind == "chebyshev":
+        coeffs = chebyshev_tensor_coeffs(target, degree, d).coeffs
+    else:
+        coeffs = hermite_expansion(target, degree, d=d).coeffs
+    digest = hashlib.sha256(repr(sorted(coeffs.items())).encode())
+    assert digest.hexdigest() == GOLDEN_TENSOR_EXPANSIONS[case]
 
 
 def test_chebyshev_coefficient_geometric_decay():

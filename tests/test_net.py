@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import reference_net
 from relu3d import blocks
 from relu3d import net as rnet
+from relu3d.builder_dsl import NetBuilder
 from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
                         chain, deserialize, evaluate, evaluate_array,
                         evaluate_batch, evaluate_exact, flatten_to_2d,
@@ -452,6 +453,42 @@ def test_compositions_and_net_io_build_no_neuron_objects(monkeypatch):
     layer = nets["chain"].layers[0]
     assert layer.size == nets["chain"].layers[0].size > 0 and made == []
     assert layer.floors and made  # reading a view's floors builds them
+
+
+# -- builder DSL ------------------------------------------------------------
+
+
+def test_dsl_numbers_interleaved_floors_in_floor_index_order():
+    # floor 1 gets a neuron before floor 0 is complete; flat order is still
+    # (floor, index): a, d on floor 0, then c, e on floor 1
+    b = NetBuilder(1)
+    x = b.input(0)
+    L = b.layer()
+    f0, f1 = L.floor(), L.floor()
+    a = f0.neuron(x)
+    c = f1.neuron(2 * a - 0.25)
+    d = f0.neuron(x - 0.5)
+    e = f1.neuron(a - d)
+    b.commit()
+    g = b.layer().floor().neuron(a + 10 * c + 100 * d + 1000 * e)
+    b.commit()
+    net = b.finish([g])
+
+    floor0 = (Neuron(weights={0: 1.0}, bias=0.0),
+              Neuron(weights={0: 1.0}, bias=-0.5))
+    floor1 = (Neuron(weights={}, bias=-0.25, intra=((0, 0, 2.0),)),
+              Neuron(weights={}, bias=0.0,
+                     intra=((0, 0, 1.0), (0, 1, -1.0))))
+    top = Neuron(weights={0: 1.0, 2: 10.0, 1: 100.0, 3: 1000.0}, bias=0.0)
+    by_hand = Net3D(1, [Layer(floors=(floor0, floor1)),
+                        Layer(floors=((top,),))], [{0: 1.0}], [0.0])
+    assert net.layers[1].floors[0][0].weights == top.weights
+    assert serialize(net) == serialize(by_hand)
+    for k in range(-8, 17):
+        x = Fraction(k, 8)
+        ra, rd = max(x, 0), max(x - Fraction(1, 2), 0)
+        rc, re = max(2 * ra - Fraction(1, 4), 0), max(ra - rd, 0)
+        assert evaluate_exact(net, [x]) == ra + 10 * rc + 100 * rd + 1000 * re
 
 
 # -- flatten ----------------------------------------------------------------
