@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polynd import PolyND, tensor_points
+from .polynd import PolyND, contract, tensor_points
 
 __all__ = [
     "chebyshev_interpolant_1d",
@@ -110,15 +110,9 @@ def chebyshev_tensor_coeffs(target, N, d):
     pts = tensor_points([x_nodes] * d)
     F = np.asarray(target(pts), dtype=float).reshape([N + 1] * d)
     # per-axis analysis then per-axis monomial conversion
-    C = cheb_to_monomial_matrix(N)
-    coeff = F
-    for axis in range(d):
-        coeff = np.tensordot(A, coeff, axes=([1], [axis]))
-        coeff = np.moveaxis(coeff, 0, axis)
+    coeff = contract([A] * d, F)
     cheb_max = float(np.max(np.abs(coeff)))
-    for axis in range(d):
-        coeff = np.tensordot(C, coeff, axes=([1], [axis]))
-        coeff = np.moveaxis(coeff, 0, axis)
+    coeff = contract([cheb_to_monomial_matrix(N)] * d, coeff)
     coeffs = {}
     it = np.ndindex(*coeff.shape)
     for j in it:

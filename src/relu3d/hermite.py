@@ -13,7 +13,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .polynd import tensor_points
+from .polynd import contract, tensor_points
 
 __all__ = [
     "hermite_poly_coeffs",
@@ -111,12 +111,8 @@ def hermite_expansion(target, n, d=1, Q=None):
     else:
         pts = tensor_points([x] * d)
         F = np.asarray(target(pts), dtype=float).reshape([Q] * d)
-        # contract one axis at a time with (Xi_k(x_i) w_i)
-        basis = vals * w  # (n+1, Q)
-        C = F
-        for axis in range(d):
-            C = np.tensordot(basis, C, axes=([1], [axis]))
-            C = np.moveaxis(C, 0, axis)
+        # contract every axis with (Xi_k(x_i) w_i)
+        C = contract([vals * w] * d, F)
         for nu in iproduct(range(n + 1), repeat=d):
             coeffs[nu] = float(C[nu])
     return HermiteExpansion(d=d, n=n, coeffs=coeffs, quadrature_order=Q)

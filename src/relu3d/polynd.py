@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["PolyND", "total_degree_indices", "exact_degree_indices",
-           "tensor_points"]
+           "tensor_points", "contract"]
 
 
 def tensor_points(axes):
@@ -17,6 +17,14 @@ def tensor_points(axes):
         return axes[0][:, None]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([g.ravel() for g in grids])
+
+
+def contract(mats, F):
+    """F with each axis k contracted against mats[k], one axis at a time:
+    axis k of the result has length mats[k].shape[0]."""
+    for axis, M in enumerate(mats):
+        F = np.moveaxis(np.tensordot(M, F, axes=([1], [axis])), 0, axis)
+    return F
 
 
 def exact_degree_indices(d, k):

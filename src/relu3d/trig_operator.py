@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import comb
 
 from .jackson import jackson_kernel
-from .polynd import tensor_points
+from .polynd import contract, tensor_points
 from .targets import parity_values
 
 __all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_1d",
@@ -175,11 +175,7 @@ def _expand(F, n, r, d, parity, nodes):
     if d == 1:
         coeff_arr = alpha * (mats[0] @ F * h)
     else:
-        C = F.reshape([nodes] * d)
-        for axis in range(d):
-            C = np.tensordot(mats[axis] * h, C, axes=([1], [axis]))
-            C = np.moveaxis(C, 0, axis)
-        coeff_arr = C
+        coeff_arr = contract([M * h for M in mats], F.reshape([nodes] * d))
         for axis in range(d):
             shape = [1] * d
             shape[axis] = n + 1
