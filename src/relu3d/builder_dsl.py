@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .net import Net3D, NetFormatError, _pack
+from .net import Net3D, NetFormatError, _pack, _starts
 
 __all__ = ["NetBuilder", "Wire"]
 
@@ -110,12 +110,9 @@ class _FloorBuilder:
                         "intra wire must come from an earlier floor")
                 intra.append((ref.floor, ref.index, c))
             elif ref.layer == k - 1:
-                if ref.layer == _INPUT:
-                    weights[ref.flat] = weights.get(ref.flat, 0.0) + c
-                else:
-                    if ref.flat is None:
-                        raise NetFormatError("stale wire (uncommitted source)")
-                    weights[ref.flat] = weights.get(ref.flat, 0.0) + c
+                if ref.flat is None:
+                    raise NetFormatError("stale wire (uncommitted source)")
+                weights[ref.flat] = weights.get(ref.flat, 0.0) + c
             else:
                 raise NetFormatError(
                     f"wire from layer {ref.layer} not visible in layer {k}; "
@@ -163,15 +160,14 @@ class NetBuilder:
             raise NetFormatError("no open layer")
         if not lb.floors or any(not f for f in lb.floors):
             raise NetFormatError("layer must have nonempty floors")
-        # assign flat indices in (floor, index) order
-        pos = 0
-        for ref in sorted(lb.refs, key=lambda r: (r.floor, r.index)):
-            ref.flat = pos
-            pos += 1
+        sizes = np.array([len(f) for f in lb.floors], dtype=np.int64)
+        # flat indices follow (floor, index) order
+        starts = _starts(sizes).tolist()
+        for ref in lb.refs:
+            ref.flat = starts[ref.floor] + ref.index
         # the layer's neurons, packed in flat order as (weights, bias, intra)
         self._layers.append(_pack(
-            np.array([len(f) for f in lb.floors], dtype=np.int64),
-            *zip(*(nrn for floor in lb.floors for nrn in floor))))
+            sizes, *zip(*(nrn for floor in lb.floors for nrn in floor))))
         self._open = None
 
     @property

@@ -319,6 +319,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_theorem_flags(parser, verb):
+    """The theorem, its parameter document, the target and the parameter
+    flags of a verb."""
+    parser.add_argument("--theorem", required=True,
+                        choices=list(builders.THEOREM_IDS))
+    parser.add_argument("--params", help="JSON parameter document")
+    parser.add_argument("--target", help=f"catalog target id "
+                                         f"(one of {catalog_ids()})")
+    parser.add_argument("--domain", help="target domain name")
+    parser.add_argument("--d", type=int, help="input dimension")
     for prm in _flag_params(verb):
         if isinstance(prm.kind, tuple):
             parser.add_argument(f"--{prm.name}", choices=prm.kind)
@@ -333,13 +342,6 @@ def _build_parser():
     sub = p.add_subparsers(dest="verb", required=True)
 
     b = sub.add_parser("build", help="build a network and its report")
-    b.add_argument("--theorem", required=True,
-                   choices=list(builders.THEOREM_IDS))
-    b.add_argument("--params", help="JSON parameter document")
-    b.add_argument("--target", help=f"catalog target id "
-                                    f"(one of {catalog_ids()})")
-    b.add_argument("--domain", help="target domain name")
-    b.add_argument("--d", type=int, help="input dimension")
     _add_theorem_flags(b, "build")
     b.add_argument("-o", "--output", required=True, help="network file")
     b.set_defaults(fn=_cmd_build)
@@ -366,15 +368,9 @@ def _build_parser():
     v.set_defaults(fn=_cmd_verify)
 
     s = sub.add_parser("sweep", help="sweep a parameter and emit CSV")
-    s.add_argument("--theorem", required=True,
-                   choices=list(builders.THEOREM_IDS))
     s.add_argument("--param", help="name of the swept parameter")
     s.add_argument("--values", help="comma-separated sweep values")
     s.add_argument("--range", help="lo:hi[:step] integer sweep range")
-    s.add_argument("--params", help="JSON parameter document")
-    s.add_argument("--target")
-    s.add_argument("--domain")
-    s.add_argument("--d", type=int)
     _add_theorem_flags(s, "sweep")
     s.add_argument("-o", "--output", default="sweep.csv")
     s.set_defaults(fn=_cmd_sweep)

@@ -30,10 +30,9 @@ DOMAINS = {
 }
 
 
-def _entry(fn, *, smooth_factorial=False, gauss_ok=False, series=None,
-           needs=()):
+def _entry(fn, *, smooth_factorial=False, gauss_ok=False, series=None):
     return {"fn": fn, "smooth_factorial": smooth_factorial,
-            "gauss_ok": gauss_ok, "series": series, "needs": needs}
+            "gauss_ok": gauss_ok, "series": series}
 
 
 def _geometric_series(params, N, d):
@@ -123,10 +122,6 @@ class TargetSpec:
         return _CATALOG[self.catalog_id]["fn"](pts, dict(self.params))
 
     # -- structural facts --------------------------------------------------
-
-    @property
-    def bounds(self):
-        return DOMAINS[self.domain]
 
     @property
     def smooth_factorial(self):
