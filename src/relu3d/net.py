@@ -108,16 +108,8 @@ class Layer:
             return NotImplemented
         return self.floors == other.floors
 
-    def __hash__(self):
-        return hash(self.floors)
-
     def __repr__(self):
         return f"Layer(floors={self.floors!r})"
-
-    def flat_neurons(self):
-        for floor in self.floors:
-            for nrn in floor:
-                yield nrn
 
     @property
     def size(self):
@@ -176,6 +168,19 @@ def _starts(sizes):
     return np.cumsum(sizes) - sizes
 
 
+def _row_order(ptr, idx):
+    """The stable permutation that puts each row's entries in index order,
+    rows kept in order (indices are nonnegative)."""
+    width = int(idx.max()) + 1 if len(idx) else 1
+    return np.argsort(_row_ids(ptr) * width + idx, kind="stable")
+
+
+def _cut(items, ptr):
+    """items cut at the offsets ptr: one list per row (or floor)."""
+    ptr = ptr.tolist()
+    return [items[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
 class _Rows:
     """The neurons of one hidden layer, or the readout rows, packed.
 
@@ -215,7 +220,7 @@ class _Rows:
                    for a, b in zip(self._key(), other._key()))
 
     def _key(self):
-        order = np.lexsort((self.w_idx, _row_ids(self.w_ptr)))
+        order = _row_order(self.w_ptr, self.w_idx)
         return (self.sizes, self.w_ptr, self.w_idx[order], self.w_val[order],
                 self.bias, self.l_ptr, self.l_floor, self.l_index,
                 self.l_coeff)
@@ -244,31 +249,30 @@ def _pack_layer(layer):
         layer = Layer(floors=())  # rejected by _validate at its position
     if layer._rows is not None:
         return layer._rows
-    neurons = list(layer.flat_neurons())
+    neurons = [nrn for floor in layer.floors for nrn in floor]
     return _pack(np.array([len(f) for f in layer.floors], dtype=np.int64),
                  [n.weights for n in neurons], [n.bias for n in neurons],
                  [n.intra for n in neurons])
 
 
 def _weight_dicts(rows):
-    idx, val = rows.w_idx.tolist(), rows.w_val.tolist()
-    wp = rows.w_ptr.tolist()
-    return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(wp, wp[1:])]
+    idx = _cut(rows.w_idx.tolist(), rows.w_ptr)
+    val = _cut(rows.w_val.tolist(), rows.w_ptr)
+    return [dict(zip(i, v)) for i, v in zip(idx, val)]
+
+
+def _row_links(rows):
+    """Each row's intra links, a list of (floor, index, coeff) tuples."""
+    return _cut(list(zip(rows.l_floor.tolist(), rows.l_index.tolist(),
+                         rows.l_coeff.tolist())), rows.l_ptr)
 
 
 def _floors_of(rows):
     """The Neuron floors of a hidden layer's packed rows."""
-    links = list(zip(rows.l_floor.tolist(), rows.l_index.tolist(),
-                     rows.l_coeff.tolist()))
-    lp = rows.l_ptr.tolist()
-    neurons = [Neuron(weights=w, bias=b, intra=tuple(links[a:c]))
-               for w, b, a, c in zip(_weight_dicts(rows), rows.bias.tolist(),
-                                     lp, lp[1:])]
-    floors, at = [], 0
-    for size in rows.sizes.tolist():
-        floors.append(tuple(neurons[at:at + size]))
-        at += size
-    return tuple(floors)
+    neurons = [Neuron(weights=w, bias=b, intra=tuple(links))
+               for w, b, links in zip(_weight_dicts(rows), rows.bias.tolist(),
+                                      _row_links(rows))]
+    return tuple(tuple(f) for f in _cut(neurons, _ptr(rows.sizes)))
 
 
 class Net3D:
@@ -417,19 +421,9 @@ def _validate(net):
         _row_fault(ro, int(bad[0]), prev, f"readout[{int(bad[0])}]")
 
 
-def _flat_offsets(layer):
-    """Flat index of the first neuron of each floor."""
-    offs = []
-    acc = 0
-    for floor in layer.floors:
-        offs.append(acc)
-        acc += len(floor)
-    return offs
-
-
 def _csr(ptr, idx, val, n_cols):
     """CSR matrix of packed rows, indices sorted within each row."""
-    order = np.argsort(_row_ids(ptr) * n_cols + idx, kind="stable")
+    order = _row_order(ptr, idx)
     return sp.csr_matrix((val[order], idx[order], np.array(ptr)),
                          shape=(len(ptr) - 1, n_cols))
 
@@ -567,9 +561,9 @@ def evaluate_exact(net, x):
     if len(acts) != net.input_dim:
         raise NetFormatError("dimension mismatch")
     for layer in net.layers:
-        offs = _flat_offsets(layer)
+        offs = _starts([len(f) for f in layer.floors]).tolist()
         new = []
-        for fi, floor in enumerate(layer.floors):
+        for floor in layer.floors:
             for nrn in floor:
                 z = Fraction(nrn.bias)
                 for idx, w in nrn.weights.items():
@@ -612,20 +606,19 @@ def _w_docs(rows, n_prev):
     dense/sparse choice is canonical: the parser discards zero entries, and
     round-tripping must be bit-stable."""
     keep = rows.w_val != 0.0
-    row = _row_ids(rows.w_ptr)[keep]
-    order = np.lexsort((rows.w_idx[keep], row))
-    idx = rows.w_idx[keep][order].tolist()
-    val = rows.w_val[keep][order].tolist()
-    ptr = _ptr(np.bincount(row, minlength=rows.n)).tolist()
+    ptr = _ptr(np.bincount(_row_ids(rows.w_ptr)[keep], minlength=rows.n))
+    order = _row_order(ptr, rows.w_idx[keep])
+    idx = _cut(rows.w_idx[keep][order].tolist(), ptr)
+    val = _cut(rows.w_val[keep][order].tolist(), ptr)
     docs = []
-    for a, b in zip(ptr, ptr[1:]):
-        if n_prev and b - a > 0.6 * n_prev:
+    for row_idx, row_val in zip(idx, val):
+        if n_prev and len(row_idx) > 0.6 * n_prev:
             dense = [0.0] * n_prev
-            for i, v in zip(idx[a:b], val[a:b]):
+            for i, v in zip(row_idx, row_val):
                 dense[i] = v
             docs.append(dense)
         else:
-            docs.append({"i": idx[a:b], "v": val[a:b]})
+            docs.append({"i": row_idx, "v": row_val})
     return docs
 
 
@@ -655,20 +648,14 @@ def serialize(net):
     prev = net.input_dim
     layers = []
     for rows in net._hidden:
-        w_docs = _w_docs(rows, prev)
-        links = list(zip(rows.l_floor.tolist(), rows.l_index.tolist(),
-                         rows.l_coeff.tolist()))
-        lp = rows.l_ptr.tolist()
         neurons = [{"w": w, "b": b,
                     "intra": [{"floor": sf, "index": si, "coeff": c}
-                              for (sf, si, c) in links[lp[r]:lp[r + 1]]]}
-                   for r, (w, b) in enumerate(zip(w_docs,
-                                                  rows.bias.tolist()))]
-        floors, at = [], 0
-        for size in rows.sizes.tolist():
-            floors.append({"neurons": neurons[at:at + size]})
-            at += size
-        layers.append({"floors": floors})
+                              for (sf, si, c) in links]}
+                   for w, b, links in zip(_w_docs(rows, prev),
+                                          rows.bias.tolist(),
+                                          _row_links(rows))]
+        layers.append({"floors": [{"neurons": f} for f in
+                                  _cut(neurons, _ptr(rows.sizes))]})
         prev = rows.n
     doc = {
         "schema": SCHEMA_ID,

@@ -401,6 +401,42 @@ def test_weight_order_does_not_change_equality_or_hash():
     assert a == b and hash(a) == hash(b)
 
 
+def five_input_net(rows, readout):
+    floor = tuple(Neuron(weights=w, bias=0.5) for w in rows)
+    return Net3D(5, [Layer(floors=(floor,))], [readout], [0.0])
+
+
+def test_weight_order_and_explicit_zeros_serialize_to_the_same_bytes():
+    # a row of 2 nonzeros is a sparse document and one of 4 a dense one;
+    # with its explicit zeros the first row would have 4 entries
+    want = five_input_net(
+        [{3: 1.0, 0: 2.0}, {4: -1.0, 2: 3.0, 0: 1.0, 1: 0.5}, {2: 1.0}],
+        {1: 1.0, 0: -1.0})
+    reordered = five_input_net(
+        [{0: 2.0, 3: 1.0}, {0: 1.0, 1: 0.5, 2: 3.0, 4: -1.0}, {2: 1.0}],
+        {0: -1.0, 1: 1.0})
+    zeros = five_input_net(
+        [{3: 1.0, 1: 0.0, 0: 2.0, 4: 0.0},
+         {4: -1.0, 2: 3.0, 0: 1.0, 1: 0.5, 3: 0.0}, {2: 1.0}],
+        {1: 1.0, 0: -1.0, 2: 0.0})
+    assert zeros != want
+    text = serialize(want)
+    assert json.loads(text)["layers"][0]["floors"][0]["neurons"][0]["w"] == \
+        {"i": [0, 3], "v": [2.0, 1.0]}
+    for net in (want, reordered, zeros):
+        assert serialize(net) == text
+        assert deserialize(serialize(net)) == want
+
+
+def test_layers_are_unhashable_while_equal_nets_hash_equally():
+    net = blocks.square_net(2)
+    view = net.layers[0]
+    for layer in (view, Layer(floors=view.floors)):
+        with pytest.raises(TypeError):
+            hash(layer)
+    assert hash(net) == hash(deserialize(serialize(net)))
+
+
 def composition_parts():
     saw, sq = blocks.sawtooth_net(2), blocks.square_net(3)
     return (saw, sq, blocks.power_chain_net(3, 2), chain(saw, chain(sq, saw)))
