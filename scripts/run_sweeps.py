@@ -4,12 +4,12 @@
 Usage: python3 scripts/run_sweeps.py [outdir]
 """
 
-import math
 import sys
 from pathlib import Path
 
 from relu3d import sweep
 from relu3d.targets import TargetSpec
+from relu3d.verify import PASS_SLACK
 
 
 def main():
@@ -35,7 +35,8 @@ def main():
     for theorem, values, fixed in jobs:
         path = outdir / f"{theorem}.csv"
         table = sweep(theorem, values, fixed, csv_path=str(path))
-        bad = [r.value for r in table.rows if r.measured > r.bound * (1 + 1e-9)]
+        bad = [r.value for r in table.rows
+               if r.measured > r.bound * (1.0 + PASS_SLACK)]
         status = "ok" if not bad else f"BOUND FAILURES at {bad}"
         failures += len(bad)
         print(f"{theorem:14s} {len(table.rows)} points -> {path}  {status}")
