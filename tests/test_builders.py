@@ -788,3 +788,17 @@ def test_golden_size_and_bound_formulas(theorem_id, params):
 def test_golden_formulas_cover_every_id():
     assert {t for t, _ in GOLDEN_FORMULAS} == set(
         builders.THEOREM_IDS + builders.BASELINE_IDS)
+
+
+def min_height_table():
+    """_min_height over amounts and budgets spanning its three branches:
+    amount <= 0, a first guess that is too low, and one that is too high."""
+    return [builders._min_height(a, b)
+            for a in (0.0, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e12, 1e200)
+            for b in (1e-30, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 10.0)]
+
+
+def test_golden_min_height():
+    digest = hashlib.sha256(repr(min_height_table()).encode()).hexdigest()
+    assert digest == \
+        "29cbc938b8ea39e5b88ac8e958f3d5e1d164deac6c71b3d8b9bab2d027076235"

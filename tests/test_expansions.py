@@ -449,3 +449,117 @@ def test_modulus_of_components_bounded_by_target():
     whole = modulus_smoothness(target, 2, t, p=2)
     for comp in comps:
         assert modulus_smoothness(comp, 2, t, p=2) <= whole * (1 + 0.05)
+
+
+# -- output goldens ---------------------------------------------------------
+# Every output of the quadrature-based expansions, hashed: arrays by their
+# float64 bytes, everything else by repr.  Recorded before their node-count
+# options, their private quadrature loops and their unread members went.
+
+
+def _sha(parts):
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+TORUS_FNS = (lambda p: np.sign(p[:, 0]),
+             lambda p: np.abs(np.sin(p[:, 0])) ** 1.5,
+             lambda p: np.cos(3 * p[:, 0]) + 0.2 * np.sin(p[:, 0]))
+
+
+def _golden_trig_1d():
+    xs = np.linspace(-math.pi, math.pi, 257)
+    for f in TORUS_FNS:
+        for n, r in ((1, 1), (4, 1), (12, 2), (32, 3)):
+            c = trig_operator_1d(f, n, r)
+            yield from (c.alpha, c.cos_part, c.sin_part, c.meta,
+                        apply_Tn(c, xs))
+
+
+def _golden_fourier():
+    for f in TORUS_FNS:
+        for n in (0, 16):
+            yield from fourier_integrals(f, n)
+
+
+def _golden_trig_nd():
+    pts = np.random.default_rng(3).uniform(-1, 1, size=(65, 2))
+    for name in ("abs-power", "step"):
+        for comp in parity_decompose(TargetSpec.catalog(name,
+                                                        domain="sym-cube")):
+            c = trig_operator_nd(comp, 8, 2, 1, comp.eta)
+            yield from (sorted(c.a.items()), c.alpha, c.meta,
+                        apply_Tn_nd(c, pts[:, :1]))
+    comp = parity_decompose(TargetSpec.catalog("abs-sum", d=2,
+                                               domain="sym-cube"))[1]
+    c = trig_operator_nd(comp, 5, 2, 2, comp.eta)
+    yield from (sorted(c.a.items()), c.meta, apply_Tn_nd(c, pts))
+    target = TargetSpec.catalog("gaussian-bump", d=2, domain="sym-cube")
+    for eta, c in trig_operator_parts(target, 4, 2, 2):
+        yield from (eta, sorted(c.a.items()), c.meta, apply_Tn_nd(c, pts))
+
+
+def _golden_kernel_moments():
+    for n in range(2, 65):
+        for r in range(1, min(n, 3) + 1):
+            K = jackson_kernel(n, r)
+            yield [kernel_moments(K, k) for k in range(2 * r - 1)]
+
+
+def _golden_hermite():
+    for name in ("cosine", "linear", "constant"):
+        target = TargetSpec.catalog(name, domain="gaussian-line")
+        for n in (0, 4, 10, 20):
+            exp = hermite_expansion(target, n)
+            yield from (exp.d, exp.n, sorted(exp.coeffs.items()),
+                        exp.tail_l2(n // 2))
+    yield [hermite_orthonormality_check(n) for n in range(25)]
+
+
+def _golden_modulus():
+    for name in ("abs-power", "step", "cosine"):
+        target = TargetSpec.catalog(name, domain="sym-cube")
+        for r in (1, 2, 3):
+            for t in (0.01, 0.1):
+                yield [modulus_smoothness(target, r, t, p=p)
+                       for p in (1, 2, math.inf)]
+    target = TargetSpec.catalog("abs-sum", d=2, domain="sym-cube")
+    yield modulus_smoothness(target, 2, 0.05, p=2, d=2, half_width=math.pi)
+
+
+def _golden_power_series():
+    for d in (1, 2):
+        target = TargetSpec.catalog("geometric-product", d=d)
+        for N in range(9):
+            poly = power_series_truncate(target, N)
+            yield from (poly.d, poly.degree, sorted(poly.coeffs.items()))
+
+
+GOLDEN_OUTPUTS = {
+    "trig_operator_1d": (_golden_trig_1d,
+        "c29380084cdd387fe947a0c4db7371c329fdbe116514fdbce023d6bb079ae18e"),
+    "fourier_integrals": (_golden_fourier,
+        "fb4ef0fecd40f367740903a01910e4c5201bc9c5b72e04469d1a41b78be83d5a"),
+    "trig_operator_nd": (_golden_trig_nd,
+        "6a2777c8212c9790b695d4edbba48203041340877a5eafcc9da7608a94d7aef8"),
+    "kernel_moments": (_golden_kernel_moments,
+        "e6209c5f3c2df4d5f83ce1a63739c91eff184002a8b2a6c605fc4abfa503c7a6"),
+    "hermite": (_golden_hermite,
+        "fd94ee2f8e254d3178e3b29d9058a1b5b62a104bec0970df10f54b3f11b2b00a"),
+    "modulus_smoothness": (_golden_modulus,
+        "9495800557e6ac39d85f2b786fa8858a8a7996d7ad18a789a62db6458f1033e0"),
+    "power_series_truncate": (_golden_power_series,
+        "8acdfb50cffa3e9bbc711c8c564ecc2836ee0544c8ac682da6ba76987cafa2cc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_golden_expansion_outputs(name):
+    outputs, want = GOLDEN_OUTPUTS[name]
+    assert _sha(outputs()) == want
+

@@ -1,6 +1,7 @@
 """Measurement harnesses: error oracles, sweeps, fitting, size tables."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -314,3 +315,33 @@ def test_table1_depth_ratio_divergence():
 def test_table1_rejects_row_without_baseline():
     with pytest.raises(KeyError):
         table1_report([{"row": "trig", "k": 1, "N2": 8}])
+
+
+# -- measurement goldens ------------------------------------------------------
+
+
+def measurement_table():
+    """lp_error and gauss_l2_error reports over panel counts that do and do
+    not divide their domain evenly."""
+    rows = []
+    net = blocks.square_net(3)
+    square = lambda p: p[:, 0] ** 2
+    for domain in ((0.0, 1.0), (0.0, 0.7), (-0.3, 0.9)):
+        for p in (1, 1.5, 2, 3):
+            er = lp_error(net, square, p, domain)
+            rows.append((er.measured, er.resolution))
+    target = TargetSpec.catalog("cosine", domain="gaussian-line")
+    rep = builders.build_hermite_gauss(target, 4)
+    for M in (0.0, 0.3, rep.meta["support"], 7.3):
+        if M >= rep.meta["support"]:
+            er = gauss_l2_error(rep.net, target, M)
+            rows.append((er.measured, er.resolution))
+        er = gauss_l2_error(zero_net(), target, M)
+        rows.append((er.measured, er.resolution))
+    return rows
+
+
+def test_golden_measurements():
+    digest = hashlib.sha256(repr(measurement_table()).encode()).hexdigest()
+    assert digest == \
+        "9cff390793adaed6385fe90b780e3fb08f50b186b1a6e9442b45a66018413266"
