@@ -30,6 +30,6 @@ from .builders import (BuildReport, WidthBudgetError, HermiteParams,
                        THEOREMS, THEOREM_IDS, BASELINE_IDS)
 from .verify import (ErrorReport, SweepRow, SweepTable, FitResult,
                      sup_error, lp_error, gauss_l2_error,
-                     sweep, check_bound, fit_and_check, table1_report)
+                     sweep, fit_and_check, table1_report)
 
 __version__ = "0.1.0"

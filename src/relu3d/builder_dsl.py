@@ -170,10 +170,6 @@ class NetBuilder:
             sizes, *zip(*(nrn for floor in lb.floors for nrn in floor))))
         self._open = None
 
-    @property
-    def depth(self):
-        return len(self._layers)
-
     def finish(self, outputs):
         """outputs: list of Wires over the last committed layer (or input)."""
         if self._open is not None:

@@ -97,16 +97,16 @@ def _finish_report(net, width_exp, depth_exp, height_exp, bound, formula_id,
                        bound_formula_id=formula_id, inputs=inputs, meta=meta)
 
 
-def _min_height(amount, budget, lo=1):
-    """Smallest integer H >= lo with amount * 2^(-2(H+1)) <= budget."""
+def _min_height(amount, budget):
+    """Smallest integer H >= 1 with amount * 2^(-2(H+1)) <= budget."""
     if budget <= 0:
         raise ValueError("error budget must be positive")
     if amount <= 0:
-        return lo
-    H = max(lo, math.ceil(0.5 * math.log2(amount / budget) - 1))
+        return 1
+    H = max(1, math.ceil(0.5 * math.log2(amount / budget) - 1))
     while amount * 2.0 ** (-2 * (H + 1)) > budget:
         H += 1
-    while H > lo and amount * 2.0 ** (-2 * H) <= budget:
+    while H > 1 and amount * 2.0 ** (-2 * H) <= budget:
         H -= 1
     return H
 

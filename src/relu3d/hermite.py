@@ -8,7 +8,7 @@ so <Xi_n, Xi_m>_{gamma_1} = delta_{nm}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
@@ -64,14 +64,11 @@ def hermite_eval(n, x):
     return cur
 
 
-def hermite_orthonormality_check(n_max, Q=None):
-    """Max deviation of the Gauss-quadrature Gram matrix from identity."""
+def hermite_orthonormality_check(n_max):
+    """Max deviation of the Gauss-quadrature Gram matrix from identity,
+    with Q = max(2 n_max + 16, 40) nodes."""
     n_max = int(n_max)
-    if Q is None:
-        Q = max(2 * n_max + 16, 40)
-    if Q < n_max + 1:
-        raise ValueError("need Q >= n_max + 1 quadrature nodes")
-    x, w = gauss_nodes(Q)
+    x, w = gauss_nodes(max(2 * n_max + 16, 40))
     vals = np.stack([hermite_eval(n, x) for n in range(n_max + 1)])
     gram = (vals * w) @ vals.T
     return float(np.max(np.abs(gram - np.eye(n_max + 1))))
@@ -82,8 +79,6 @@ class HermiteExpansion:
     d: int
     n: int
     coeffs: dict          # multi-index nu -> <f, Xi_nu>
-    quadrature_order: int
-    meta: dict = field(default_factory=dict)
 
     def tail_l2(self, beyond):
         """l2 mass of coefficients with any index component > beyond."""
@@ -94,13 +89,11 @@ class HermiteExpansion:
         return math.sqrt(total)
 
 
-def hermite_expansion(target, n, d=1, Q=None):
-    """Tensor Gauss-Hermite coefficients <f, Xi_nu> for 0 <= nu <= n."""
+def hermite_expansion(target, n, d=1):
+    """Tensor Gauss-Hermite coefficients <f, Xi_nu> for 0 <= nu <= n, with
+    Q = max(2n + 16, 40) nodes per axis."""
     n = int(n)
-    if Q is None:
-        Q = max(2 * n + 16, 40)
-    if Q < 2 * n:
-        raise ValueError(f"quadrature order {Q} below 2n = {2 * n}")
+    Q = max(2 * n + 16, 40)
     x, w = gauss_nodes(Q)
     vals = np.stack([hermite_eval(k, x) for k in range(n + 1)])  # (n+1, Q)
     coeffs = {}
@@ -115,7 +108,7 @@ def hermite_expansion(target, n, d=1, Q=None):
         C = contract([vals * w] * d, F)
         for nu in iproduct(range(n + 1), repeat=d):
             coeffs[nu] = float(C[nu])
-    return HermiteExpansion(d=d, n=n, coeffs=coeffs, quadrature_order=Q)
+    return HermiteExpansion(d=d, n=n, coeffs=coeffs)
 
 
 def hermite_tail_bound(n, M):

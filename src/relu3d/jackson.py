@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .polynd import gauss_panels
+
 __all__ = ["KernelCoeffs", "fejer_coeffs", "jackson_kernel",
            "kernel_eval", "kernel_moments"]
 
@@ -26,7 +28,6 @@ class KernelCoeffs:
     r: int
     m: int
     a: np.ndarray          # cosine coefficients a_0..a_n of the normalized K
-    gamma: float
     a_tilde: np.ndarray = field(repr=False, default=None)  # pre-normalization
 
     def __post_init__(self):
@@ -71,7 +72,7 @@ def jackson_kernel(n, r):
     upto = min(n, mid)
     a[0] = gamma * a_tilde[0]
     a[1:upto + 1] = 2.0 * gamma * a_tilde[1:upto + 1]
-    return KernelCoeffs(n=n, r=r, m=m, a=a, gamma=gamma, a_tilde=a_tilde)
+    return KernelCoeffs(n=n, r=r, m=m, a=a, a_tilde=a_tilde)
 
 
 def kernel_eval(K, t):
@@ -81,22 +82,19 @@ def kernel_eval(K, t):
     return np.cos(np.outer(t, ks)) @ K.a
 
 
-def kernel_moments(K, k, nodes=4096):
+def kernel_moments(K, k):
     """Numeric int_{-pi}^{pi} |t|^k K_{n,r}(t) dt (absolute moment; the
-    kernel is even, so odd plain moments vanish identically).
+    kernel is even, so odd plain moments vanish identically), by 16-point
+    Gauss-Legendre on 256 panels.
 
     The Jackson bound B_r n^-k only covers k <= 2r - 2; larger k rejected.
     """
     k = int(k)
     if k > 2 * K.r - 2:
         raise ValueError(f"moment order {k} exceeds 2r-2 = {2 * K.r - 2}")
-    # composite Gauss-Legendre on panels of [-pi, pi]
-    panels = 256
-    gl_x, gl_w = np.polynomial.legendre.leggauss(max(8, nodes // panels))
-    edges = np.linspace(-math.pi, math.pi, panels + 1)
+    t, w = gauss_panels(-math.pi, math.pi, 256, 16)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * gl_w
-        total += float(np.sum(w * np.abs(t) ** k * kernel_eval(K, t)))
+    # each panel's terms summed, then the panel sums added in order
+    for panel in (w * np.abs(t) ** k * kernel_eval(K, t)).reshape(256, 16):
+        total += float(np.sum(panel))
     return total

@@ -32,6 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 SCHEMA_ID = "relu3d/v1"
+# activations (points x neurons of the widest layer) one forward chunk holds
+CHUNK_ELEMENTS = 40_000_000
 
 __all__ = [
     "Neuron",
@@ -526,10 +528,10 @@ def evaluate_batch(net, points):
     return [float(v) for v in out] if net.output_dim == 1 else list(out)
 
 
-def evaluate_array(net, pts, chunk=None):
+def evaluate_array(net, pts):
     """Vectorized forward pass.  pts: (m, input_dim), or (m,) when
-    input_dim is 1.  Large batches are processed in chunks to bound the
-    working set.
+    input_dim is 1.  Large batches are processed in chunks of at least 64
+    points and about CHUNK_ELEMENTS activations to bound the working set.
 
     Returns (m,) for scalar nets, else (m, output_dim).
     """
@@ -540,9 +542,8 @@ def evaluate_array(net, pts, chunk=None):
         raise NetFormatError(f"expected points of length {net.input_dim}, "
                              f"got an array of shape {pts.shape}")
     m = pts.shape[0]
-    if chunk is None:
-        n_widest = max([net.input_dim] + [rows.n for rows in net._hidden])
-        chunk = max(64, min(m, int(4e7 // max(1, n_widest))))
+    n_widest = max([net.input_dim] + [rows.n for rows in net._hidden])
+    chunk = max(64, min(m, CHUNK_ELEMENTS // max(1, n_widest)))
     # an empty batch still runs one (empty) chunk, giving an empty result
     outs = [_forward(net, pts[start:start + chunk].T).T
             for start in range(0, max(m, 1), chunk)]

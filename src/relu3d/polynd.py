@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["PolyND", "total_degree_indices", "exact_degree_indices",
-           "tensor_points", "contract"]
+           "tensor_points", "contract", "gauss_panels"]
 
 
 def tensor_points(axes):
@@ -25,6 +25,16 @@ def contract(mats, F):
     for axis, M in enumerate(mats):
         F = np.moveaxis(np.tensordot(M, F, axes=([1], [axis])), 0, axis)
     return F
+
+
+def gauss_panels(lo, hi, n_panels, order):
+    """Composite Gauss-Legendre nodes and weights of the given order on
+    n_panels equal panels of [lo, hi], panel by panel."""
+    x0, w0 = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x0).ravel(), (half * w0).ravel()
 
 
 def exact_degree_indices(d, k):

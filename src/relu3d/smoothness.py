@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import comb
 
 from .polynd import tensor_points
 
@@ -27,7 +26,7 @@ def r_th_difference(fn, pts, h_vec, r):
     pts = np.asarray(pts, dtype=float)
     total = np.zeros(pts.shape[0])
     for k in range(r + 1):
-        c = (-1.0) ** (r - k) * comb(r, k, exact=True)
+        c = (-1.0) ** (r - k) * math.comb(r, k)
         total += c * np.asarray(fn(pts + k * h_vec), dtype=float)
     return total
 

@@ -161,13 +161,12 @@ class TargetSpec:
         return lo + hi
 
 
-def power_series_truncate(target, N, d=None):
+def power_series_truncate(target, N):
     """PolyND keeping the closed-form series terms with total degree <= N.
 
     Requires sum |a_j| <= 1 (over the full series), which gives the tail
     bound sup_{[0, 1-delta]^d} |f - P| <= (1 - delta)^N.
     """
-    d = target.d if d is None else int(d)
     coeffs = target.series_coeffs(N)
     # the kept mass never exceeds the full-series mass; probe a margin past
     # N to catch targets whose total mass exceeds 1
@@ -175,7 +174,7 @@ def power_series_truncate(target, N, d=None):
     if sum(abs(a) for a in probe.values()) > 1.0 + 1e-9:
         raise ValueError("series coefficient mass exceeds 1; rescale the "
                          "target so that sum |a_j| <= 1")
-    return PolyND(d=d, coeffs=coeffs, degree=N)
+    return PolyND(d=target.d, coeffs=coeffs, degree=N)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 import numpy as np
-from scipy.special import comb
 
 from .jackson import jackson_kernel
 from .polynd import contract, tensor_points
@@ -50,7 +49,6 @@ class TrigOperatorCoeffs:
     a: dict = field(default_factory=dict)   # multi-index -> coefficient
     cos_part: np.ndarray = None  # d=1: alpha_j * int f cos(ju) du
     sin_part: np.ndarray = None  # d=1: alpha_j * int f sin(ju) du
-    scale: float = 1.0           # input scale: evaluation uses cos(j*scale*x)
     meta: dict = field(default_factory=dict)
 
 
@@ -68,36 +66,33 @@ def alpha_coeffs(n, r):
                 a_l = K.a[l]
             else:
                 a_l = 0.0
-            s += (-1.0) ** (k + 1) * comb(r, k, exact=True) * a_l
+            s += (-1.0) ** (k + 1) * math.comb(r, k) * a_l
         alpha[j] = s
     return alpha, K
 
 
-def fourier_integrals(fn, n, nodes=DEFAULT_NODES, half_width=math.pi):
-    """int f(u) cos(j w u) du and int f(u) sin(j w u) du over the periodic
-    cell [-T, T], w = pi/T, by the composite trapezoid rule (periodic, so
-    the uniform grid is spectrally accurate for smooth integrands)."""
-    T = half_width
-    u = -T + 2.0 * T * np.arange(nodes) / nodes
+def fourier_integrals(fn, n):
+    """int f(u) cos(ju) du and int f(u) sin(ju) du over [-pi, pi] by the
+    composite trapezoid rule on DEFAULT_NODES torus nodes (periodic, so the
+    uniform grid is spectrally accurate for smooth integrands)."""
+    u = _torus(DEFAULT_NODES)
     f = np.asarray(fn(u[:, None]), dtype=float)
-    w = math.pi / T
     js = np.arange(n + 1)
-    cosM = np.cos(np.outer(js, w * u))
-    sinM = np.sin(np.outer(js, w * u))
-    h = 2.0 * T / nodes
+    cosM = np.cos(np.outer(js, u))
+    sinM = np.sin(np.outer(js, u))
+    h = 2.0 * math.pi / DEFAULT_NODES
     return cosM @ f * h, sinM @ f * h
 
 
-def trig_operator_1d(target, n, r, nodes=DEFAULT_NODES):
+def trig_operator_1d(target, n, r):
     """T_n coefficients for a target on [-pi, pi] (d = 1)."""
     n, r = int(n), int(r)
     if n < r:
         raise ValueError("need n >= r")
     alpha, K = alpha_coeffs(n, r)
-    C, S = fourier_integrals(target, n, nodes=nodes)
+    C, S = fourier_integrals(target, n)
     coeffs = TrigOperatorCoeffs(d=1, n=n, r=r, alpha=alpha,
                                 cos_part=alpha * C, sin_part=alpha * S,
-                                scale=1.0,
                                 meta={"kernel_m": K.m})
     return coeffs
 
@@ -106,11 +101,11 @@ def apply_Tn(coeffs, x):
     """Evaluate the d = 1 trigonometric polynomial T_n(f) at points x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     js = np.arange(coeffs.n + 1)
-    ang = np.outer(x * coeffs.scale, js)
+    ang = np.outer(x, js)
     return np.cos(ang) @ coeffs.cos_part + np.sin(ang) @ coeffs.sin_part
 
 
-def trig_operator_nd(target, n, r, d, parity, nodes=None):
+def trig_operator_nd(target, n, r, d, parity):
     """Tensor T_n coefficients for one parity component on [-1, 1]^d.
 
     The component (even/odd per coordinate per parity[k]) is rescaled to
@@ -125,8 +120,7 @@ def trig_operator_nd(target, n, r, d, parity, nodes=None):
     parity = tuple(int(e) for e in parity)
     if len(parity) != d:
         raise ValueError("parity must have one entry per dimension")
-    if nodes is None:
-        nodes = _default_nodes(d)
+    nodes = _default_nodes(d)
     return _expand(target(_torus_grid(d, nodes)), n, r, d, parity, nodes)
 
 
@@ -187,8 +181,7 @@ def _expand(F, n, r, d, parity, nodes):
         if v != 0.0:
             a[j] = v
     return TrigOperatorCoeffs(d=d, n=n, r=r, alpha=alpha, parity=parity,
-                              a=a, scale=math.pi,
-                              meta={"kernel_m": K.m, "nodes": nodes})
+                              a=a, meta={"kernel_m": K.m, "nodes": nodes})
 
 
 def apply_Tn_nd(coeffs, pts):

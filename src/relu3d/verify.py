@@ -19,7 +19,7 @@ import numpy as np
 from . import builders
 from .builders import expected_bound, expected_size
 from .net import evaluate_array, flatten_to_2d, metrics
-from .polynd import tensor_points
+from .polynd import gauss_panels, tensor_points
 from .targets import DOMAINS
 from .twins import lp_net_twin, lp_net_twin_grid, spot_check
 
@@ -32,7 +32,6 @@ __all__ = [
     "lp_error",
     "gauss_l2_error",
     "sweep",
-    "check_bound",
     "fit_and_check",
     "table1_report",
 ]
@@ -170,8 +169,7 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf):
                        resolution=res)
 
 
-def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
-             eval_grid_fn=None):
+def lp_error(net, target, p, domain, bound=math.inf, eval_grid_fn=None):
     """L^p error by tensor midpoint quadrature on a bounded cube.
 
     p = inf delegates to sup_error.  For large tensor grids an
@@ -186,7 +184,7 @@ def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
         raise ValueError("need 1 <= p <= inf")
     lo, hi = _domain_bounds(domain)
     d = net.input_dim
-    n = quadrature_nodes or LP_NODES.get(d, 256)
+    n = LP_NODES.get(d, 256)
     # composite Gauss-Legendre: 8th-order panels so smooth integrands
     # converge far below the pass slack
     order = 8
@@ -213,21 +211,13 @@ def lp_error(net, target, p, domain, quadrature_nodes=None, bound=math.inf,
 
 
 def _gauss_panels(lo, hi, panel_width=0.25, order=16):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]; more than
-    GAUSS_NODE_CAP nodes raise ValueError."""
+    """Composite Gauss-Legendre nodes and weights on [lo, hi] in panels of
+    at most panel_width; more than GAUSS_NODE_CAP nodes raise ValueError."""
     panels = (hi - lo) / panel_width
     if not panels * order <= GAUSS_NODE_CAP:
         raise ValueError(f"[{lo}, {hi}] needs about {panels * order:.3g} "
                          f"quadrature nodes, over the cap of {GAUSS_NODE_CAP}")
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    n_panels = max(1, int(math.ceil(panels)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x0)
-        weights.append(half * w0)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_panels(lo, hi, max(1, int(math.ceil(panels))), order)
 
 
 GAUSS_PANEL_ORDER = 16
@@ -360,11 +350,6 @@ def sweep(theorem_id, param_range, fixed_params, csv_path=None):
     if csv_path is not None:
         table.to_csv(csv_path)
     return table
-
-
-def check_bound(report):
-    """Pass/fail of an ErrorReport under the standard relative slack."""
-    return bool(report.passed)
 
 
 @dataclass

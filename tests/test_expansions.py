@@ -201,12 +201,6 @@ def test_hermite_expansion_cosine_decay():
     assert exp.tail_l2(16) <= 1e-8
 
 
-def test_hermite_expansion_rejects_low_quadrature():
-    cos = TargetSpec.catalog("cosine", domain="gaussian-line")
-    with pytest.raises(ValueError):
-        hermite_expansion(cos, 10, Q=12)
-
-
 def numeric_hermite_tail(n, M):
     def integrand(x):
         return (hermite_eval(n, np.array([x]))[0] ** 2

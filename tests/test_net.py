@@ -117,10 +117,17 @@ def test_evaluate_batch_matches_evaluate_on_dyadics():
         assert v == evaluate(net, [x])
 
 
-def test_evaluate_array_chunking_is_consistent():
+def test_evaluate_array_chunking_is_consistent(monkeypatch):
     net = blocks.square_net(4)
     full = evaluate_array(net, GRID)
-    chunked = evaluate_array(net, GRID, chunk=17)
+    # the smallest budget gives the 64-point floor: 15 full chunks and one
+    # of 41 points
+    monkeypatch.setattr(rnet, "CHUNK_ELEMENTS", 1)
+    sizes, forward = [], rnet._forward
+    monkeypatch.setattr(rnet, "_forward",
+                        lambda n, x: sizes.append(x.shape[1]) or forward(n, x))
+    chunked = evaluate_array(net, GRID)
+    assert sizes == [64] * 15 + [41]
     assert np.array_equal(full, chunked)
 
 
