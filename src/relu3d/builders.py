@@ -758,7 +758,7 @@ class Param:
             return value
         try:
             return self.kind(value)
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ValueError(f"bad value {value!r} for {self.name}: "
                              f"{exc}") from exc
 

@@ -175,13 +175,15 @@ def lp_error(net, target, p, domain, bound=math.inf, eval_grid_fn=None):
     p = inf delegates to sup_error.  For large tensor grids an
     eval_grid_fn(axes) -> values array (tensor shape) can replace pointwise
     network evaluation; agreement with the network is the caller's contract
-    (see twins.spot_check).
+    (see twins.spot_check).  A p or an error whose weighted sum of
+    |error|^p is not finite, or is 0 while some error is not, raises
+    ValueError.
     """
     if p == math.inf or p == np.inf:
         return sup_error(net, target, domain, bound=bound)
     p = float(p)
-    if p < 1.0:
-        raise ValueError("need 1 <= p <= inf")
+    if not p >= 1.0:
+        raise ValueError(f"need 1 <= p <= inf, got p = {p}")
     lo, hi = _domain_bounds(domain)
     d = net.input_dim
     n = LP_NODES.get(d, 256)
@@ -201,8 +203,12 @@ def lp_error(net, target, p, domain, bound=math.inf, eval_grid_fn=None):
     w = w_axis
     for _ in range(d - 1):
         w = np.multiply.outer(w, w_axis)
-    measured = float(np.sum(w.ravel() * np.abs(got - want) ** p)
-                     ** (1.0 / p))
+    err = np.abs(got - want)
+    power_sum = np.sum(w.ravel() * err ** p)
+    if not (math.isfinite(power_sum) and (power_sum > 0 or not err.any())):
+        raise ValueError(f"the weighted sum of |error|^{p:g} is {power_sum}, "
+                         f"so the L^{p:g} error cannot be measured in floats")
+    measured = float(power_sum ** (1.0 / p))
     res = {"kind": "tensor-gauss-panels", "nodes_per_dim": int(axis.size),
            "d": d, "domain": [lo, hi], "p": p,
            "evaluator": "grid" if eval_grid_fn is not None else "pointwise"}
@@ -230,12 +236,14 @@ def gauss_l2_error(net, target, M_support, bound=math.inf):
     construction guarantees this); the interior integral runs over
     [-M-2, M+2] by Gauss-weighted composite panels and the tail adds the
     target's own mass outside, from its catalog closed form.  Unknown tails
-    are rejected rather than guessed, and so is a support whose panels
-    would hold more than GAUSS_NODE_CAP nodes.
+    are rejected rather than guessed, and so are a negative support and a
+    support whose panels would hold more than GAUSS_NODE_CAP nodes.
     """
     if net.input_dim != 1:
         raise NotImplementedError("Gaussian-norm measurement is univariate")
     M = float(M_support)
+    if M < 0:   # nan goes on to the node cap, which refuses it
+        raise ValueError(f"the support must be nonnegative, got {M}")
     x, w = _gauss_panels(-M - 2.0, M + 2.0, order=GAUSS_PANEL_ORDER)
     probe = np.array([[-M - 2.0], [-M - 1.0], [-M - 0.25],
                       [M + 0.25], [M + 1.0], [M + 2.0]])

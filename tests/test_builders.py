@@ -790,6 +790,13 @@ def test_golden_formulas_cover_every_id():
         builders.THEOREM_IDS + builders.BASELINE_IDS)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 1e400])
+def test_normalize_refuses_an_integer_parameter_out_of_range(value):
+    spec = builders.THEOREMS["poly"]
+    with pytest.raises(ValueError, match="bad value .* for H"):
+        spec.normalize({"coeffs": [0.0, 0.0, 1.0], "H": value})
+
+
 def min_height_table():
     """_min_height over amounts and budgets spanning its three branches:
     amount <= 0, a first guess that is too low, and one that is too high."""

@@ -261,6 +261,44 @@ def test_verify_of_a_net_with_22_inputs_is_usage_error(tmp_path, capsys):
     assert "cannot measure" in capsys.readouterr().err
 
 
+def build_lp(tmp_path):
+    out = tmp_path / "lp.net"
+    assert run(["build", "--theorem", "lp", "--target", "abs-power",
+                "--domain", "sym-cube", "--N1", "4", "--N2", "8",
+                "-o", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("p", ["nan", "1e308"])
+def test_verify_of_an_unmeasurable_lp_exponent_is_usage_error(tmp_path,
+                                                              capsys, p):
+    # nan has no order; 1e308 underflows every |error|^p to 0
+    out = build_lp(tmp_path)
+    capsys.readouterr()
+    assert run(["verify", str(out), "--target", "abs-power", "--domain",
+                "sym-cube", "--norm", "lp", "--p", p]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot measure {out}")
+    assert not (tmp_path / "lp.net.verify.json").exists()
+
+
+def test_sweep_of_a_nan_lp_exponent_is_usage_error(tmp_path, capsys):
+    assert run(["sweep", "--theorem", "lp", "--target", "abs-power",
+                "--domain", "sym-cube", "--N2", "8", "--values", "2",
+                "--p", "nan", "-o", str(tmp_path / "lp.csv")]) == 2
+    assert "error: sweep setup failed" in capsys.readouterr().err
+
+
+def test_verify_of_a_negative_gauss_support_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "h.net"
+    assert run(["build", "--theorem", "hermite", "--target", "cosine",
+                "--N", "4", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(out), "--target", "cosine", "--domain",
+                "gaussian-line", "--norm", "gauss", "--support", "-20"]) == 2
+    assert "error: cannot measure" in capsys.readouterr().err
+    assert not (tmp_path / "h.net.verify.json").exists()
+
+
 def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
                                                                capsys):
     assert run(["build", "--theorem", "hermite", "--target", "cosine",
@@ -334,6 +372,21 @@ def test_sweep_float_parameter_values(tmp_path):
 ])
 def test_bad_parameter_values_are_usage_errors(tmp_path, args):
     assert run(args + ["-o", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--theorem", "poly", "--coeffs", "0,0,1", "--values", "inf"],
+    ["--theorem", "poly", "--coeffs", "0,0,1", "--values", "1e400"],
+    ["--theorem", "trig", "--values", "6", "--params", "{doc}"]],
+    ids=["inf", "1e400", "document"])
+def test_integer_parameters_out_of_range_are_usage_errors(tmp_path, capsys,
+                                                          args):
+    # JSON reads 1e400 as inf, which no int holds
+    doc = tmp_path / "p.json"
+    doc.write_text('{"k": 1e400}')
+    argv = ["sweep"] + [str(doc) if a == "{doc}" else a for a in args]
+    assert run(argv + ["-o", str(tmp_path / "out.csv")]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_table1_default_config(tmp_path):

@@ -151,6 +151,28 @@ def test_lp_error_rejects_p_below_one():
         lp_error(identity_net(1), lambda p: p[:, 0], 0.5, (0.0, 1.0))
 
 
+def test_lp_error_rejects_a_nan_p():
+    with pytest.raises(ValueError, match="1 <= p"):
+        lp_error(identity_net(1), lambda p: p[:, 0], math.nan, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("shift,p", [(0.0, 2000.0), (0.0, 1e308),
+                                     (1e10, 40.0)],
+                         ids=["underflow", "underflow-huge-p", "overflow"])
+def test_lp_error_refuses_a_power_sum_out_of_float_range(shift, p):
+    # the square gadget's errors are at most 2^-8: their 2000th powers
+    # underflow to 0; errors of 1e10 overflow at p = 40
+    net = blocks.square_net(3)
+    with pytest.raises(ValueError, match="cannot be measured"):
+        lp_error(net, lambda q: q[:, 0] ** 2 + shift, p, (0.0, 1.0))
+
+
+def test_lp_error_of_an_exact_net_is_zero_at_any_p():
+    net = blocks.square_net(3)
+    er = lp_error(net, lambda q: evaluate_array(net, q), 1e308, (0.0, 1.0))
+    assert er.measured == 0.0
+
+
 # -- gauss_l2_error -----------------------------------------------------------
 
 
@@ -195,6 +217,14 @@ def test_gauss_l2_refuses_a_support_over_the_node_cap():
     for M in (1e12, math.inf, math.nan):
         with pytest.raises(ValueError, match="nodes"):
             gauss_l2_error(zero_net(), target, M)
+
+
+def test_gauss_l2_refuses_a_negative_support():
+    target = TargetSpec.catalog("cosine", domain="gaussian-line")
+    rep = builders.build_hermite_gauss(target, 4)
+    for M in (-20.0, -1e-9, -math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gauss_l2_error(rep.net, target, M)
 
 
 def test_hermite_supports_stay_under_the_node_cap():
