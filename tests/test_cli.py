@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_net import FUZZ_NETS, JSON_LEAF, _leaf_paths, _put
 
+import relu3d
 from relu3d import blocks, trig_operator
 from relu3d.builders import THEOREM_IDS, THEOREMS
 from relu3d.cli import _build_parser, run
@@ -563,3 +568,17 @@ def test_cli_flags_come_from_the_registry():
     assert _flags(sub.choices["build"]) == target | theorem
     assert _flags(sub.choices["sweep"]) == target | theorem | {
         "--p", "--param", "--values", "--range"}
+
+
+def test_module_entry_point_exits_with_the_run_code(tmp_path):
+    # main() hands run()'s code to sys.exit, as the relu3d command does
+    out = build_square(tmp_path)
+    src = str(Path(relu3d.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    ok = subprocess.run([sys.executable, "-m", "relu3d.cli", "size", str(out)],
+                        env=env, capture_output=True, text=True)
+    assert (ok.returncode, ok.stdout.split()[:2]) == (0, ["width", "8"])
+    bad = subprocess.run([sys.executable, "-m", "relu3d.cli", "verify",
+                          str(out), "--target", "square", "--bound", "nan"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 2 and bad.stderr.startswith("error: ")
