@@ -175,9 +175,9 @@ def lp_error(net, target, p, domain, bound=math.inf, eval_grid_fn=None):
     p = inf delegates to sup_error.  For large tensor grids an
     eval_grid_fn(axes) -> values array (tensor shape) can replace pointwise
     network evaluation; agreement with the network is the caller's contract
-    (see twins.spot_check).  A p or an error whose weighted sum of
-    |error|^p is not finite, or is 0 while some error is not, raises
-    ValueError.
+    (see twins.spot_check).  ValueError when p is not at least 1, or when
+    the weighted sum of |error|^p is not finite or is 0 while some error is
+    not.
     """
     if p == math.inf or p == np.inf:
         return sup_error(net, target, domain, bound=bound)
@@ -204,7 +204,8 @@ def lp_error(net, target, p, domain, bound=math.inf, eval_grid_fn=None):
     for _ in range(d - 1):
         w = np.multiply.outer(w, w_axis)
     err = np.abs(got - want)
-    power_sum = np.sum(w.ravel() * err ** p)
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        power_sum = np.sum(w.ravel() * err ** p)
     if not (math.isfinite(power_sum) and (power_sum > 0 or not err.any())):
         raise ValueError(f"the weighted sum of |error|^{p:g} is {power_sum}, "
                          f"so the L^{p:g} error cannot be measured in floats")
