@@ -3,7 +3,7 @@
 All measurements are grid or quadrature based.  Sup errors use a dense grid
 whose step divides the dyadic breakpoint lattice of the gadget networks,
 plus one local refinement pass around the arg-max.  L^p errors use tensor
-midpoint quadrature; Gaussian L^2 errors use composite Gauss-Legendre
+Gauss-Legendre panels; Gaussian L^2 errors use composite Gauss-Legendre
 panels against the normal density plus a closed-form tail term.
 """
 
@@ -170,7 +170,7 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf):
 
 
 def lp_error(net, target, p, domain, bound=math.inf, eval_grid_fn=None):
-    """L^p error by tensor midpoint quadrature on a bounded cube.
+    """L^p error by tensor 8-point Gauss-Legendre panels on a bounded cube.
 
     p = inf delegates to sup_error.  For large tensor grids an
     eval_grid_fn(axes) -> values array (tensor shape) can replace pointwise

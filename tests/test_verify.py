@@ -364,7 +364,7 @@ def measurement_table():
     target = TargetSpec.catalog("cosine", domain="gaussian-line")
     rep = builders.build_hermite_gauss(target, 4)
     for M in (0.0, 0.3, rep.meta["support"], 7.3):
-        if M >= rep.meta["support"]:
+        if M >= rep.meta["support"]:   # the clipped net vanishes outside it
             er = gauss_l2_error(rep.net, target, M)
             rows.append((er.measured, er.resolution))
         er = gauss_l2_error(zero_net(), target, M)
