@@ -1,6 +1,7 @@
 """Scripts under scripts/: each main() runs end to end."""
 
 import csv
+import hashlib
 import runpy
 import sys
 from pathlib import Path
@@ -8,9 +9,21 @@ from pathlib import Path
 import pytest
 
 import relu3d
+from relu3d.builders import THEOREMS
 from relu3d.verify import SweepRow, SweepTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# sha256 of the size-comparison CSV and of the repr of the list of sweep
+# calls (theorem, swept parameter, values, repr of the fixed parameters)
+TABLE1_CSV_SHA = \
+    "80fce2218c0ff1a29a0d5565c28d1d76fe9b5c741124bc9b8d97afdfbfa46aa3"
+SWEEP_CALLS_SHA = \
+    "a21b2ecbeab5a20c00efd9bd1bc7444604b49bb5da1c4aa6b60453a8ccec0796"
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_make_table1_writes_every_row(tmp_path, monkeypatch, capsys):
@@ -24,6 +37,7 @@ def test_make_table1_writes_every_row(tmp_path, monkeypatch, capsys):
     assert {r["row"] for r in rows} == {"poly", "analytic-cube", "ellipse",
                                         "hermite"}
     assert f"wrote {out}" in capsys.readouterr().out
+    assert _sha(out.read_bytes()) == TABLE1_CSV_SHA
 
 
 @pytest.mark.parametrize("measured, code", [(1.0 + 5e-10, 0), (1.0 + 1e-8, 1)])
@@ -43,3 +57,24 @@ def test_run_sweeps_applies_the_pass_slack(measured, code, tmp_path,
     assert len(lines) == 7
     for line in lines:
         assert line.endswith("BOUND FAILURES at [2.0]" if code else "ok")
+
+
+def test_run_sweeps_makes_the_paper_sweeps(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_sweep(theorem, values, fixed, csv_path=None):
+        if isinstance(values, tuple) and isinstance(values[0], str):
+            name, values = values
+        else:
+            name = THEOREMS[theorem].sweep_param
+        calls.append((theorem, name, list(values), repr(fixed)))
+        return SweepTable(parameter=name, rows=[SweepRow(
+            value=1.0, measured=0.5, bound=1.0, param_count=1,
+            width=1, depth=1, height=1)])
+
+    monkeypatch.setattr(relu3d, "sweep", fake_sweep)
+    monkeypatch.setattr(sys, "argv", ["run_sweeps.py", str(tmp_path)])
+    main = runpy.run_path(str(SCRIPTS / "run_sweeps.py"))["main"]
+    assert main() == 0
+    assert len(calls) == 7
+    assert _sha(repr(calls).encode()) == SWEEP_CALLS_SHA
