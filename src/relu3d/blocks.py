@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+def _check_square_height(H):
+    """The square gadgets divide g_j by 4^j, j <= H; 4.0 ** 512 overflows."""
+    if H > 511:
+        raise NetFormatError(f"height {H} exceeds 511: the square gadget's "
+                             f"divisor 4^{H} overflows a float")
+
+
 def add_tent_towers(layer, ys, s, riders=()):
     """Grow s floors of tent towers over the wires ys (each in [0, 1]).
 
@@ -94,6 +101,7 @@ def _unit_prod_bank(layer, pairs, H, riders=()):
     Returns (prods, gs, rider_wires); gs are the towers' wires, three per
     pair, on (x+y)/2, x/2 and y/2.  Requires H >= 1.
     """
+    _check_square_height(H)
     ys = [v for x, y in pairs for v in ((x + y) * 0.5, x * 0.5, y * 0.5)]
     gs, rw = add_tent_towers(layer, ys, H, riders=riders)
     prods = [2 * _square_wire(gs[i]) - 2 * _square_wire(gs[i + 1])
@@ -120,6 +128,7 @@ def _sym_prod_wires(layer, u, v, H, riders=()):
     Returns (prod, u_carry, v_carry, rider_wires); carries recover u and v
     from the floor-1 w neurons (w = z/4 + 1/2 gives z... u = 4w - 2).
     """
+    _check_square_height(H)
     zs = [(u + v) * 0.5, u * 0.5, v * 0.5]
     ys = [z * 0.5 + 0.5 for z in zs]
     gs, rw = add_tent_towers(layer, ys, H + 1, riders=riders)
@@ -163,6 +172,7 @@ def square_net(H):
         m = fl.neuron(-1.0 * x)  # keep exactness for x <= 0 too
         b.commit()
         return b.finish([w - m])
+    _check_square_height(H)
     gs, _ = add_tent_towers(L, [x], H)
     b.commit()
     return b.finish([_square_wire(gs[0])])

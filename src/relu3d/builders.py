@@ -35,6 +35,7 @@ from .net import (Net3D, SizeMetrics, chain, linear_combine, metrics,
                   parallel)
 from .polynd import PolyND, exact_degree_indices, tensor_points
 from .smoothness import modulus_smoothness
+from .targets import TargetSpec
 from .trig_operator import trig_operator_parts
 
 __all__ = [
@@ -98,12 +99,17 @@ def _finish_report(net, width_exp, depth_exp, height_exp, bound, formula_id,
 
 
 def _min_height(amount, budget):
-    """Smallest integer H >= 1 with amount * 2^(-2(H+1)) <= budget."""
+    """Smallest integer H >= 1 with amount * 2^(-2(H+1)) <= budget;
+    ValueError when amount / budget leaves the float range."""
     if budget <= 0:
         raise ValueError("error budget must be positive")
     if amount <= 0:
         return 1
-    H = max(1, math.ceil(0.5 * math.log2(amount / budget) - 1))
+    ratio = float(amount) / float(budget)   # inf, not a numpy warning
+    if not math.isfinite(ratio):
+        raise ValueError(f"the height for an error of {amount:.4g} within "
+                         f"{budget:.4g} is out of the float range")
+    H = max(1, math.ceil(0.5 * math.log2(ratio) - 1))
     while amount * 2.0 ** (-2 * (H + 1)) > budget:
         H += 1
     while H > 1 and amount * 2.0 ** (-2 * H) <= budget:
@@ -536,10 +542,13 @@ def _cos_chain(N2, budget):
     """Chebyshev coefficients of cos(pi t) on [0, 1] at degree N2 + 1, the
     minimal chain height meeting the budget, and the interpolation error."""
     m = N2 + 1
+    if math.lgamma(m + 2) > LOG_FLOAT_MAX:
+        raise ValueError(f"N2 = {N2} is too large: the interpolation bound's "
+                         f"{m + 1}! exceeds the float range")
+    interp = math.pi ** (m + 1) / (2.0 ** (2 * m + 1) * math.factorial(m + 1))
     poly = chebyshev_interpolant_1d(
         lambda pts: np.cos(math.pi * pts[:, 0]), m)
     a = poly.coeff_vector_1d()
-    interp = math.pi ** (m + 1) / (2.0 ** (2 * m + 1) * math.factorial(m + 1))
     A = max(abs(c) for c in a[1:])
     H = _min_height(A * 3.0 * m * m, budget - interp)
     return tuple(map(float, a)), H, interp
@@ -783,8 +792,9 @@ class TheoremSpec:
     build maps normalized parameters to a BuildReport.  size and bound are
     the stated formulas: their argument names are the stated quantities
     they read (see expected_size).  sweep_param is the parameter a sweep
-    varies by default; baseline names the plain-2D row of the comparison
-    table, if any.
+    varies by default; paper_sweep, if any, is the sweep the paper reports:
+    (values of sweep_param, fixed parameters).  baseline names the plain-2D
+    row of the comparison table, if any.
     """
 
     id: str
@@ -795,6 +805,7 @@ class TheoremSpec:
     bound: object
     measure: Measure
     baseline: str = None
+    paper_sweep: tuple = field(default=None, hash=False)
 
     def normalize(self, params):
         """Typed parameters from a user dict: aliases resolved, values
@@ -852,7 +863,8 @@ THEOREMS = _Strict(((t.id, t) for t in (
         (Param("coeffs", _floats), Param("H", int)), "H",
         size=lambda n, H: (8, n - 1, H),
         bound=lambda amax, n, H: amax * 3.0 * n * n * 2.0 ** (-2 * (H + 1)),
-        measure=Measure("sup", "coeffs"), baseline="baseline-poly"),
+        measure=Measure("sup", "coeffs"), baseline="baseline-poly",
+        paper_sweep=(range(1, 13), {"coeffs": [0.0, 0.0, 1.0]})),
     TheoremSpec(
         "polyNd",
         lambda p: build_polyNd(p["poly"], p["H"], width_cap=p["width_cap"]),
@@ -869,7 +881,9 @@ THEOREMS = _Strict(((t.id, t) for t in (
                                                + 3 * math.log2(N + 2)
                                                + 2 * math.log2(3)))),
         bound=lambda N: 2.0 ** (-N),
-        measure=Measure("sup", "target")),
+        measure=Measure("sup", "target"),
+        paper_sweep=(range(2, 11),
+                     {"target": TargetSpec.catalog("reciprocal-shift")})),
     TheoremSpec(
         "analytic-cube",
         lambda p: build_analytic_cube(p["target"], p["N"], p["delta"],
@@ -882,7 +896,10 @@ THEOREMS = _Strict(((t.id, t) for t in (
                              - d * math.log2(d / math.e) - math.log2(6) - 2))),
         bound=lambda N, delta: 2.0 * (1.0 - delta) ** N,
         measure=Measure("sup", "target", (0.0, "domain_halfwidth")),
-        baseline="baseline-analytic"),
+        baseline="baseline-analytic",
+        paper_sweep=(range(2, 11), {
+            "target": TargetSpec.catalog("geometric-product", d=1),
+            "delta": 0.5})),
     TheoremSpec(
         "ellipse",
         lambda p: build_analytic_ellipse(p["target"], p["N"], p["rho"],
@@ -894,7 +911,9 @@ THEOREMS = _Strict(((t.id, t) for t in (
                              + math.log2(6 * N)
                              + (N / math.sqrt(d)) * math.log2(rho) - 2))),
         bound=lambda N, rho, d: rho ** (-N / math.sqrt(d)),
-        measure=Measure("sup", "target"), baseline="baseline-ellipse"),
+        measure=Measure("sup", "target"), baseline="baseline-ellipse",
+        paper_sweep=(range(4, 17, 2), {
+            "target": TargetSpec.catalog("reciprocal-shift"), "rho": 4.0})),
     TheoremSpec(
         "hermite",
         lambda p: build_hermite_gauss(p["target"], p["N"], d=p["d"],
@@ -904,7 +923,9 @@ THEOREMS = _Strict(((t.id, t) for t in (
         size=_hermite_size,
         bound=lambda N, B: math.exp(-B * math.sqrt(N)),
         measure=Measure("gauss", "target", (None, None)),
-        baseline="baseline-hermite"),
+        baseline="baseline-hermite",
+        paper_sweep=(range(2, 11), {
+            "target": TargetSpec.catalog("cosine", domain="gaussian-line")})),
     TheoremSpec(
         "trig", lambda p: build_trig(p["k"], p["N2"], kind=p["kind"]),
         (Param("k", int), Param("N2", int),
@@ -913,7 +934,8 @@ THEOREMS = _Strict(((t.id, t) for t in (
                                            math.ceil(math.log2(k))
                                            if k > 1 else 0)),
         bound=lambda N2: 2.0 ** (-N2),
-        measure=Measure("sup", "trig", (-1.0, 1.0))),
+        measure=Measure("sup", "trig", (-1.0, 1.0)),
+        paper_sweep=(range(6, 17, 2), {"k": 3, "kind": "cos"})),
     TheoremSpec(
         "lp",
         lambda p: build_lp(p["target"], p["N1"], p["N2"], r=p["r"],
@@ -925,7 +947,10 @@ THEOREMS = _Strict(((t.id, t) for t in (
                                     math.ceil(math.log2(N1)))),
         bound=lambda omega, norm, N1, N2, r, d: (
             r ** d * omega + 1.5 * d * norm * (4.0 * N1) ** d * 2.0 ** (-N2)),
-        measure=Measure("lp", "target", (-1.0, 1.0))),
+        measure=Measure("lp", "target", (-1.0, 1.0)),
+        paper_sweep=((4, 8, 12, 16, 24), {
+            "target": TargetSpec.catalog("abs-power", domain="sym-cube"),
+            "N2": 20, "p": 2})),
 )), "unknown theorem id")
 
 THEOREM_IDS = tuple(THEOREMS)

@@ -58,6 +58,15 @@ def cheb_to_monomial_matrix(m):
     return C
 
 
+def _growth(m):
+    """3^m, the growth of the monomial coefficients of T_j(2x - 1), j <= m;
+    3.0 ** 647 overflows."""
+    if m > 646:
+        raise ValueError(f"degree {m} is too large: 3^{m} exceeds the float "
+                         f"range")
+    return 3.0 ** m
+
+
 def _conditioning(C, c_cheb):
     """Crude amplification estimate of the basis change."""
     num = float(np.max(np.abs(C) @ np.abs(c_cheb)))
@@ -73,13 +82,14 @@ def chebyshev_interpolant_1d(target, m):
     conditioning (amplification estimate), conditioning_warning.
     """
     m = int(m)
+    growth = _growth(m)
     A, nodes = _analysis_matrix(m)
     x_nodes = (nodes + 1.0) / 2.0
     f = np.asarray(target(x_nodes[:, None]), dtype=float).reshape(-1)
     c_cheb = A @ f
     C = cheb_to_monomial_matrix(m)
     c_mono = C @ c_cheb
-    bound = 2.0 * (m + 1) * 3.0 ** m
+    bound = 2.0 * (m + 1) * growth
     cond = _conditioning(C, c_cheb)
     meta = {
         "cheb_coeffs": c_cheb,
@@ -97,7 +107,8 @@ def chebyshev_tensor_coeffs(target, N, d):
     monomials and truncated to total degree <= N.
 
     meta fields: max_abs_coeff (for the C (n+1)^d comparison), conditioning
-    flag as in the univariate case, cheb_decay (per-degree max |c|).
+    flag as in the univariate case, cheb_max (max |c| over the tensor
+    Chebyshev coefficients, d >= 2).
     """
     N = int(N)
     if d == 1:
@@ -105,6 +116,7 @@ def chebyshev_tensor_coeffs(target, N, d):
         coeffs = {j: a for j, a in poly.coeffs.items()}
         poly.meta["max_abs_coeff"] = max(abs(a) for a in coeffs.values())
         return poly
+    growth = _growth(N)
     A, nodes = _analysis_matrix(N)
     x_nodes = (nodes + 1.0) / 2.0
     pts = tensor_points([x_nodes] * d)
@@ -118,7 +130,7 @@ def chebyshev_tensor_coeffs(target, N, d):
     for j in it:
         if sum(j) <= N and coeff[j] != 0.0:
             coeffs[tuple(int(v) for v in j)] = float(coeff[j])
-    cond = (3.0 ** N) * (N + 1)
+    cond = growth * (N + 1)
     meta = {
         "max_abs_coeff": max((abs(a) for a in coeffs.values()), default=0.0),
         "cheb_max": cheb_max,

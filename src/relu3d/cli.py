@@ -282,28 +282,16 @@ def _cmd_sweep(args):
     return 0 if ok else 1
 
 
-DEFAULT_TABLE1 = [
-    {"row": "poly", "coeffs": [0.0, 0.0, 1.0], "H": 6},
-    {"row": "poly", "coeffs": [0.0, 0.0, 1.0], "H": 10},
-] + [
-    {"row": "analytic-cube",
-     "target": {"catalog_id": "geometric-product", "dimension": 1},
-     "N": N, "delta": 0.5}
-    for N in (4, 6, 8, 10)
-]
-
-
 def _cmd_table1(args):
+    configs = verify.TABLE1
     if args.config:
         configs = _read_json(args.config, "table1 config")
         if not (isinstance(configs, list)
                 and all(isinstance(c, dict) for c in configs)):
             raise UsageError("table1 config must be a JSON list of rows")
-    else:
-        configs = [dict(c) for c in DEFAULT_TABLE1]
-    for cfg in configs:
-        if "target" in cfg:
-            cfg["target"] = TargetSpec.from_document(cfg["target"])
+        for cfg in configs:
+            if "target" in cfg:
+                cfg["target"] = TargetSpec.from_document(cfg["target"])
     table = verify.table1_report(configs, csv_path=args.output)
     print(f"wrote {args.output} ({len(table.rows)} rows)")
     return 0
@@ -380,7 +368,8 @@ def _build_parser():
     z.set_defaults(fn=_cmd_size)
 
     t = sub.add_parser("table1", help="size/error comparison report CSV")
-    t.add_argument("--config", help="JSON list of row configs")
+    t.add_argument("--config", help="JSON list of row configs (default: "
+                                     "the paper's 13-row table)")
     t.add_argument("-o", "--output", default="table1.csv")
     t.set_defaults(fn=_cmd_table1)
     return p

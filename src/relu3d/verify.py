@@ -20,7 +20,7 @@ from . import builders
 from .builders import expected_bound, expected_size
 from .net import evaluate_array, flatten_to_2d, metrics
 from .polynd import gauss_panels, tensor_points
-from .targets import DOMAINS
+from .targets import DOMAINS, TargetSpec
 from .twins import lp_net_twin, lp_net_twin_grid, spot_check
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "sweep",
     "fit_and_check",
     "table1_report",
+    "TABLE1",
 ]
 
 PASS_SLACK = 1e-9
@@ -404,6 +405,19 @@ def fit_and_check(table):
 
 # ---------------------------------------------------------------------------
 # size-comparison report
+
+
+# the paper's size-comparison table: the configs `relu3d table1` reports
+TABLE1 = (
+    [{"row": "poly", "coeffs": [0.0, 0.0, 1.0], "H": H} for H in (6, 10)]
+    + [{"row": "analytic-cube",
+        "target": TargetSpec.catalog("geometric-product", d=1),
+        "N": N, "delta": 0.5} for N in range(4, 11)]
+    + [{"row": "ellipse", "target": TargetSpec.catalog("reciprocal-shift"),
+        "rho": 4.0, "N": N} for N in (6, 10)]
+    + [{"row": "hermite",
+        "target": TargetSpec.catalog("cosine", domain="gaussian-line"),
+        "N": N} for N in (4, 8)])
 
 
 def table1_report(configs, csv_path=None):

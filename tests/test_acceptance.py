@@ -22,8 +22,8 @@ from relu3d.smoothness import modulus_smoothness
 from relu3d.targets import TargetSpec
 from relu3d.trig_operator import apply_Tn, trig_operator_1d
 from relu3d.twins import lp_net_twin, lp_net_twin_grid, spot_check
-from relu3d.verify import FIT_MARGIN, fit_and_check, gauss_l2_error, \
-    lp_error, sup_error, sweep, table1_report
+from relu3d.verify import FIT_MARGIN, TABLE1, fit_and_check, \
+    gauss_l2_error, lp_error, sup_error, sweep, table1_report
 
 # topology-check outcomes for every network built in criteria 1..11;
 # criterion 12 asserts over this registry
@@ -193,15 +193,15 @@ def test_criterion_05_analytic_cube():
 
 
 def test_criterion_06_analytic_ellipse():
-    target = TargetSpec.catalog("reciprocal-shift")
-    table = sweep("ellipse", range(4, 17, 2), {"target": target, "rho": 4.0})
+    values, fixed = builders.THEOREMS["ellipse"].paper_sweep
+    table = sweep("ellipse", values, fixed)
     Ns = np.array([float(r.value) for r in table.rows])
     logs = np.log(np.array([r.measured for r in table.rows]))
     slope, icept = np.polyfit(Ns, logs, 1)
     pred = slope * Ns + icept
     r2 = 1.0 - np.sum((logs - pred) ** 2) / np.sum((logs - logs.mean()) ** 2)
     fit = fit_and_check(table)
-    rep = builders.build_analytic_ellipse(target, 8, rho=4.0)
+    rep = builders.build_analytic_ellipse(fixed["target"], 8, rho=4.0)
     register("ellipse-N8", rep.net, 0.0, 1.0)
     conclude(6, "analytic-ellipse",
              slope < 0 and r2 > 0.99 and fit.passed,
@@ -431,11 +431,7 @@ def test_criterion_12_topology():
 
 def test_criterion_13_table1(tmp_path):
     import csv
-    target = TargetSpec.catalog("geometric-product", d=1)
-    configs = [{"row": "poly", "coeffs": [0.0, 0.0, 1.0], "H": H}
-               for H in (6, 10)]
-    configs += [{"row": "analytic-cube", "target": target, "N": N,
-                 "delta": 0.5} for N in range(4, 11)]
+    configs = [c for c in TABLE1 if c["row"] in ("poly", "analytic-cube")]
     path = tmp_path / "table1.csv"
     table = table1_report(configs, csv_path=str(path))
     with open(path, newline="") as fh:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relu3d import blocks
-from relu3d.net import evaluate, evaluate_array, metrics
+from relu3d.net import NetFormatError, evaluate, evaluate_array, metrics
 
 UNIT = np.linspace(0.0, 1.0, 4097)[:, None]
 
@@ -174,6 +174,18 @@ def test_product_d_degenerates_to_identity():
     net = blocks.product_d_net(1, 4, M=2.0)
     xs = np.linspace(-2, 2, 257)[:, None]
     assert np.max(np.abs(evaluate_array(net, xs) - xs[:, 0])) <= 1e-12
+
+
+def test_square_gadgets_refuse_heights_whose_divisor_overflows():
+    # 4^511 is the largest power of 4 in the float range
+    assert metrics(blocks.square_net(511)).height == 511
+    assert metrics(blocks.product_d_net(2, 511)).height == 512
+    for build in (blocks.square_net, blocks.product2_unit,
+                  lambda H: blocks.product_d_net(2, H)):
+        with pytest.raises(NetFormatError, match="divisor 4\\^512"):
+            build(512)
+    with pytest.raises(NetFormatError, match="divisor 4\\^600"):
+        blocks.product_d_net(2, 600)
 
 
 # -- power chain ------------------------------------------------------------

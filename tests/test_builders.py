@@ -805,6 +805,12 @@ def min_height_table():
             for b in (1e-30, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 10.0)]
 
 
+@pytest.mark.parametrize("amount, budget", [(1e300, 1e-30), (math.inf, 1.0)])
+def test_min_height_refuses_a_ratio_out_of_the_float_range(amount, budget):
+    with pytest.raises(ValueError, match="out of the float range"):
+        builders._min_height(amount, budget)
+
+
 def test_golden_min_height():
     digest = hashlib.sha256(repr(min_height_table()).encode()).hexdigest()
     assert digest == \

@@ -312,6 +312,24 @@ def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
     assert "float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "299"],
+    ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "700"],
+    ["--theorem", "ellipse", "--target", "reciprocal-shift", "--rho", "4",
+     "--N", "700"],
+    ["--theorem", "trig", "--k", "1", "--N2", "169"],
+    ["--theorem", "lp", "--target", "abs-power", "--N1", "4", "--N2", "1100"],
+    ["--theorem", "poly", "--coeffs", "0,0,1", "--H", "2000"]],
+    ids=["smooth-height", "smooth-degree", "ellipse-degree", "trig-factorial",
+         "lp-factorial", "poly-square-height"])
+def test_build_of_an_overflowing_float_formula_is_usage_error(tmp_path,
+                                                             capsys, args):
+    assert run(["build"] + args + ["-o", str(tmp_path / "x.net")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot build") and "float" in err
+    assert not (tmp_path / "x.net").exists()
+
+
 def test_build_of_a_torus_grid_over_the_cap_is_usage_error(tmp_path, capsys,
                                                           monkeypatch):
     def no_grid(axes):

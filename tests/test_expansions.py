@@ -68,6 +68,15 @@ def test_chebyshev_conditioning_warning_for_large_degree():
     assert poly.meta["conditioning_warning"]
 
 
+def test_chebyshev_refuses_degrees_whose_growth_overflows():
+    # 3^646 is the largest power of 3 in the float range
+    target = lambda p: np.cos(p[:, 0])
+    with pytest.raises(ValueError, match="3\\^647 exceeds the float range"):
+        chebyshev_interpolant_1d(target, 647)
+    with pytest.raises(ValueError, match="3\\^647 exceeds the float range"):
+        chebyshev_tensor_coeffs(target, 647, 2)
+
+
 def test_cheb_to_monomial_matrix_small_cases():
     C = cheb_to_monomial_matrix(2)
     # T_0 = 1; T_1(2x-1) = 2x - 1; T_2(2x-1) = 8x^2 - 8x + 1

@@ -1,4 +1,5 @@
-"""Scripts under scripts/: each main() runs end to end."""
+"""The paper's workloads end to end: scripts/run_sweeps.py and the
+`relu3d table1` command."""
 
 import csv
 import hashlib
@@ -10,6 +11,7 @@ import pytest
 
 import relu3d
 from relu3d.builders import THEOREMS
+from relu3d.cli import run
 from relu3d.verify import SweepRow, SweepTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -26,11 +28,9 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def test_make_table1_writes_every_row(tmp_path, monkeypatch, capsys):
+def test_make_table1_writes_every_row(tmp_path, capsys):
     out = tmp_path / "table1.csv"
-    monkeypatch.setattr(sys, "argv", ["make_table1.py", str(out)])
-    main = runpy.run_path(str(SCRIPTS / "make_table1.py"))["main"]
-    assert main() == 0
+    assert run(["table1", "-o", str(out)]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 13

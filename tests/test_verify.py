@@ -11,9 +11,9 @@ from relu3d import blocks, builders, verify
 from relu3d.net import (Layer, Net3D, Neuron, evaluate_array, identity_net,
                         metrics)
 from relu3d.targets import TargetSpec
-from relu3d.verify import (ErrorReport, SweepRow, SweepTable, fit_and_check,
-                           gauss_l2_error, lp_error, sup_error, sweep,
-                           table1_report)
+from relu3d.verify import (TABLE1, ErrorReport, SweepRow, SweepTable,
+                           fit_and_check, gauss_l2_error, lp_error, sup_error,
+                           sweep, table1_report)
 
 
 def zero_net():
@@ -317,12 +317,8 @@ def test_fit_and_check_fails_on_upper_half_violation():
 
 
 def test_table1_report_columns(tmp_path):
-    target = TargetSpec.catalog("geometric-product", d=1)
-    configs = [{"row": "analytic-cube", "target": target, "N": N,
-                "delta": 0.5} for N in (4, 6)]
-    configs.append({"row": "poly", "coeffs": [0.0, 0.0, 1.0], "H": 6})
     path = tmp_path / "table1.csv"
-    table = table1_report(configs, csv_path=str(path))
+    table = table1_report(TABLE1, csv_path=str(path))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {"baseline_width", "baseline_depth", "baseline_error",
@@ -334,9 +330,7 @@ def test_table1_report_columns(tmp_path):
 
 
 def test_table1_depth_ratio_divergence():
-    target = TargetSpec.catalog("geometric-product", d=1)
-    configs = [{"row": "analytic-cube", "target": target, "N": N,
-                "delta": 0.5} for N in range(4, 11)]
+    configs = [c for c in TABLE1 if c["row"] == "analytic-cube"]
     table = table1_report(configs)
     ratios = [r.as_dict()["baseline_depth"] / max(r.depth, 1)
               for r in table.rows]
