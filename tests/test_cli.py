@@ -421,6 +421,20 @@ def test_table1_default_config(tmp_path):
     assert {"poly", "analytic-cube"} <= kinds
 
 
+def test_table1_config_reads_target_documents(tmp_path, capsys):
+    config = tmp_path / "rows.json"
+    config.write_text(json.dumps([
+        {"row": "poly", "coeffs": [0.0, 0.0, 1.0], "H": 3},
+        {"row": "analytic-cube", "N": 3, "delta": 0.5,
+         "target": {"catalog_id": "geometric-product", "dimension": 1}}]))
+    path = tmp_path / "table1.csv"
+    assert run(["table1", "--config", str(config), "-o", str(path)]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["row"] for r in rows] == ["poly", "analytic-cube"]
+    assert f"wrote {path} (2 rows)" in capsys.readouterr().out
+
+
 def test_build_with_parameter_document(tmp_path):
     doc = {"N": 5, "target": {"catalog_id": "reciprocal-shift",
                               "dimension": 1, "domain": "unit-cube"}}

@@ -59,7 +59,7 @@ def test_run_sweeps_applies_the_pass_slack(measured, code, tmp_path,
         assert line.endswith("BOUND FAILURES at [2.0]" if code else "ok")
 
 
-def test_run_sweeps_makes_the_paper_sweeps(tmp_path, monkeypatch, capsys):
+def test_run_sweeps_makes_the_paper_sweeps(tmp_path, monkeypatch):
     calls = []
 
     def fake_sweep(theorem, values, fixed, csv_path=None):
