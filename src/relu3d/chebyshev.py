@@ -21,6 +21,9 @@ __all__ = [
 ]
 
 CONDITIONING_LIMIT = 1e12
+# the largest degree whose cheb_to_monomial_matrix is finite: its largest
+# entry is 4.5e307, and degree 405 holds inf and nan entries
+MAX_DEGREE = 404
 
 
 def _analysis_matrix(m):
@@ -43,7 +46,8 @@ def cheb_to_monomial_matrix(m):
 
     Built from the recurrence T_{j+1}(t) = 2 t T_j - T_{j-1} with t = 2x - 1,
     evaluated in float (exact integers up to the double limit; the growth of
-    the entries, about 3^m, is what drives the conditioning flag).
+    the entries, like (3 + 2 sqrt 2)^m, is what drives the conditioning
+    flag).  The entries stay finite up to m = MAX_DEGREE.
     """
     C = np.zeros((m + 1, m + 1))
     C[0, 0] = 1.0
@@ -59,11 +63,12 @@ def cheb_to_monomial_matrix(m):
 
 
 def _growth(m):
-    """3^m, the growth of the monomial coefficients of T_j(2x - 1), j <= m;
-    3.0 ** 647 overflows."""
-    if m > 646:
-        raise ValueError(f"degree {m} is too large: 3^{m} exceeds the float "
-                         f"range")
+    """3^m, the factor of the stated coefficient bound 2(m+1)3^m.  Degrees
+    above MAX_DEGREE raise ValueError before any work."""
+    if m > MAX_DEGREE:
+        raise ValueError(f"degree {m} is too large: the monomial "
+                         f"coefficients of T_{m}(2x - 1) exceed the float "
+                         f"range above degree {MAX_DEGREE}")
     return 3.0 ** m
 
 

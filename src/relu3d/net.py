@@ -32,8 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 
 SCHEMA_ID = "relu3d/v1"
-# activations (points x neurons of the widest layer) one forward chunk holds
-CHUNK_ELEMENTS = 40_000_000
+# activations (points x neurons of the widest layer) one forward chunk holds:
+# 2^19 float64 values, 4 MiB per layer
+CHUNK_ELEMENTS = 2 ** 19
 
 __all__ = [
     "Neuron",
@@ -530,8 +531,10 @@ def evaluate_batch(net, points):
 
 def evaluate_array(net, pts):
     """Vectorized forward pass.  pts: (m, input_dim), or (m,) when
-    input_dim is 1.  Large batches are processed in chunks of at least 64
-    points and about CHUNK_ELEMENTS activations to bound the working set.
+    input_dim is 1.  Large batches are processed in chunks of
+    CHUNK_ELEMENTS // widest-layer-size points, but at least 64, so that
+    one layer's activations take about 4 MiB.  Each point is independent,
+    so the output does not depend on the chunk size.
 
     Returns (m,) for scalar nets, else (m, output_dim).
     """

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
-from scipy import integrate
 
 from .polynd import PolyND
 
@@ -149,6 +148,9 @@ class TargetSpec:
 
     def gauss_tail_sq(self, M):
         """Closed-ish form for int_{||x||_inf > M} f^2 dgamma_d (d = 1)."""
+        # imported at its one use: scipy.integrate loads scipy.optimize,
+        # special and linalg, which no other relu3d path needs
+        from scipy import integrate
         if not self.gauss_ok:
             raise ValueError("no Gaussian tail envelope for this target")
         if self.d != 1:

@@ -120,7 +120,7 @@ def trig_operator_nd(target, n, r, d, parity):
     parity = tuple(int(e) for e in parity)
     if len(parity) != d:
         raise ValueError("parity must have one entry per dimension")
-    nodes = _default_nodes(d)
+    nodes = _expansion_nodes(n, d)
     return _expand(target(_torus_grid(d, nodes)), n, r, d, parity, nodes)
 
 
@@ -129,7 +129,7 @@ def trig_operator_parts(target, n, r, d):
     in {0, 1}^d, from one evaluation of the target per sign reflection of
     the torus grid."""
     d = int(d)
-    nodes = _default_nodes(d)
+    nodes = _expansion_nodes(n, d)
     values = parity_values(target, _torus_grid(d, nodes))
     return [(eta, _expand(F, n, r, d, eta, nodes))
             for eta, F in values.items()]
@@ -137,6 +137,18 @@ def trig_operator_parts(target, n, r, d):
 
 def _default_nodes(d):
     return DEFAULT_NODES if d == 1 else 1024
+
+
+def _expansion_nodes(n, d):
+    """The torus nodes per axis of a degree-n expansion over d dimensions.
+    Its (n + 1) x nodes cosine matrices are held to TORUS_POINT_CAP
+    entries: a larger n raises ValueError before any grid or kernel work."""
+    n, nodes = int(n), _default_nodes(d)
+    if (n + 1) * nodes > TORUS_POINT_CAP:
+        raise ValueError(f"degree {n} is too large: its ({n + 1}, {nodes}) "
+                         f"cosine matrix exceeds the cap of "
+                         f"{TORUS_POINT_CAP} entries")
+    return nodes
 
 
 def _torus(nodes):

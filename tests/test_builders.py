@@ -426,6 +426,27 @@ def test_lp_refuses_a_torus_grid_over_the_cap(monkeypatch):
         build_lp(target, 2, 6, d=3)
 
 
+def test_lp_refuses_a_degree_whose_cosine_matrix_exceeds_the_cap(
+        monkeypatch):
+    # N1 = 100000 would ask for a (100001, 4096) cosine matrix, 3.05 GiB;
+    # the cap is checked before any grid or kernel work
+    def no_work(*args):
+        raise AssertionError("grid or kernel work started")
+
+    monkeypatch.setattr(trig_operator, "tensor_points", no_work)
+    monkeypatch.setattr(trig_operator, "alpha_coeffs", no_work)
+    target = TargetSpec.catalog("abs-power", domain="sym-cube")
+    with pytest.raises(ValueError, match="cap of 4000000 entries"):
+        build_lp(target, 100000, 8)
+    # the largest degrees whose matrices fit: 976 * 4096 and 3906 * 1024
+    # entries
+    for d, n in ((1, 975), (2, 3905)):
+        assert trig_operator._expansion_nodes(n, d) == \
+            trig_operator._default_nodes(d)
+        with pytest.raises(ValueError, match=f"degree {n + 1} is too large"):
+            trig_operator._expansion_nodes(n + 1, d)
+
+
 def test_default_torus_grids_of_one_and_two_dimensions_fit_the_cap():
     for d, nodes in ((1, 4096), (2, 1024)):
         assert trig_operator._default_nodes(d) == nodes

@@ -435,6 +435,24 @@ def test_table1_config_reads_target_documents(tmp_path, capsys):
     assert f"wrote {path} (2 rows)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row,message", [
+    ({"row": "trig", "k": 1, "N2": 8}, "no baseline row for 'trig'"),
+    ({"row": "poly", "coeffs": [0, 0, 1]}, "missing parameter 'H'"),
+    ({"row": "analytic-cube", "N": 3, "delta": 0.5,
+      "target": {"catalog_id": "nope", "dimension": 1}},
+     "unknown catalog id 'nope'")],
+    ids=["no-baseline", "missing-parameter", "unknown-catalog-id"])
+def test_table1_config_with_a_bad_row_is_usage_error(tmp_path, capsys, row,
+                                                     message):
+    config = tmp_path / "rows.json"
+    config.write_text(json.dumps([row]))
+    path = tmp_path / "table1.csv"
+    assert run(["table1", "--config", str(config), "-o", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad table1 config: {message}")
+    assert not path.exists()
+
+
 def test_build_with_parameter_document(tmp_path):
     doc = {"N": 5, "target": {"catalog_id": "reciprocal-shift",
                               "dimension": 1, "domain": "unit-cube"}}
@@ -614,3 +632,16 @@ def test_module_entry_point_exits_with_the_run_code(tmp_path):
                           str(out), "--target", "square", "--bound", "nan"],
                          env=env, capture_output=True, text=True)
     assert bad.returncode == 2 and bad.stderr.startswith("error: ")
+
+
+def test_import_loads_no_scipy_quadrature_stack():
+    # scipy.integrate, and the optimize, special and linalg modules it
+    # loads, wait for the first Gaussian-norm measurement
+    src = str(Path(relu3d.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, relu3d, relu3d.cli; print(' '.join(m for m in "
+             "('scipy.integrate', 'scipy.optimize', 'scipy.special', "
+             "'scipy.linalg') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, "")

@@ -69,12 +69,22 @@ def test_chebyshev_conditioning_warning_for_large_degree():
 
 
 def test_chebyshev_refuses_degrees_whose_growth_overflows():
-    # 3^646 is the largest power of 3 in the float range
-    target = lambda p: np.cos(p[:, 0])
-    with pytest.raises(ValueError, match="3\\^647 exceeds the float range"):
-        chebyshev_interpolant_1d(target, 647)
-    with pytest.raises(ValueError, match="3\\^647 exceeds the float range"):
-        chebyshev_tensor_coeffs(target, 647, 2)
+    # the monomial conversion matrix is finite up to degree 404 and holds
+    # inf and nan entries from 405 on, where every interpolant had
+    # non-finite coefficients; from 647 on, 3^m overflows as well
+    assert np.all(np.isfinite(cheb_to_monomial_matrix(404)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(cheb_to_monomial_matrix(405)))
+    for f in (np.cos, lambda x: 1.0 / (x + 2.0), lambda x: np.exp(x - 1.0)):
+        target = lambda p, f=f: f(p[:, 0])
+        poly = chebyshev_interpolant_1d(target, 404)
+        assert np.all(np.isfinite(poly.coeff_vector_1d()))
+        for m in (405, 646, 647):
+            with pytest.raises(ValueError, match=f"degree {m} is too large"):
+                chebyshev_interpolant_1d(target, m)
+    for m in (405, 647):
+        with pytest.raises(ValueError, match=f"degree {m} is too large"):
+            chebyshev_tensor_coeffs(np.cos, m, 2)
 
 
 def test_cheb_to_monomial_matrix_small_cases():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_net
-from relu3d import blocks
+from relu3d import blocks, builders, verify
 from relu3d import net as rnet
 from relu3d.builder_dsl import NetBuilder
 from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
@@ -19,6 +19,7 @@ from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
                         evaluate_batch, evaluate_exact, flatten_to_2d,
                         identity_net, linear_combine, metrics, parallel,
                         parallel_shared, serialize)
+from relu3d.targets import TargetSpec
 
 GRID = np.linspace(0.0, 1.0, 1001)[:, None]
 
@@ -129,6 +130,25 @@ def test_evaluate_array_chunking_is_consistent(monkeypatch):
     chunked = evaluate_array(net, GRID)
     assert sizes == [64] * 15 + [41]
     assert np.array_equal(full, chunked)
+
+
+def test_evaluate_array_chunks_the_hermite_gauss_nodes(monkeypatch):
+    # the 3,248 nodes on which gauss_l2_error measures the N = 10 Hermite
+    # net, whose widest layer holds 1,966 neurons: 4 MiB of activations
+    # take 266 points of them
+    target = TargetSpec.catalog("cosine", domain="gaussian-line")
+    rep = builders.build_hermite_gauss(target, 10)
+    net, M = rep.net, rep.meta["support"]
+    x, _ = verify._gauss_panels(-M - 2.0, M + 2.0,
+                                order=verify.GAUSS_PANEL_ORDER)
+    assert x.shape == (3248,)
+    whole = rnet._forward(net, x[None, :])[0]
+    sizes, forward = [], rnet._forward
+    monkeypatch.setattr(rnet, "_forward",
+                        lambda n, X: sizes.append(X.shape[1]) or forward(n, X))
+    got = evaluate_array(net, x)
+    assert len(sizes) > 1 and sum(sizes) == x.size
+    assert got.tobytes() == whole.tobytes()
 
 
 def test_evaluate_exact_on_dyadics():
