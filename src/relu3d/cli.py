@@ -288,15 +288,17 @@ def _cmd_table1(args):
         if args.config:
             configs = _read_json(args.config, "table1 config")
             if not (isinstance(configs, list)
-                    and all(isinstance(c, dict) for c in configs)):
-                raise UsageError("table1 config must be a JSON list of rows")
+                    and all(isinstance(c, dict) and "row" in c
+                            for c in configs)):
+                raise UsageError('table1 config must be a JSON list of '
+                                 'rows, each with a "row" key')
             for cfg in configs:
                 if "target" in cfg:
                     cfg["target"] = TargetSpec.from_document(cfg["target"])
         table = verify.table1_report(configs, csv_path=args.output)
     except (KeyError, TypeError, ValueError) as exc:
-        # a row without a baseline or a "row" key, an unknown theorem or
-        # catalog id, a missing or malformed parameter
+        # a row without a baseline, an unknown theorem or catalog id, a
+        # missing or malformed parameter
         raise UsageError(f"bad table1 config: {_reason(exc)}")
     print(f"wrote {args.output} ({len(table.rows)} rows)")
     return 0

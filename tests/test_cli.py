@@ -440,8 +440,9 @@ def test_table1_config_reads_target_documents(tmp_path, capsys):
     ({"row": "poly", "coeffs": [0, 0, 1]}, "missing parameter 'H'"),
     ({"row": "analytic-cube", "N": 3, "delta": 0.5,
       "target": {"catalog_id": "nope", "dimension": 1}},
-     "unknown catalog id 'nope'")],
-    ids=["no-baseline", "missing-parameter", "unknown-catalog-id"])
+     "unknown catalog id 'nope'"),
+    ({"N": 4}, 'each with a "row" key')],
+    ids=["no-baseline", "missing-parameter", "unknown-catalog-id", "no-row"])
 def test_table1_config_with_a_bad_row_is_usage_error(tmp_path, capsys, row,
                                                      message):
     config = tmp_path / "rows.json"
@@ -449,7 +450,7 @@ def test_table1_config_with_a_bad_row_is_usage_error(tmp_path, capsys, row,
     path = tmp_path / "table1.csv"
     assert run(["table1", "--config", str(config), "-o", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: bad table1 config: {message}")
+    assert err.startswith("error: ") and message in err
     assert not path.exists()
 
 
