@@ -29,7 +29,7 @@ from .builders import (BuildReport, WidthBudgetError, HermiteParams,
                        expected_size, expected_bound, TheoremSpec,
                        THEOREMS, THEOREM_IDS, BASELINE_IDS)
 from .verify import (ErrorReport, SweepRow, SweepTable, FitResult,
-                     sup_error, lp_error, gauss_l2_error,
+                     sup_error, lp_error, lp_errors, gauss_l2_error,
                      sweep, fit_and_check, table1_report)
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from fractions import Fraction
 from itertools import chain as iconcat
 
 import numpy as np
-import scipy.sparse as sp
 
 SCHEMA_ID = "relu3d/v1"
 # activations (points x neurons of the widest layer) one forward chunk holds:
@@ -424,11 +423,18 @@ def _validate(net):
         _row_fault(ro, int(bad[0]), prev, f"readout[{int(bad[0])}]")
 
 
+def _csr_matrix(val, idx, ptr, shape):
+    """scipy CSR matrix.  scipy.sparse is imported here, at the first
+    compile, so building, sizing or serializing a net never loads it."""
+    from scipy.sparse import csr_matrix
+    return csr_matrix((val, idx, ptr), shape=shape)
+
+
 def _csr(ptr, idx, val, n_cols):
     """CSR matrix of packed rows, indices sorted within each row."""
     order = _row_order(ptr, idx)
-    return sp.csr_matrix((val[order], idx[order], np.array(ptr)),
-                         shape=(len(ptr) - 1, n_cols))
+    return _csr_matrix(val[order], idx[order], np.array(ptr),
+                       (len(ptr) - 1, n_cols))
 
 
 class _LayerProgram:
@@ -470,8 +476,8 @@ class _LayerProgram:
             if a:
                 ptr = np.searchsorted(row, np.arange(a, c + 1))
                 lo, hi = ptr[0], ptr[-1]
-                G = sp.csr_matrix((coeff[lo:hi], src[lo:hi], ptr - lo),
-                                  shape=(c - a, a))
+                G = _csr_matrix(coeff[lo:hi], src[lo:hi], ptr - lo,
+                                (c - a, a))
             self.segments.append((slice(a, c), G))
 
 

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from . import net as rnet
+
 __all__ = [
     "square_interp",
     "sym_square_interp",
@@ -144,8 +146,10 @@ def lp_net_twin(pts, report):
 def lp_net_twin_grid(axes, report):
     """Tensor-grid variant of lp_net_twin for d = 2: the per-dimension
     factors are tabulated on the 1-d axes once and only the bivariate
-    product interpolant runs on the full grid.  Returns an
-    (len(axes[0]), len(axes[1])) array."""
+    product interpolant runs on the grid, one block of rows at a time
+    (net.CHUNK_ELEMENTS values per block, at least one row).  Each value
+    is computed alone, so the output does not depend on the block size.
+    Returns an (len(axes[0]), len(axes[1])) array."""
     u1, u2 = (np.asarray(ax, dtype=float) for ax in axes)
     meta = report.meta
     N1 = report.inputs["N1"]
@@ -154,11 +158,15 @@ def lp_net_twin_grid(axes, report):
     def table(jk, eta, col):
         return _factor_twin(meta, (u1, u2)[col], jk, eta)
 
-    total = np.full((u1.size, u2.size), meta["constant"])
-    for eta, j, aj in meta["terms"]:
-        U = table(j[0], eta[0], 0)[:, None]
-        V = table(j[1], eta[1], 1)[None, :]
-        total = total + aj * prodtil2(U, V, N1, M=2.0)
+    terms = [(aj, table(j[0], eta[0], 0), table(j[1], eta[1], 1)[None, :])
+             for eta, j, aj in meta["terms"]]
+    total = np.empty((u1.size, u2.size))
+    rows = max(1, rnet.CHUNK_ELEMENTS // max(1, u2.size))
+    for a in range(0, u1.size, rows):
+        block = total[a:a + rows]
+        block[:] = meta["constant"]
+        for aj, U, V in terms:
+            block += aj * prodtil2(U[a:a + rows, None], V, N1, M=2.0)
     return total
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "FitResult",
     "sup_error",
     "lp_error",
+    "lp_errors",
     "gauss_l2_error",
     "sweep",
     "fit_and_check",
@@ -171,51 +172,69 @@ def sup_error(net, target, domain, base_resolution=None, bound=math.inf):
 
 
 def lp_error(net, target, p, domain, bound=math.inf, eval_grid_fn=None):
-    """L^p error by tensor 8-point Gauss-Legendre panels on a bounded cube.
+    """L^p error by tensor 8-point Gauss-Legendre panels on a bounded cube:
+    lp_errors for the one exponent p."""
+    return lp_errors(net, target, (p,), domain, bound=bound,
+                     eval_grid_fn=eval_grid_fn)[0]
+
+
+def lp_errors(net, target, ps, domain, bound=math.inf, eval_grid_fn=None):
+    """L^p errors for each p in ps by tensor 8-point Gauss-Legendre panels
+    on a bounded cube, from one evaluation on the nodes.  Returns one
+    ErrorReport per p, in the order of ps.
 
     p = inf delegates to sup_error.  For large tensor grids an
     eval_grid_fn(axes) -> values array (tensor shape) can replace pointwise
     network evaluation; agreement with the network is the caller's contract
-    (see twins.spot_check).  ValueError when p is not at least 1, or when
-    the weighted sum of |error|^p is not finite or is 0 while some error is
-    not.
+    (see twins.spot_check).  ValueError when some p is not at least 1, or
+    when the weighted sum of |error|^p is not finite or is 0 while some
+    error is not.
     """
-    if p == math.inf or p == np.inf:
-        return sup_error(net, target, domain, bound=bound)
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"need 1 <= p <= inf, got p = {p}")
-    lo, hi = _domain_bounds(domain)
-    d = net.input_dim
-    n = LP_NODES.get(d, 256)
-    # composite Gauss-Legendre: 8th-order panels so smooth integrands
-    # converge far below the pass slack
-    order = 8
-    panels = max(1, n // order)
-    axis, w_axis = _gauss_panels(lo, hi, panel_width=(hi - lo) / panels,
-                                 order=order)
-    axes = [axis] * d
-    pts = tensor_points(axes)
-    want = np.asarray(target(pts), dtype=float)
-    if eval_grid_fn is not None:
-        got = np.asarray(eval_grid_fn(axes), dtype=float).reshape(-1)
-    else:
-        got = np.asarray(evaluate_array(net, pts), dtype=float)
-    w = w_axis
-    for _ in range(d - 1):
-        w = np.multiply.outer(w, w_axis)
-    err = np.abs(got - want)
-    with np.errstate(over="ignore"):   # an overflow is refused below
-        power_sum = np.sum(w.ravel() * err ** p)
-    if not (math.isfinite(power_sum) and (power_sum > 0 or not err.any())):
-        raise ValueError(f"the weighted sum of |error|^{p:g} is {power_sum}, "
-                         f"so the L^{p:g} error cannot be measured in floats")
-    measured = float(power_sum ** (1.0 / p))
-    res = {"kind": "tensor-gauss-panels", "nodes_per_dim": int(axis.size),
-           "d": d, "domain": [lo, hi], "p": p,
-           "evaluator": "grid" if eval_grid_fn is not None else "pointwise"}
-    return ErrorReport(norm_kind=f"lp({p:g})", measured=measured, bound=bound,
-                       resolution=res)
+    ps = [p if p == math.inf else float(p) for p in ps]
+    for p in ps:
+        if not p >= 1.0:
+            raise ValueError(f"need 1 <= p <= inf, got p = {p}")
+    if any(p != math.inf for p in ps):
+        lo, hi = _domain_bounds(domain)
+        d = net.input_dim
+        n = LP_NODES.get(d, 256)
+        # composite Gauss-Legendre: 8th-order panels so smooth integrands
+        # converge far below the pass slack
+        order = 8
+        panels = max(1, n // order)
+        axis, w_axis = _gauss_panels(lo, hi, panel_width=(hi - lo) / panels,
+                                     order=order)
+        axes = [axis] * d
+        pts = tensor_points(axes)
+        want = np.asarray(target(pts), dtype=float)
+        if eval_grid_fn is not None:
+            got = np.asarray(eval_grid_fn(axes), dtype=float).reshape(-1)
+        else:
+            got = np.asarray(evaluate_array(net, pts), dtype=float)
+        w = w_axis
+        for _ in range(d - 1):
+            w = np.multiply.outer(w, w_axis)
+        w = w.ravel()
+        err = np.abs(got - want)
+    reports = []
+    for p in ps:
+        if p == math.inf:
+            reports.append(sup_error(net, target, domain, bound=bound))
+            continue
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            power_sum = np.sum(w * err ** p)
+        if not (math.isfinite(power_sum) and (power_sum > 0 or not err.any())):
+            raise ValueError(f"the weighted sum of |error|^{p:g} is "
+                             f"{power_sum}, so the L^{p:g} error cannot be "
+                             f"measured in floats")
+        res = {"kind": "tensor-gauss-panels", "nodes_per_dim": int(axis.size),
+               "d": d, "domain": [lo, hi], "p": p,
+               "evaluator": "grid" if eval_grid_fn is not None
+               else "pointwise"}
+        reports.append(ErrorReport(norm_kind=f"lp({p:g})",
+                                   measured=float(power_sum ** (1.0 / p)),
+                                   bound=bound, resolution=res))
+    return reports
 
 
 def _gauss_panels(lo, hi, panel_width=0.25, order=16):

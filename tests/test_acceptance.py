@@ -23,7 +23,7 @@ from relu3d.targets import TargetSpec
 from relu3d.trig_operator import apply_Tn, trig_operator_1d
 from relu3d.twins import lp_net_twin, lp_net_twin_grid, spot_check
 from relu3d.verify import FIT_MARGIN, TABLE1, fit_and_check, \
-    gauss_l2_error, lp_error, sup_error, sweep, table1_report
+    gauss_l2_error, lp_errors, sup_error, sweep, table1_report
 
 # topology-check outcomes for every network built in criteria 1..11;
 # criterion 12 asserts over this registry
@@ -346,17 +346,15 @@ N2_VALUES = (8, 10, 12, 16, 20, 24)
 
 
 def _lp_measure(rep, target, d):
-    if d == 1:
-        e1 = lp_error(rep.net, target, 1, (-1.0, 1.0))
-        e2 = lp_error(rep.net, target, 2, (-1.0, 1.0))
-    else:
+    gf = None
+    if d == 2:
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1, 1, size=(64, 2))
         spot_check(lambda p: evaluate_array(rep.net, p),
                    lambda p: lp_net_twin(p, rep), pts)
         gf = lambda axes: lp_net_twin_grid(axes, rep)
-        e1 = lp_error(rep.net, target, 1, (-1.0, 1.0), eval_grid_fn=gf)
-        e2 = lp_error(rep.net, target, 2, (-1.0, 1.0), eval_grid_fn=gf)
+    e1, e2 = lp_errors(rep.net, target, (1, 2), (-1.0, 1.0),
+                       eval_grid_fn=gf)
     return {1: e1.measured, 2: e2.measured}
 
 

@@ -646,3 +646,47 @@ def test_import_loads_no_scipy_quadrature_stack():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert (done.returncode, done.stdout.strip()) == (0, "")
+
+
+# sha256 of the sq.net outputs on the 64 seeded points of the forward_sha
+# fixture (conftest), recorded while relu3d.net imported scipy.sparse at
+# module level
+SQ_NET_FORWARD_SHA = \
+    "945cb8cb6f8375806c9b9410836b51495a713dbbd63c82fee26ccd6cee0db65a"
+
+SPARSE_PROBE = """
+import hashlib, json, sys
+import numpy as np
+import relu3d, relu3d.cli
+
+def sparse():
+    return sorted(m for m in sys.modules if m.split('.')[:2] ==
+                  ['scipy', 'sparse'])
+
+out, seen = sys.argv[1], {}
+seen['import'] = sparse()
+seen['codes'] = [relu3d.cli.run(['build', '--theorem', 'poly', '--coeffs',
+                                 '0,0,1', '--H', '6', '-o', out]),
+                 relu3d.cli.run(['size', out])]
+seen['build+size'] = sparse()
+net = relu3d.deserialize(open(out).read())
+pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(64, 1))
+y = relu3d.evaluate_array(net, pts)
+seen['sha'] = hashlib.sha256(y.tobytes()).hexdigest()
+seen['evaluate'] = 'scipy.sparse' in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_build_and_size_load_no_scipy_sparse(tmp_path):
+    # scipy.sparse waits for the first compile of a net, which the forward
+    # pass does and build and size never do
+    src = str(Path(relu3d.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", SPARSE_PROBE,
+                           str(tmp_path / "sq.net")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": [], "codes": [0, 0], "build+size": [],
+                    "sha": SQ_NET_FORWARD_SHA, "evaluate": True}

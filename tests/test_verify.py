@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from relu3d import blocks, builders, verify
+from relu3d import blocks, builders, twins, verify
+from relu3d import net as rnet
 from relu3d.net import (Layer, Net3D, Neuron, evaluate_array, identity_net,
                         metrics)
 from relu3d.targets import TargetSpec
 from relu3d.verify import (TABLE1, ErrorReport, SweepRow, SweepTable,
-                           fit_and_check, gauss_l2_error, lp_error, sup_error,
-                           sweep, table1_report)
+                           fit_and_check, gauss_l2_error, lp_error, lp_errors,
+                           sup_error, sweep, table1_report)
 
 
 def zero_net():
@@ -171,6 +172,69 @@ def test_lp_error_of_an_exact_net_is_zero_at_any_p():
     net = blocks.square_net(3)
     er = lp_error(net, lambda q: evaluate_array(net, q), 1e308, (0.0, 1.0))
     assert er.measured == 0.0
+
+
+@pytest.mark.parametrize("name,d", [("step", 1), ("abs-sum", 2)])
+def test_lp_errors_match_separate_lp_error_calls(name, d, monkeypatch):
+    # one evaluation on the nodes serves every p, with the numbers and
+    # resolutions of one lp_error call per p
+    target = TargetSpec.catalog(name, d=d, domain="sym-cube")
+    rep = builders.build_lp(target, 4, 8, d=d)
+    calls = []
+    count = lambda fn: lambda *a: calls.append(1) or fn(*a)
+    monkeypatch.setattr(verify, "evaluate_array", count(evaluate_array))
+    grid = None
+    if d == 2:
+        grid = count(lambda axes: twins.lp_net_twin_grid(axes, rep))
+    want = [lp_error(rep.net, target, p, (-1.0, 1.0), bound=0.5,
+                     eval_grid_fn=grid) for p in (1, 2)]
+    assert len(calls) == 2
+    got = lp_errors(rep.net, target, (1, 2), (-1.0, 1.0), bound=0.5,
+                    eval_grid_fn=grid)
+    assert len(calls) == 3
+    for g, w in zip(got, want):
+        assert float(g.measured).hex() == float(w.measured).hex()
+        assert (g.norm_kind, g.bound, g.passed, repr(g.resolution)) == \
+            (w.norm_kind, w.bound, w.passed, repr(w.resolution))
+
+
+def test_lp_errors_refuses_any_bad_p_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "evaluate_array",
+                        lambda *a: calls.append(1) or evaluate_array(*a))
+    with pytest.raises(ValueError, match="got p = 0.5"):
+        lp_errors(identity_net(1), lambda p: p[:, 0], (2, 0.5), (0.0, 1.0))
+    assert calls == []
+
+
+def test_lp_errors_infinite_p_delegates_to_sup():
+    net = blocks.square_net(3)
+    target = lambda p: p[:, 0] ** 2
+    sup, l2 = lp_errors(net, target, (math.inf, 2), (0.0, 1.0))
+    assert sup.norm_kind == "sup" and l2.norm_kind == "lp(2)"
+    assert sup.measured == \
+        lp_error(net, target, math.inf, (0.0, 1.0)).measured
+
+
+@pytest.mark.parametrize("budget", [None, 1, 16 * 300, 10 ** 9],
+                         ids=["default", "one-row", "ragged", "one-block"])
+def test_lp_net_twin_grid_blocks_are_byte_equal(budget, monkeypatch):
+    target = TargetSpec.catalog("abs-sum", d=2, domain="sym-cube")
+    rep = builders.build_lp(target, 4, 8, d=2)
+    # unequal axes, so a swapped axis shows; 257 rows leave a ragged block
+    # of 1 at 16 rows
+    axes = (np.linspace(-1.0, 1.0, 257), np.linspace(-1.0, 1.0, 300))
+    monkeypatch.setattr(rnet, "CHUNK_ELEMENTS", 10 ** 9)
+    full = twins.lp_net_twin_grid(axes, rep)
+    if budget is not None:
+        monkeypatch.setattr(rnet, "CHUNK_ELEMENTS", budget)
+    else:
+        monkeypatch.undo()
+    got = twins.lp_net_twin_grid(axes, rep)
+    assert got.shape == (257, 300)
+    assert got.tobytes() == full.tobytes()
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+    assert np.array_equal(got.ravel(), twins.lp_net_twin(pts, rep))
 
 
 # -- gauss_l2_error -----------------------------------------------------------
