@@ -216,7 +216,8 @@ def test_lp_errors_infinite_p_delegates_to_sup():
         lp_error(net, target, math.inf, (0.0, 1.0)).measured
 
 
-@pytest.mark.parametrize("budget", [None, 1, 16 * 300, 10 ** 9],
+@pytest.mark.parametrize("budget",
+                         [rnet.CHUNK_ELEMENTS, 1, 16 * 300, 10 ** 9],
                          ids=["default", "one-row", "ragged", "one-block"])
 def test_lp_net_twin_grid_blocks_are_byte_equal(budget, monkeypatch):
     target = TargetSpec.catalog("abs-sum", d=2, domain="sym-cube")
@@ -226,10 +227,7 @@ def test_lp_net_twin_grid_blocks_are_byte_equal(budget, monkeypatch):
     axes = (np.linspace(-1.0, 1.0, 257), np.linspace(-1.0, 1.0, 300))
     monkeypatch.setattr(rnet, "CHUNK_ELEMENTS", 10 ** 9)
     full = twins.lp_net_twin_grid(axes, rep)
-    if budget is not None:
-        monkeypatch.setattr(rnet, "CHUNK_ELEMENTS", budget)
-    else:
-        monkeypatch.undo()
+    monkeypatch.setattr(rnet, "CHUNK_ELEMENTS", budget)
     got = twins.lp_net_twin_grid(axes, rep)
     assert got.shape == (257, 300)
     assert got.tobytes() == full.tobytes()
