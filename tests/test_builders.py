@@ -666,6 +666,50 @@ def test_array_checks_match_the_scalar_reference(case):
 
 # name -> (sha256 of serialize, the same net's constructor)
 GOLDEN_GADGETS = {
+    # the tower gadgets: sawtooth, square (with its H = 0 floor), the
+    # [0, 1]^2 product, the power chain and the [-M, M]^d product chain
+    "sawtooth-1": (
+        "0abb4f15a54b402d4cd051a1250594e6162dd7a85c4770245ac30bebe55e91c8",
+        lambda: blocks.sawtooth_net(1)),
+    "sawtooth-3": (
+        "a5eaebe366b9eb67186fac2c257ebae66cc2c740a885af8d3ff7088ab64dbc6e",
+        lambda: blocks.sawtooth_net(3)),
+    "sawtooth-8": (
+        "b6f5f10960b9d5d76ac1fb33aacc4777532082494d3c264b455d188580d7e37a",
+        lambda: blocks.sawtooth_net(8)),
+    "square-0": (
+        "d084fc2360eb18f168ec1821bbe0b34e01662115bc8b3b91b5a1ab26d9a48a3d",
+        lambda: blocks.square_net(0)),
+    "square-1": (
+        "31a11f910689f89f5760b2497419969668f176075261ecdf0090a74ec561a49a",
+        lambda: blocks.square_net(1)),
+    "square-6": (
+        "3b9832b4bcfb093c6cba828b20f52968ab77065c35eb787adc7a4aa1d252990e",
+        lambda: blocks.square_net(6)),
+    "product2-0": (
+        "1fbf91dc7a43b1a0557a34e1d97d3139cd9e648fe894fcdeedd7dad9b4bcc1fd",
+        lambda: blocks.product2_unit(0)),
+    "product2-1": (
+        "1457717cd65f558a779fb75328e9fad7a00d2cac30fbb9e785d41712c2c8d430",
+        lambda: blocks.product2_unit(1)),
+    "product2-5": (
+        "b3112f011a9ca0f044bdadac123a1d40bc20394eff4452448d231d37447acf01",
+        lambda: blocks.product2_unit(5)),
+    "power-chain-1-3": (
+        "993a8723a0ce61943cb8f97b023088e6f73f99e2fed39eb17a6fa5231cc31804",
+        lambda: blocks.power_chain_net(1, 3)),
+    "power-chain-4-3": (
+        "6ab17386e208e43a488e61d8c019cdb59f665404defb7198bf0e10abe41513ff",
+        lambda: blocks.power_chain_net(4, 3)),
+    "product-d-1-3-2": (
+        "10a44c762a995e469dc68b8929f2ad6a37bbdd4dcbdcf5153823b52f97f4a697",
+        lambda: blocks.product_d_net(1, 3, M=2.0)),
+    "product-d-2-4": (
+        "f3b55f914eeb308d656b7bcae7593f0089df9328c9321a82d8d5193d16170846",
+        lambda: blocks.product_d_net(2, 4)),
+    "product-d-3-4-2": (
+        "17cdd80f84ac847be81d946ebee876e448b8b87f632b59b7a5db1caa4504df7e",
+        lambda: blocks.product_d_net(3, 4, M=2.0)),
     "periodic-fold-5": (
         "ba2e0d13519f564881dd63e21c64554db2967c04791d217d0f1859664f4c6d84",
         lambda: blocks.periodic_fold_net(5)),
