@@ -47,8 +47,9 @@ def _check_square_height(H):
 def add_tent_towers(layer, ys, s, riders=()):
     """Grow s floors of tent towers over the wires ys (each in [0, 1]).
 
-    Returns (gs, rider_wires): gs[i] = [g_1(ys[i]), ..., g_s(ys[i])] as
-    affine wires over the tower neurons.  Each rider (a wire with
+    Returns (gs, ws, rider_wires): gs[i] = [g_1(ys[i]), ..., g_s(ys[i])] as
+    affine wires over the tower neurons, and ws[i] = sigma(ys[i]) = ys[i] is
+    the tower's first-floor carry.  Each rider (a wire with
     nonnegative value) is passed through a sigma unit on the first floor,
     alongside the towers' first stage; rider_wires are the pass-through
     outputs.  Floor width is 2*len(ys) (+len(riders) on the first floor).
@@ -56,6 +57,7 @@ def add_tent_towers(layer, ys, s, riders=()):
     if s < 1:
         raise NetFormatError("towers need s >= 1")
     gs = [[] for _ in ys]
+    ws = []
     prev = list(ys)
     rider_wires = []
     for stage in range(s):
@@ -64,6 +66,7 @@ def add_tent_towers(layer, ys, s, riders=()):
             if stage == 0:
                 t = fl.neuron(g - 0.5)
                 w = fl.neuron(g)
+                ws.append(w)
                 g_new = 2 * w - 4 * t
             else:
                 t = fl.neuron(0.5 - g)
@@ -74,21 +77,12 @@ def add_tent_towers(layer, ys, s, riders=()):
         if stage == 0:
             for r in riders:
                 rider_wires.append(fl.neuron(r))
-    return gs, rider_wires
+    return gs, ws, rider_wires
 
 
-def _w1_wire(g1_wire):
-    """Recover the first-floor w neuron (equal to the tower input y) from
-    the g_1 wire g_1 = 2*w_1 - 4*t_1."""
-    for ref, c in g1_wire.terms.items():
-        if c == 2.0:
-            return Wire({ref: 1.0})
-    raise NetFormatError("tower carry not found")
-
-
-def _square_wire(gs):
-    """f_H = w_1 - sum_j g_j / 4^j from one tower's wires gs = [g_1..g_H]."""
-    f = _w1_wire(gs[0])
+def _tower_sum(f, gs):
+    """f - sum_j gs[j-1] / 4^j, one term at a time; f_H when f is a tower's
+    carry w_1 and gs = [g_1..g_H] its wires."""
     for j, g in enumerate(gs, start=1):
         f = f - g / (4.0 ** j)
     return f
@@ -98,15 +92,16 @@ def _unit_prod_bank(layer, pairs, H, riders=()):
     """Three towers per (x, y) pair, all on shared floors, computing
     prodhat(x, y) on [0, 1]^2 for every pair.
 
-    Returns (prods, gs, rider_wires); gs are the towers' wires, three per
-    pair, on (x+y)/2, x/2 and y/2.  Requires H >= 1.
+    Returns (prods, ws, rider_wires); ws are the towers' carries, three per
+    pair, of (x+y)/2, x/2 and y/2.  Requires H >= 1.
     """
     _check_square_height(H)
     ys = [v for x, y in pairs for v in ((x + y) * 0.5, x * 0.5, y * 0.5)]
-    gs, rw = add_tent_towers(layer, ys, H, riders=riders)
-    prods = [2 * _square_wire(gs[i]) - 2 * _square_wire(gs[i + 1])
-             - 2 * _square_wire(gs[i + 2]) for i in range(0, len(gs), 3)]
-    return prods, gs, rw
+    gs, ws, rw = add_tent_towers(layer, ys, H, riders=riders)
+    fs = [_tower_sum(w, g) for w, g in zip(ws, gs)]
+    prods = [2 * fs[i] - 2 * fs[i + 1] - 2 * fs[i + 2]
+             for i in range(0, len(fs), 3)]
+    return prods, ws, rw
 
 
 def _unit_prod_wires(layer, x, y, H, riders=()):
@@ -116,8 +111,8 @@ def _unit_prod_wires(layer, x, y, H, riders=()):
     inputs as wires over this layer (from the towers on x/2 and y/2).
     Requires H >= 1 (callers special-case H = 0).
     """
-    (prod,), gs, rw = _unit_prod_bank(layer, [(x, y)], H, riders=riders)
-    return prod, 2 * _w1_wire(gs[1][0]), 2 * _w1_wire(gs[2][0]), rw
+    (prod,), ws, rw = _unit_prod_bank(layer, [(x, y)], H, riders=riders)
+    return prod, 2 * ws[1], 2 * ws[2], rw
 
 
 def _sym_prod_wires(layer, u, v, H, riders=()):
@@ -125,23 +120,16 @@ def _sym_prod_wires(layer, u, v, H, riders=()):
 
     Tower inputs are y_i = (z_i + 1)/2 with z = ((u+v)/2, u/2, v/2); each
     tower has height H+1 and yields F_H(z) = (1 - g_1) - sum g_{j+1}/4^j.
-    Returns (prod, u_carry, v_carry, rider_wires); carries recover u and v
-    from the floor-1 w neurons (w = z/4 + 1/2 gives z... u = 4w - 2).
+    Returns (prod, u_carry, v_carry, rider_wires); the carries recover u and
+    v from the towers' carries w = u/4 + 1/2 and v/4 + 1/2.
     """
     _check_square_height(H)
     zs = [(u + v) * 0.5, u * 0.5, v * 0.5]
     ys = [z * 0.5 + 0.5 for z in zs]
-    gs, rw = add_tent_towers(layer, ys, H + 1, riders=riders)
-    fs = []
-    for i in range(3):
-        f = 1.0 - gs[i][0]
-        for j in range(1, H + 1):
-            f = f - gs[i][j] / (4.0 ** j)
-        fs.append(f)
+    gs, ws, rw = add_tent_towers(layer, ys, H + 1, riders=riders)
+    fs = [_tower_sum(1.0 - g[0], g[1:]) for g in gs]
     prod = 2 * fs[0] - 2 * fs[1] - 2 * fs[2]
-    u_carry = 4 * _w1_wire(gs[1][0]) - 2
-    v_carry = 4 * _w1_wire(gs[2][0]) - 2
-    return prod, u_carry, v_carry, rw
+    return prod, 4 * ws[1] - 2, 4 * ws[2] - 2, rw
 
 
 def sawtooth_net(s):
@@ -152,7 +140,7 @@ def sawtooth_net(s):
     b = NetBuilder(1)
     x = b.input(0)
     L = b.layer()
-    gs, _ = add_tent_towers(L, [x], s)
+    gs, _, _ = add_tent_towers(L, [x], s)
     b.commit()
     return b.finish([gs[0][-1]])
 
@@ -173,9 +161,9 @@ def square_net(H):
         b.commit()
         return b.finish([w - m])
     _check_square_height(H)
-    gs, _ = add_tent_towers(L, [x], H)
+    gs, ws, _ = add_tent_towers(L, [x], H)
     b.commit()
-    return b.finish([_square_wire(gs[0])])
+    return b.finish([_tower_sum(ws[0], gs[0])])
 
 
 def product2_unit(H):
@@ -272,7 +260,7 @@ def _fold_wire(layer, x, s, scale):
     absx = fl.neuron(x) + fl.neuron(-1.0 * x)
     if s == 0:
         return absx
-    gs, _ = add_tent_towers(layer, [absx * scale], s)
+    gs, _, _ = add_tent_towers(layer, [absx * scale], s)
     return gs[0][-1]
 
 

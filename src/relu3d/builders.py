@@ -789,16 +789,17 @@ class Measure:
 class TheoremSpec:
     """One approximation result.
 
-    build maps normalized parameters to a BuildReport.  size and bound are
-    the stated formulas: their argument names are the stated quantities
-    they read (see expected_size).  sweep_param is the parameter a sweep
+    builder is the construction; build calls it with the normalized
+    parameters its argument names.  size and bound are the stated
+    formulas: their argument names are the stated quantities they read
+    (see expected_size).  sweep_param is the parameter a sweep
     varies by default; paper_sweep, if any, is the sweep the paper reports:
     (values of sweep_param, fixed parameters).  baseline names the plain-2D
     row of the comparison table, if any.
     """
 
     id: str
-    build: object
+    builder: object
     params: tuple
     sweep_param: str
     size: object
@@ -827,6 +828,10 @@ class TheoremSpec:
                 raise KeyError(f"missing parameter {prm.name!r}{also}")
             p[prm.name] = prm.coerce(value)
         return p
+
+    def build(self, params):
+        """The BuildReport of normalized parameters."""
+        return _stated(self.builder, params)
 
 
 def _stated(formula, params):
@@ -859,15 +864,14 @@ _D = Param("d", int, flag="")
 
 THEOREMS = _Strict(((t.id, t) for t in (
     TheoremSpec(
-        "poly", lambda p: build_poly1d(p["coeffs"], p["H"]),
+        "poly", build_poly1d,
         (Param("coeffs", _floats), Param("H", int)), "H",
         size=lambda n, H: (8, n - 1, H),
         bound=lambda amax, n, H: amax * 3.0 * n * n * 2.0 ** (-2 * (H + 1)),
         measure=Measure("sup", "coeffs"), baseline="baseline-poly",
         paper_sweep=(range(1, 13), {"coeffs": [0.0, 0.0, 1.0]})),
     TheoremSpec(
-        "polyNd",
-        lambda p: build_polyNd(p["poly"], p["H"], width_cap=p["width_cap"]),
+        "polyNd", build_polyNd,
         (Param("poly", _polynd, flag="", alias="coeffs_nd"),
          Param("H", int), Param("width_cap", int, None, flag="")), "H",
         size=lambda n, H, d: (_poly_width(n, d), n - 1, H),
@@ -875,7 +879,7 @@ THEOREMS = _Strict(((t.id, t) for t in (
                                      * (math.e * (n + d) / d) ** d),
         measure=Measure("sup", "poly"), baseline="baseline-poly"),
     TheoremSpec(
-        "smooth", lambda p: build_smooth1d(p["target"], p["N"]),
+        "smooth", build_smooth1d,
         (_TARGET, Param("N", int)), "N",
         size=lambda N: (8, N, math.ceil(0.5 * (math.log2(6) * N
                                                + 3 * math.log2(N + 2)
@@ -885,9 +889,7 @@ THEOREMS = _Strict(((t.id, t) for t in (
         paper_sweep=(range(2, 11),
                      {"target": TargetSpec.catalog("reciprocal-shift")})),
     TheoremSpec(
-        "analytic-cube",
-        lambda p: build_analytic_cube(p["target"], p["N"], p["delta"],
-                                      d=p["d"]),
+        "analytic-cube", build_analytic_cube,
         (_TARGET, Param("N", int), Param("delta", float), _D), "N",
         size=lambda N, delta, d: (
             _poly_width(N, d), N - 1,
@@ -901,9 +903,7 @@ THEOREMS = _Strict(((t.id, t) for t in (
             "target": TargetSpec.catalog("geometric-product", d=1),
             "delta": 0.5})),
     TheoremSpec(
-        "ellipse",
-        lambda p: build_analytic_ellipse(p["target"], p["N"], p["rho"],
-                                         d=p["d"]),
+        "ellipse", build_analytic_ellipse,
         (_TARGET, Param("N", int), Param("rho", float), _D), "N",
         size=lambda N, rho, d: (
             _poly_width(N, d), N - 1,
@@ -915,9 +915,7 @@ THEOREMS = _Strict(((t.id, t) for t in (
         paper_sweep=(range(4, 17, 2), {
             "target": TargetSpec.catalog("reciprocal-shift"), "rho": 4.0})),
     TheoremSpec(
-        "hermite",
-        lambda p: build_hermite_gauss(p["target"], p["N"], d=p["d"],
-                                      beta=p["beta"]),
+        "hermite", build_hermite_gauss,
         (_TARGET, Param("N", int), _D,
          Param("beta", _floats, lambda p: (1.0,) * p["d"], flag="")), "N",
         size=_hermite_size,
@@ -927,7 +925,7 @@ THEOREMS = _Strict(((t.id, t) for t in (
         paper_sweep=(range(2, 11), {
             "target": TargetSpec.catalog("cosine", domain="gaussian-line")})),
     TheoremSpec(
-        "trig", lambda p: build_trig(p["k"], p["N2"], kind=p["kind"]),
+        "trig", build_trig,
         (Param("k", int), Param("N2", int),
          Param("kind", ("cos", "sin"), "cos")), "N2",
         size=lambda k, N2: (8, N2 + 1, max(_chain_height(N2),
@@ -937,9 +935,7 @@ THEOREMS = _Strict(((t.id, t) for t in (
         measure=Measure("sup", "trig", (-1.0, 1.0)),
         paper_sweep=(range(6, 17, 2), {"k": 3, "kind": "cos"})),
     TheoremSpec(
-        "lp",
-        lambda p: build_lp(p["target"], p["N1"], p["N2"], r=p["r"],
-                           d=p["d"]),
+        "lp", build_lp,
         (_TARGET, Param("N1", int), Param("N2", int), Param("r", int, 2), _D,
          Param("p", float, 2.0, flag="sweep")), "N1",
         size=lambda N1, N2, d: (max(8 * N1 * d, N1 ** d * (4 + d)), N2 + d,
