@@ -309,6 +309,11 @@ def _cmd_table1(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    """No abbreviated flags: verify --d is refused, not read as --domain."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -354,7 +359,6 @@ def _build_parser():
     v.add_argument("--norm", default="sup", choices=("sup", "lp", "gauss"))
     v.add_argument("--p", type=float, default=2.0, help="L^p exponent")
     v.add_argument("--domain", help="domain name or use the target's")
-    v.add_argument("--d", type=int)
     v.add_argument("--bound", type=float,
                    help="override the bound from the build report")
     v.add_argument("--support", type=float,

@@ -55,6 +55,9 @@ class ErrorReport:
 
     def __post_init__(self):
         self.measured = float(self.measured)
+        if not math.isfinite(self.measured):
+            raise ValueError(f"the measured {self.norm_kind} error is "
+                             f"{self.measured}, not a finite number")
         self.bound = float(self.bound)
         self.passed = self.measured <= self.bound * (1.0 + PASS_SLACK)
 

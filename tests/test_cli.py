@@ -304,6 +304,49 @@ def test_verify_of_a_negative_gauss_support_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "h.net.verify.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore")   # 1/0, and quad on a nan integrand
+@pytest.mark.parametrize("norm,target", [
+    ("sup", {"catalog_id": "cosine", "params": {"omega": float("nan")}}),
+    ("sup", {"catalog_id": "abs-power", "params": {"alpha": -1}}),
+    ("gauss", {"catalog_id": "cosine", "domain": "gaussian-line",
+               "params": {"omega": float("nan")}})],
+    ids=["nan-sup", "inf-sup", "nan-gauss"])
+def test_verify_of_a_non_finite_target_is_usage_error(tmp_path, capsys, norm,
+                                                      target):
+    # exit 1 means a bound failure on a real number, not "measured nan"
+    if norm == "sup":
+        out = build_square(tmp_path)
+    else:
+        out = tmp_path / "h.net"
+        assert run(["build", "--theorem", "hermite", "--target", "cosine",
+                    "--N", "4", "-o", str(out)]) == 0
+    params = tmp_path / "target.json"
+    params.write_text(json.dumps({"target": target}))
+    capsys.readouterr()
+    assert run(["verify", str(out), "--params", str(params),
+                "--norm", norm]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot measure {out}")
+    assert "not a finite number" in err
+    assert not Path(str(out) + ".verify.json").exists()
+
+
+@pytest.mark.parametrize("params", [None, {"target": {
+    "catalog_id": "quadratic", "dimension": 5}}], ids=["flag", "document"])
+def test_verify_takes_the_dimension_from_the_net(tmp_path, capsys, params):
+    # verify has no --d: the target is re-made with the net's input_dim
+    out = build_square(tmp_path)
+    args = ["verify", str(out)]
+    if params is None:
+        args += ["--target", "square"]
+    else:
+        (tmp_path / "d5.json").write_text(json.dumps(params))
+        args += ["--params", str(tmp_path / "d5.json")]
+    assert run(args) == 0
+    assert run(args + ["--d", "3"]) == 2
+    assert "unrecognized arguments: --d 3" in capsys.readouterr().err
+
+
 def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
                                                                capsys):
     assert run(["build", "--theorem", "hermite", "--target", "cosine",

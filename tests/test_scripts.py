@@ -1,8 +1,9 @@
-"""The paper's workloads end to end: scripts/run_sweeps.py and the
-`relu3d table1` command."""
+"""The paper's workloads end to end: scripts/run_sweeps.py, the
+`relu3d table1` command and the README's Python examples."""
 
 import csv
 import hashlib
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import relu3d
-from relu3d.builders import THEOREMS
+from relu3d.builders import THEOREMS, build_trig
 from relu3d.cli import run
+from relu3d.net import serialize
 from relu3d.verify import SweepRow, SweepTable
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 # sha256 of the size-comparison CSV and of the repr of the list of sweep
 # calls (theorem, swept parameter, values, repr of the fixed parameters)
@@ -78,3 +81,17 @@ def test_run_sweeps_makes_the_paper_sweeps(tmp_path, monkeypatch):
     assert main() == 0
     assert len(calls) == 7
     assert _sha(repr(calls).encode()) == SWEEP_CALLS_SHA
+
+
+def test_readme_python_examples_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        README.read_text(encoding="utf-8"), re.M | re.S)
+    spaces = []
+    for block in blocks:
+        spaces.append({})
+        exec(compile(block, str(README), "exec"), spaces[-1])
+    smooth, registry = spaces   # the sup_error and the THEOREMS examples
+    assert smooth["report"].passed
+    assert capsys.readouterr().out.split()[-1] == "True"
+    assert serialize(registry["rep"].net) == \
+        serialize(build_trig(3, 10, kind="cos").net)

@@ -31,6 +31,28 @@ def test_error_report_pass_rule():
     assert not ErrorReport("sup", 1.0 + 1e-8, 1.0, {}).passed
 
 
+@pytest.mark.parametrize("measured", [math.nan, math.inf, -math.inf])
+def test_error_report_refuses_a_non_finite_measurement(measured):
+    with pytest.raises(ValueError, match="not a finite number"):
+        ErrorReport("sup", measured, 1.0, {})
+
+
+@pytest.mark.filterwarnings("ignore")   # 1/0, and quad on a nan integrand
+def test_sup_and_gauss_errors_of_a_non_finite_target_raise():
+    # a nan parameter makes the target nan everywhere; |x|^-1 is inf at 0,
+    # a node of the sup grid
+    nan_cos = TargetSpec.catalog("cosine", domain="gaussian-line",
+                                 omega=math.nan)
+    pole = TargetSpec.catalog("abs-power", alpha=-1.0)
+    for target in (nan_cos, pole):
+        with pytest.raises(ValueError, match="not a finite number"):
+            sup_error(blocks.square_net(3), target, (0.0, 1.0))
+    rep = builders.build_hermite_gauss(
+        TargetSpec.catalog("cosine", domain="gaussian-line"), 4)
+    with pytest.raises(ValueError, match="gauss-l2 error is nan"):
+        gauss_l2_error(rep.net, nan_cos, rep.meta["support"])
+
+
 def test_sweep_table_sorted_and_nonempty():
     rows = [SweepRow(3, 0.1, 1, 1, 1, 1, 1), SweepRow(1, 0.3, 1, 1, 1, 1, 1)]
     table = SweepTable("H", rows)
