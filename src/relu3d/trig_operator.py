@@ -29,9 +29,8 @@ from .jackson import jackson_kernel
 from .polynd import contract, tensor_points
 from .targets import parity_values
 
-__all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_1d",
-           "apply_Tn", "trig_operator_nd", "trig_operator_parts",
-           "apply_Tn_nd", "fourier_integrals"]
+__all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_nd",
+           "trig_operator_parts", "apply_Tn_nd"]
 
 DEFAULT_NODES = 4096
 # points of a torus grid (nodes ** d); d = 2 uses 1024 ** 2, d = 3 would
@@ -45,10 +44,8 @@ class TrigOperatorCoeffs:
     n: int
     r: int
     alpha: np.ndarray          # alpha_0..alpha_n (shared across dimensions)
-    parity: tuple = ()         # eta in {0,1}^d; empty for the plain 1-d case
+    parity: tuple              # eta in {0,1}^d
     a: dict = field(default_factory=dict)   # multi-index -> coefficient
-    cos_part: np.ndarray = None  # d=1: alpha_j * int f cos(ju) du
-    sin_part: np.ndarray = None  # d=1: alpha_j * int f sin(ju) du
     meta: dict = field(default_factory=dict)
 
 
@@ -69,40 +66,6 @@ def alpha_coeffs(n, r):
             s += (-1.0) ** (k + 1) * math.comb(r, k) * a_l
         alpha[j] = s
     return alpha, K
-
-
-def fourier_integrals(fn, n):
-    """int f(u) cos(ju) du and int f(u) sin(ju) du over [-pi, pi] by the
-    composite trapezoid rule on DEFAULT_NODES torus nodes (periodic, so the
-    uniform grid is spectrally accurate for smooth integrands)."""
-    u = _torus(DEFAULT_NODES)
-    f = np.asarray(fn(u[:, None]), dtype=float)
-    js = np.arange(n + 1)
-    cosM = np.cos(np.outer(js, u))
-    sinM = np.sin(np.outer(js, u))
-    h = 2.0 * math.pi / DEFAULT_NODES
-    return cosM @ f * h, sinM @ f * h
-
-
-def trig_operator_1d(target, n, r):
-    """T_n coefficients for a target on [-pi, pi] (d = 1)."""
-    n, r = int(n), int(r)
-    if n < r:
-        raise ValueError("need n >= r")
-    alpha, K = alpha_coeffs(n, r)
-    C, S = fourier_integrals(target, n)
-    coeffs = TrigOperatorCoeffs(d=1, n=n, r=r, alpha=alpha,
-                                cos_part=alpha * C, sin_part=alpha * S,
-                                meta={"kernel_m": K.m})
-    return coeffs
-
-
-def apply_Tn(coeffs, x):
-    """Evaluate the d = 1 trigonometric polynomial T_n(f) at points x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    js = np.arange(coeffs.n + 1)
-    ang = np.outer(x, js)
-    return np.cos(ang) @ coeffs.cos_part + np.sin(ang) @ coeffs.sin_part
 
 
 def trig_operator_nd(target, n, r, d, parity):

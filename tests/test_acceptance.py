@@ -11,6 +11,7 @@ import zlib
 
 import numpy as np
 from scipy import integrate
+from test_expansions import Tn_periodic
 
 from relu3d import blocks, builders, verify
 from relu3d.hermite import (hermite_eval, hermite_orthonormality_check,
@@ -20,7 +21,6 @@ from relu3d.net import (deserialize, evaluate_array, flatten_to_2d, metrics,
                         serialize)
 from relu3d.smoothness import modulus_smoothness
 from relu3d.targets import TargetSpec
-from relu3d.trig_operator import apply_Tn, trig_operator_1d
 from relu3d.twins import lp_net_twin, lp_net_twin_grid, spot_check
 from relu3d.verify import FIT_MARGIN, TABLE1, fit_and_check, \
     gauss_l2_error, lp_errors, sup_error, sweep, table1_report
@@ -324,11 +324,11 @@ def test_criterion_10_trig_operator():
         fv = f(xs[:, None])
         for r in (1, 2):
             for n in (4, 8, 16, 32, 64):
-                Tv = apply_Tn(trig_operator_1d(f, n, r), xs)
+                Tv = Tn_periodic(f, n, r, xs)
                 norm_ok = norm_ok and l2(Tv) <= r * l2(fv) * (1 + 1e-9)
         ratios = {}
         for n in (4, 8, 12, 16, 24, 32, 48, 64):
-            Tv = apply_Tn(trig_operator_1d(f, n, 1), xs)
+            Tv = Tn_periodic(f, n, 1, xs)
             om = modulus_smoothness(f, 1, 1.0 / n, p=2, d=1,
                                     half_width=math.pi)
             ratios[n] = l2(Tv - fv) / om

@@ -21,8 +21,7 @@ from relu3d.smoothness import modulus_smoothness
 from relu3d.targets import (ParityComponent, TargetSpec, parity_decompose,
                             parity_values, power_series_truncate)
 from relu3d.trig_operator import (_default_nodes, _torus_grid, alpha_coeffs,
-                                  apply_Tn, apply_Tn_nd, fourier_integrals,
-                                  trig_operator_1d, trig_operator_nd,
+                                  apply_Tn_nd, trig_operator_nd,
                                   trig_operator_parts)
 
 # -- Chebyshev --------------------------------------------------------------
@@ -298,31 +297,44 @@ def test_kernel_moment_scaling(k):
 # -- T_n operator -----------------------------------------------------------
 
 
-def test_Tn_reproduces_constants():
-    tc = trig_operator_1d(lambda p: np.ones(p.shape[0]), 8, 2)
-    xs = np.linspace(-math.pi, math.pi, 257)
-    assert np.max(np.abs(apply_Tn(tc, xs) - 1.0)) <= 1e-10
+def Tn_periodic(f, n, r, xs):
+    """T_n f at points xs of [-pi, pi] for a target f on [-pi, pi]: the
+    builders' operator, trig_operator_parts summed over the parities, on
+    the pullback g(y) = f(pi y) to [-1, 1], evaluated at xs / pi."""
+    g = lambda p: f(np.asarray(p) * math.pi)
+    g.d = 1
+    ys = np.asarray(xs, dtype=float) / math.pi
+    return sum(apply_Tn_nd(c, ys) for _, c in trig_operator_parts(g, n, r, 1))
 
 
-def test_Tn_matches_difference_integral_definition():
-    # oracle: T_n f(x) = int [(-1)^(r+1) Delta_t^r f(x) + f(x)] K(t) dt
-    n, r = 6, 2
-    f = lambda u: np.sin(u) + 0.3 * np.cos(2 * u)
+def _difference_integral(f, n, r, xs):
+    """The defining integral T_n f(x) = int [(-1)^(r+1) Delta_t^r f(x)
+    + f(x)] K(t) dt, by the trapezoid rule on 4096 torus nodes."""
     K = jackson_kernel(n, r)
-    tc = trig_operator_1d(lambda p: f(p[:, 0]), n, r)
-    xs = np.linspace(-math.pi, math.pi, 33)
     t = -math.pi + 2 * math.pi * np.arange(4096) / 4096
     w = 2 * math.pi / 4096
     Kt = kernel_eval(K, t)
-    from scipy.special import comb
     want = []
     for x in xs:
         delta = np.zeros_like(t)
         for k in range(r + 1):
-            delta += (-1.0) ** (r - k) * comb(r, k, exact=True) * f(x + k * t)
+            delta += (-1.0) ** (r - k) * math.comb(r, k) * f(x + k * t)
         want.append(np.sum(((-1.0) ** (r + 1) * delta + f(x)) * Kt) * w)
-    got = apply_Tn(tc, xs)
-    assert np.max(np.abs(got - np.asarray(want))) <= 1e-10
+    return np.asarray(want)
+
+
+def test_Tn_reproduces_constants():
+    xs = np.linspace(-math.pi, math.pi, 257)
+    got = Tn_periodic(lambda p: np.ones(p.shape[0]), 8, 2, xs)
+    assert np.max(np.abs(got - 1.0)) <= 1e-10
+
+
+def test_Tn_matches_difference_integral_definition():
+    n, r = 6, 2
+    f = lambda u: np.sin(u) + 0.3 * np.cos(2 * u)
+    xs = np.linspace(-math.pi, math.pi, 33)
+    got = Tn_periodic(lambda p: f(p[:, 0]), n, r, xs)
+    assert np.max(np.abs(got - _difference_integral(f, n, r, xs))) <= 1e-10
 
 
 def test_Tn_linearity():
@@ -333,9 +345,8 @@ def test_Tn_linearity():
     g = lambda p: np.cos(2 * p[:, 0]) + 0.5
     combo = lambda p: a * f(p) + b * g(p)
     xs = np.linspace(-math.pi, math.pi, 101)
-    lhs = apply_Tn(trig_operator_1d(combo, n, r), xs)
-    rhs = (a * apply_Tn(trig_operator_1d(f, n, r), xs)
-           + b * apply_Tn(trig_operator_1d(g, n, r), xs))
+    lhs = Tn_periodic(combo, n, r, xs)
+    rhs = a * Tn_periodic(f, n, r, xs) + b * Tn_periodic(g, n, r, xs)
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -346,9 +357,8 @@ def l2_pi(fn_vals, n):
 def test_Tn_norm_bound_step():
     n, r = 16, 2
     f = lambda p: np.sign(p[:, 0])
-    tc = trig_operator_1d(f, n, r)
     xs = -math.pi + 2 * math.pi * (np.arange(4096) + 0.5) / 4096
-    norm_T = l2_pi(apply_Tn(tc, xs), n)
+    norm_T = l2_pi(Tn_periodic(f, n, r, xs), n)
     norm_f = l2_pi(f(xs[:, None]), n)
     assert norm_T <= r * norm_f * (1 + 1e-9)
 
@@ -359,18 +369,28 @@ def test_Tn_nd_parity_tensor_matches_1d():
     tc = trig_operator_nd(comp, 8, 2, 1, (0,))
     xs = np.linspace(-1, 1, 257)
     got = apply_Tn_nd(tc, xs[:, None])
-    # same operator realized on [-pi, pi] then pulled back
-    tc1 = trig_operator_1d(lambda p: np.abs(p[:, 0] / math.pi), 8, 2)
-    want = apply_Tn(tc1, xs * math.pi)
-    assert np.max(np.abs(got - want)) <= 1e-8
+    # the same operator by its defining integral on [-pi, pi], applied to
+    # the periodic extension of |u / pi|
+    f = lambda u: np.abs(np.remainder(u + math.pi, 2 * math.pi) - math.pi) \
+        / math.pi
+    want = _difference_integral(f, 8, 2, xs * math.pi)
+    # the expansion's trapezoid integrals of |u / pi| cos(ju) on 4096 nodes
+    # err by about h^2 / 12 times the derivative jumps, 4 / pi at most
+    h = 2 * math.pi / 4096
+    alpha, _ = alpha_coeffs(8, 2)
+    tol = np.sum(np.abs(alpha)) * h * h / 12 * 4 / math.pi
+    assert np.max(np.abs(got - want)) <= tol
 
 
-def test_fourier_integrals_known_values():
-    C, S = fourier_integrals(lambda p: np.cos(3 * p[:, 0]), 4)
-    want = np.zeros(5)
-    want[3] = math.pi
-    assert np.max(np.abs(C - want)) <= 1e-10
-    assert np.max(np.abs(S)) <= 1e-10
+def test_Tn_expansion_of_a_cosine_has_one_coefficient():
+    # cos(3 pi y): its cosine integral at frequency 3 is pi, all others 0
+    target = TargetSpec.catalog("cosine", domain="sym-cube", omega=3 * math.pi)
+    alpha, _ = alpha_coeffs(4, 2)
+    parts = dict(trig_operator_parts(target, 4, 2, 1))
+    even = dict(parts[(0,)].a)
+    assert abs(even.pop((3,)) - math.pi * alpha[3]) <= 1e-12
+    rest = list(even.values()) + list(parts[(1,)].a.values())
+    assert max(map(abs, rest), default=0.0) <= 1e-12
 
 
 def test_alpha_zero_reproduces_kernel_constant():
@@ -480,26 +500,6 @@ def _sha(parts):
     return h.hexdigest()
 
 
-TORUS_FNS = (lambda p: np.sign(p[:, 0]),
-             lambda p: np.abs(np.sin(p[:, 0])) ** 1.5,
-             lambda p: np.cos(3 * p[:, 0]) + 0.2 * np.sin(p[:, 0]))
-
-
-def _golden_trig_1d():
-    xs = np.linspace(-math.pi, math.pi, 257)
-    for f in TORUS_FNS:
-        for n, r in ((1, 1), (4, 1), (12, 2), (32, 3)):
-            c = trig_operator_1d(f, n, r)
-            yield from (c.alpha, c.cos_part, c.sin_part, c.meta,
-                        apply_Tn(c, xs))
-
-
-def _golden_fourier():
-    for f in TORUS_FNS:
-        for n in (0, 16):
-            yield from fourier_integrals(f, n)
-
-
 def _golden_trig_nd():
     pts = np.random.default_rng(3).uniform(-1, 1, size=(65, 2))
     for name in ("abs-power", "step"):
@@ -554,10 +554,6 @@ def _golden_power_series():
 
 
 GOLDEN_OUTPUTS = {
-    "trig_operator_1d": (_golden_trig_1d,
-        "c29380084cdd387fe947a0c4db7371c329fdbe116514fdbce023d6bb079ae18e"),
-    "fourier_integrals": (_golden_fourier,
-        "fb4ef0fecd40f367740903a01910e4c5201bc9c5b72e04469d1a41b78be83d5a"),
     "trig_operator_nd": (_golden_trig_nd,
         "6a2777c8212c9790b695d4edbba48203041340877a5eafcc9da7608a94d7aef8"),
     "kernel_moments": (_golden_kernel_moments,
