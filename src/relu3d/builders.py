@@ -35,7 +35,7 @@ from .net import (Net3D, SizeMetrics, chain, linear_combine, metrics,
                   parallel)
 from .polynd import PolyND, exact_degree_indices, tensor_points
 from .smoothness import modulus_smoothness
-from .targets import TargetSpec
+from .targets import TargetSpec, power_series_truncate
 from .trig_operator import trig_operator_parts
 
 __all__ = [
@@ -307,11 +307,11 @@ def build_analytic_cube(target, N, delta, d=1):
         raise ValueError("need 0 < delta < 1")
     if N < 1:
         raise ValueError("need N >= 1")
-    series = target.series_coeffs(N)
-    total = sum(abs(v) for v in series.values())
-    if total > 1.0 + 1e-12:
-        raise ValueError(f"series coefficient sum {total} exceeds 1")
-    poly = PolyND(d=d, coeffs=series, degree=N)
+    if target.d != d:
+        raise ValueError(f"d={d} disagrees with the target dimension "
+                         f"{target.d}")
+    poly = power_series_truncate(target, N)
+    series = poly.coeffs
     tail = (1.0 - delta) ** N
     amount = sum(abs(a) * 6.0 * (sum(j) - 1)
                  for j, a in series.items() if sum(j) >= 2)
@@ -549,6 +549,12 @@ def _cos_chain(N2, budget):
     poly = chebyshev_interpolant_1d(
         lambda pts: np.cos(math.pi * pts[:, 0]), m)
     a = poly.coeff_vector_1d()
+    # the chain sums these monomials in floats, measured off by 1.6 to 2.5
+    # times 2^-52 sum |a_k|: past N2 = 28 that exceeds the bound 2^-N2
+    rounding = 4.0 * 2.0 ** -52 * float(np.sum(np.abs(a)))
+    if not rounding <= 2.0 ** -N2:
+        raise ValueError(f"N2 = {N2} is too large: the chain's float rounding "
+                         f"of {rounding:.3g} exceeds the bound 2^-{N2}")
     A = max(abs(c) for c in a[1:])
     H = _min_height(A * 3.0 * m * m, budget - interp)
     return tuple(map(float, a)), H, interp

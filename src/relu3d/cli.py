@@ -274,7 +274,7 @@ def _cmd_sweep(args):
     try:
         table = verify.sweep(args.theorem, param, fixed, csv_path=args.output)
     except (KeyError, ValueError) as exc:
-        raise UsageError(f"sweep setup failed: {_reason(exc)}")
+        raise UsageError(f"cannot sweep {args.theorem}: {_reason(exc)}")
     ok = all(r.measured <= r.bound * (1.0 + verify.PASS_SLACK)
              for r in table.rows)
     print(f"{'pass' if ok else 'FAIL'}: {len(table.rows)} rows "

@@ -189,9 +189,9 @@ def lp_errors(net, target, ps, domain, bound=math.inf, eval_grid_fn=None):
     p = inf delegates to sup_error.  For large tensor grids an
     eval_grid_fn(axes) -> values array (tensor shape) can replace pointwise
     network evaluation; agreement with the network is the caller's contract
-    (see twins.spot_check).  ValueError when some p is not at least 1, or
-    when the weighted sum of |error|^p is not finite or is 0 while some
-    error is not.
+    (see twins.spot_check).  ValueError when some p is not at least 1,
+    when the target is not finite at a panel edge, or when the weighted sum
+    of |error|^p is not finite or is 0 while some error is not.
     """
     ps = [p if p == math.inf else float(p) for p in ps]
     for p in ps:
@@ -207,6 +207,14 @@ def lp_errors(net, target, ps, domain, bound=math.inf, eval_grid_fn=None):
         panels = max(1, n // order)
         axis, w_axis = _gauss_panels(lo, hi, panel_width=(hi - lo) / panels,
                                      order=order)
+        # the nodes miss a pole at a panel edge (both ends, and 0 on the
+        # symmetric cube), so the target is checked there as well
+        edges = tensor_points([np.linspace(lo, hi, panels + 1)] * d)
+        at_edges = np.asarray(target(edges), dtype=float)
+        if not np.isfinite(at_edges).all():
+            i = int(np.argmin(np.isfinite(at_edges)))
+            raise ValueError(f"the target is {at_edges[i]} at the panel edge "
+                             f"{edges[i].tolist()}, not a finite number")
         axes = [axis] * d
         pts = tensor_points(axes)
         want = np.asarray(target(pts), dtype=float)

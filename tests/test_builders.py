@@ -162,6 +162,23 @@ def test_analytic_cube_requires_series():
         build_analytic_cube(target, 4, 0.5)
 
 
+def test_analytic_cube_refuses_a_series_whose_mass_past_N_exceeds_1():
+    # the terms up to degree 4 have mass 0.75, but with x^6 the series has
+    # 1.25, against the hypothesis sum |a_j| <= 1
+    target = TargetSpec(kind="explicit-power-series", d=1,
+                        coeffs=(((0,), 0.5), ((1,), 0.25), ((6,), 0.5)))
+    with pytest.raises(ValueError, match="mass exceeds 1"):
+        build_analytic_cube(target, 4, 0.5)
+
+
+@pytest.mark.parametrize("target_d,d", [(2, 1), (1, 2)])
+def test_analytic_cube_refuses_a_dimension_other_than_the_targets(target_d,
+                                                                  d):
+    target = TargetSpec.catalog("geometric-product", d=target_d)
+    with pytest.raises(ValueError):
+        build_analytic_cube(target, 3, 0.5, d=d)
+
+
 def test_analytic_ellipse_error_decay():
     target = TargetSpec.catalog("reciprocal-shift")
     # pole of 1/(x+2) sits at t = -5 after mapping [0,1] to [-1,1]
@@ -309,6 +326,26 @@ def test_trig_sin_bound_and_origin(k):
 def test_trig_rejects_bad_kind():
     with pytest.raises(ValueError):
         build_trig(2, 8, kind="tan")
+
+
+def test_trig_at_N2_28_meets_its_bound():
+    rep = build_trig(1, 28)
+    xs = np.linspace(-1, 1, 4097)[:, None]
+    err = np.max(np.abs(evaluate_array(rep.net, xs)
+                        - np.cos(math.pi * xs[:, 0])))
+    assert err <= 2.0 ** (-28)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_trig(1, 29, kind="cos"),
+    lambda: build_trig(1, 29, kind="sin"),
+    lambda: build_lp(TargetSpec.catalog("abs-power", domain="sym-cube"),
+                     4, 29)], ids=["cos", "sin", "lp"])
+def test_trig_chains_refuse_a_float_rounding_over_the_bound(build):
+    # at N2 = 29, 4 * 2^-52 * sum |a_k| = 7.1e-9 exceeds 2^-29 = 1.9e-9:
+    # the cosine nets of k = 1, 3 and 8 measured 2.7e-9 to 3.5e-9
+    with pytest.raises(ValueError, match="float rounding"):
+        build()
 
 
 # -- L^p --------------------------------------------------------------------

@@ -220,6 +220,19 @@ def test_lp_errors_match_separate_lp_error_calls(name, d, monkeypatch):
             (w.norm_kind, w.bound, w.passed, repr(w.resolution))
 
 
+@pytest.mark.filterwarnings("ignore")   # 0 ** alpha for alpha < 0
+@pytest.mark.parametrize("alpha,domain", [(-1.0, "unit-cube"),
+                                          (-0.4, "sym-cube")],
+                         ids=["pole-at-an-end", "integrable-pole-at-0"])
+def test_lp_errors_of_a_target_infinite_at_a_panel_edge_raise(alpha, domain):
+    # the Gauss nodes miss x = 0, where |x|^alpha is inf; |x|^-0.4 is
+    # square-integrable, but its singular integrand is not resolved either
+    target = TargetSpec.catalog("abs-power", domain=domain, alpha=alpha)
+    with pytest.raises(ValueError, match=r"inf at the panel edge \[0\.0\], "
+                                         r"not a finite number"):
+        lp_errors(blocks.square_net(3), target, (1, 2), domain)
+
+
 def test_lp_errors_refuses_any_bad_p_before_evaluating(monkeypatch):
     calls = []
     monkeypatch.setattr(verify, "evaluate_array",
