@@ -651,6 +651,9 @@ def build_lp(target, N1, N2, r=2, d=1):
     d = int(d)
     if N1 < r:
         raise ValueError("need N1 >= r")
+    # the chains refuse an N2 they cannot meet before any expansion work
+    a_cos, H_cos, _ = _cos_chain(N2, 2.0 ** (-N2))
+    _, H_sin, _ = _cos_chain(N2, 2.0 ** (-N2) / 2.0)
     expansions = trig_operator_parts(target, N1, r, d)
     terms = []
     const = 0.0
@@ -688,8 +691,6 @@ def build_lp(target, N1, N2, r=2, d=1):
     inputs = {"N1": N1, "N2": N2, "r": r, "d": d}
     shape = expected_bound("lp", dict(inputs, omega=omega, norm=norm))
     stated = expected_size("lp", inputs)
-    a_cos, H_cos, _ = _cos_chain(N2, 2.0 ** (-N2))
-    _, H_sin, _ = _cos_chain(N2, 2.0 ** (-N2) / 2.0)
     meta = {
         "terms": terms,
         "constant": const,

@@ -341,9 +341,15 @@ def test_trig_at_N2_28_meets_its_bound():
     lambda: build_trig(1, 29, kind="sin"),
     lambda: build_lp(TargetSpec.catalog("abs-power", domain="sym-cube"),
                      4, 29)], ids=["cos", "sin", "lp"])
-def test_trig_chains_refuse_a_float_rounding_over_the_bound(build):
+def test_trig_chains_refuse_a_float_rounding_over_the_bound(build,
+                                                            monkeypatch):
     # at N2 = 29, 4 * 2^-52 * sum |a_k| = 7.1e-9 exceeds 2^-29 = 1.9e-9:
-    # the cosine nets of k = 1, 3 and 8 measured 2.7e-9 to 3.5e-9
+    # the cosine nets of k = 1, 3 and 8 measured 2.7e-9 to 3.5e-9; an L^p
+    # build is refused before its expansion
+    def no_expansion(*args):
+        raise AssertionError("trig_operator_parts called")
+
+    monkeypatch.setattr(builders, "trig_operator_parts", no_expansion)
     with pytest.raises(ValueError, match="float rounding"):
         build()
 
