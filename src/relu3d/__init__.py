@@ -21,13 +21,12 @@ from .blocks import (sawtooth_net, square_net, product2_unit, product_d_net,
                      power_chain_net, periodic_fold_net, clip_window_net)
 from .targets import TargetSpec, ParityComponent, parity_decompose, catalog_ids
 from .polynd import PolyND
-from .builders import (BuildReport, WidthBudgetError, HermiteParams,
-                       build_poly1d, build_polyNd, build_smooth1d,
-                       build_analytic_cube, build_analytic_ellipse,
-                       build_clipped_hermite, choose_hermite_params,
-                       build_hermite_gauss, build_trig, build_lp,
-                       expected_size, expected_bound, TheoremSpec,
-                       THEOREMS, THEOREM_IDS, BASELINE_IDS)
+from .builders import (BuildReport, HermiteParams, build_poly1d,
+                       build_polyNd, build_smooth1d, build_analytic_cube,
+                       build_analytic_ellipse, build_clipped_hermite,
+                       choose_hermite_params, build_hermite_gauss,
+                       build_trig, build_lp, expected_size, expected_bound,
+                       TheoremSpec, THEOREMS, THEOREM_IDS, BASELINE_IDS)
 from .verify import (ErrorReport, SweepRow, SweepTable, FitResult,
                      sup_error, lp_error, lp_errors, gauss_l2_error,
                      sweep, fit_and_check, table1_report)

@@ -40,7 +40,6 @@ from .trig_operator import trig_operator_parts
 
 __all__ = [
     "BuildReport",
-    "WidthBudgetError",
     "build_poly1d",
     "build_polyNd",
     "build_smooth1d",
@@ -64,10 +63,6 @@ __all__ = [
 
 LOG2E = math.log2(math.e)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-class WidthBudgetError(ValueError):
-    """Raised when a construction would exceed the configured width cap."""
 
 
 @dataclass
@@ -186,7 +181,7 @@ def _first_nonzero(j):
     raise ValueError("zero multi-index has no factor")
 
 
-def build_polyNd(poly, H, width_cap=None):
+def build_polyNd(poly, H):
     """Network for a d-variate polynomial on [0, 1]^d.
 
     Layer k emits the approximations h_j of every monomial of total degree
@@ -198,10 +193,6 @@ def build_polyNd(poly, H, width_cap=None):
     if n < 1:
         raise ValueError("need total degree n >= 1")
     width_exp = expected_size("polyNd", {"n": n, "H": H, "d": d}).width
-    if width_cap is not None and width_exp > width_cap:
-        raise WidthBudgetError(
-            f"estimated width {width_exp} exceeds cap {width_cap} "
-            f"(d={d}, degree={n})")
     coeffs = dict(poly.coeffs)
     a0 = coeffs.get((0,) * d, 0.0)
     step = 2.0 ** (-2 * (H + 1))
@@ -880,7 +871,7 @@ THEOREMS = _Strict(((t.id, t) for t in (
     TheoremSpec(
         "polyNd", build_polyNd,
         (Param("poly", _polynd, flag="", alias="coeffs_nd"),
-         Param("H", int), Param("width_cap", int, None, flag="")), "H",
+         Param("H", int)), "H",
         size=lambda n, H, d: (_poly_width(n, d), n - 1, H),
         bound=lambda amax, n, H, d: (amax * 6.0 * n * 2.0 ** (-2 * (H + 1))
                                      * (math.e * (n + d) / d) ** d),

@@ -96,18 +96,10 @@ def hermite_expansion(target, n, d=1):
     Q = max(2 * n + 16, 40)
     x, w = gauss_nodes(Q)
     vals = np.stack([hermite_eval(k, x) for k in range(n + 1)])  # (n+1, Q)
-    coeffs = {}
-    if d == 1:
-        f = np.asarray(target(x[:, None]), dtype=float)
-        proj = (vals * w) @ f
-        coeffs = {(k,): float(proj[k]) for k in range(n + 1)}
-    else:
-        pts = tensor_points([x] * d)
-        F = np.asarray(target(pts), dtype=float).reshape([Q] * d)
-        # contract every axis with (Xi_k(x_i) w_i)
-        C = contract([vals * w] * d, F)
-        for nu in iproduct(range(n + 1), repeat=d):
-            coeffs[nu] = float(C[nu])
+    F = np.asarray(target(tensor_points([x] * d)), dtype=float)
+    # contract every axis with (Xi_k(x_i) w_i)
+    C = contract([vals * w] * d, F.reshape([Q] * d))
+    coeffs = {nu: float(C[nu]) for nu in iproduct(range(n + 1), repeat=d)}
     return HermiteExpansion(d=d, n=n, coeffs=coeffs)
 
 

@@ -570,25 +570,20 @@ def evaluate_exact(net, x):
         [Fraction(v) for v in np.atleast_1d(np.asarray(x, dtype=float))]
     if len(acts) != net.input_dim:
         raise NetFormatError("dimension mismatch")
-    for layer in net.layers:
-        offs = _starts([len(f) for f in layer.floors]).tolist()
+    for rows in net._hidden + (net._readout,):
+        hidden = rows.sizes is not None
+        offs = _starts(rows.sizes).tolist() if hidden else []
         new = []
-        for floor in layer.floors:
-            for nrn in floor:
-                z = Fraction(nrn.bias)
-                for idx, w in nrn.weights.items():
-                    z += Fraction(w) * acts[idx]
-                for (sf, si, coeff) in nrn.intra:
-                    z += Fraction(coeff) * new[offs[sf] + si]
-                new.append(z if z > 0 else Fraction(0))
+        for wts, b, links in zip(_weight_dicts(rows), rows.bias.tolist(),
+                                 _row_links(rows)):
+            z = Fraction(b)
+            for idx, w in wts.items():
+                z += Fraction(w) * acts[idx]
+            for (sf, si, coeff) in links:
+                z += Fraction(coeff) * new[offs[sf] + si]
+            new.append(z if z > 0 or not hidden else Fraction(0))
         acts = new
-    out = []
-    for row, b in zip(net.readout_weights, net.readout_bias):
-        z = Fraction(b)
-        for idx, w in row.items():
-            z += Fraction(w) * acts[idx]
-        out.append(z)
-    return out[0] if len(out) == 1 else out
+    return acts[0] if len(acts) == 1 else acts
 
 
 def metrics(net):

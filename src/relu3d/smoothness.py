@@ -42,10 +42,7 @@ def modulus_smoothness(target, r, t, p=2, d=1, half_width=1.0):
     if t <= 0:
         raise ValueError("t must be positive")
     T = float(half_width)
-    if d == 1:
-        n_side = QUAD_NODES
-    else:
-        n_side = max(64, int(round(QUAD_NODES ** (1.0 / d))))
+    n_side = max(64, int(round(QUAD_NODES ** (1.0 / d))))
     u = -T + 2.0 * T * np.arange(n_side) / n_side
     pts = tensor_points([u] * d)
 

@@ -29,8 +29,8 @@ from .jackson import jackson_kernel
 from .polynd import contract, tensor_points
 from .targets import parity_values
 
-__all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_nd",
-           "trig_operator_parts", "apply_Tn_nd"]
+__all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_parts",
+           "apply_Tn_nd"]
 
 DEFAULT_NODES = 4096
 # points of a torus grid (nodes ** d); d = 2 uses 1024 ** 2, d = 3 would
@@ -68,29 +68,13 @@ def alpha_coeffs(n, r):
     return alpha, K
 
 
-def trig_operator_nd(target, n, r, d, parity):
-    """Tensor T_n coefficients for one parity component on [-1, 1]^d.
-
-    The component (even/odd per coordinate per parity[k]) is rescaled to
-    [-pi, pi]^d; its tensor expansion uses phase-shifted cosines
-
-        Phi(x) = sum_j a_j prod_k cos(j_k pi x_k - eta_k pi / 2),
-
-    a_j = (prod_k alpha_{j_k}) * int F(u) prod_k phi_{j_k}(u_k) du, with
-    phi = cos for even coordinates and sin for odd ones.
-    """
-    d = int(d)
-    parity = tuple(int(e) for e in parity)
-    if len(parity) != d:
-        raise ValueError("parity must have one entry per dimension")
-    nodes = _expansion_nodes(n, d)
-    return _expand(target(_torus_grid(d, nodes)), n, r, d, parity, nodes)
-
-
 def trig_operator_parts(target, n, r, d):
-    """[(eta, trig_operator_nd of the eta parity component)] for every eta
-    in {0, 1}^d, from one evaluation of the target per sign reflection of
-    the torus grid."""
+    """[(eta, TrigOperatorCoeffs of the eta parity component)] for every
+    eta in {0, 1}^d, from one evaluation of the target per sign reflection
+    of the torus grid.  A component F rescaled to [-pi, pi]^d expands as
+    sum_j a_j prod_k cos(j_k pi x_k - eta_k pi / 2), with a_j = prod_k
+    alpha_{j_k} * int F(u) prod_k phi_{j_k}(u_k) du and phi = cos for even
+    coordinates, sin for odd ones."""
     d = int(d)
     nodes = _expansion_nodes(n, d)
     values = parity_values(target, _torus_grid(d, nodes))

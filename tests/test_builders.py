@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import reference_net
 from relu3d import blocks, builders, trig_operator
-from relu3d.builders import (WidthBudgetError, build_analytic_cube,
-                             build_analytic_ellipse, build_clipped_hermite,
-                             build_hermite_gauss, build_lp, build_poly1d,
-                             build_polyNd, build_smooth1d, build_trig,
+from relu3d.builders import (build_analytic_cube, build_analytic_ellipse,
+                             build_clipped_hermite, build_hermite_gauss,
+                             build_lp, build_poly1d, build_polyNd,
+                             build_smooth1d, build_trig,
                              choose_hermite_params, expected_bound,
                              expected_size)
 from relu3d.hermite import hermite_eval, hermite_tail_bound
@@ -109,12 +109,6 @@ def test_polyNd_degree4_d2_bound():
     assert err <= rep.theoretical_bound
     # the tight per-term bound never exceeds the stated one
     assert rep.theoretical_bound <= rep.meta["stated_bound"] * (1 + 1e-12)
-
-
-def test_polyNd_width_cap():
-    poly = PolyND(3, {(1, 1, 1): 1.0}, 3)
-    with pytest.raises(WidthBudgetError):
-        build_polyNd(poly, 4, width_cap=3)
 
 
 # -- smooth -----------------------------------------------------------------

@@ -21,8 +21,7 @@ from relu3d.smoothness import modulus_smoothness
 from relu3d.targets import (ParityComponent, TargetSpec, parity_decompose,
                             parity_values, power_series_truncate)
 from relu3d.trig_operator import (_default_nodes, _torus_grid, alpha_coeffs,
-                                  apply_Tn_nd, trig_operator_nd,
-                                  trig_operator_parts)
+                                  apply_Tn_nd, trig_operator_parts)
 
 # -- Chebyshev --------------------------------------------------------------
 
@@ -365,8 +364,7 @@ def test_Tn_norm_bound_step():
 
 def test_Tn_nd_parity_tensor_matches_1d():
     target = TargetSpec.catalog("abs", d=1, domain="sym-cube")
-    comp = parity_decompose(target)[0]          # even component = |x|
-    tc = trig_operator_nd(comp, 8, 2, 1, (0,))
+    tc = dict(trig_operator_parts(target, 8, 2, 1))[(0,)]   # even: |x|
     xs = np.linspace(-1, 1, 257)
     got = apply_Tn_nd(tc, xs[:, None])
     # the same operator by its defining integral on [-pi, pi], applied to
@@ -437,20 +435,6 @@ def test_parity_values_match_each_component_bitwise(name, d):
             assert got.tobytes() == ParityComponent(target, eta)(pts).tobytes()
 
 
-@pytest.mark.parametrize("name,d", [
-    ("abs-sum", 1), ("step", 1), ("abs-sum", 2), ("geometric-product", 2),
-    ("gaussian-bump", 2), ("step", 2)])
-def test_trig_operator_parts_match_each_component(name, d):
-    target = TargetSpec.catalog(name, d=d, domain="sym-cube")
-    parts = trig_operator_parts(target, 4, 2, d)
-    comps = parity_decompose(target)
-    assert [eta for eta, _ in parts] == [c.eta for c in comps]
-    for (eta, got), comp in zip(parts, comps):
-        want = trig_operator_nd(comp, 4, 2, d, comp.eta)
-        assert got.a == want.a
-        assert (got.parity, got.meta) == (want.parity, want.meta)
-
-
 # -- modulus of smoothness --------------------------------------------------
 
 
@@ -500,17 +484,15 @@ def _sha(parts):
     return h.hexdigest()
 
 
-def _golden_trig_nd():
+def _golden_trig_parts():
     pts = np.random.default_rng(3).uniform(-1, 1, size=(65, 2))
     for name in ("abs-power", "step"):
-        for comp in parity_decompose(TargetSpec.catalog(name,
-                                                        domain="sym-cube")):
-            c = trig_operator_nd(comp, 8, 2, 1, comp.eta)
+        target = TargetSpec.catalog(name, domain="sym-cube")
+        for _, c in trig_operator_parts(target, 8, 2, 1):
             yield from (sorted(c.a.items()), c.alpha, c.meta,
                         apply_Tn_nd(c, pts[:, :1]))
-    comp = parity_decompose(TargetSpec.catalog("abs-sum", d=2,
-                                               domain="sym-cube"))[1]
-    c = trig_operator_nd(comp, 5, 2, 2, comp.eta)
+    target = TargetSpec.catalog("abs-sum", d=2, domain="sym-cube")
+    c = trig_operator_parts(target, 5, 2, 2)[1][1]
     yield from (sorted(c.a.items()), c.meta, apply_Tn_nd(c, pts))
     target = TargetSpec.catalog("gaussian-bump", d=2, domain="sym-cube")
     for eta, c in trig_operator_parts(target, 4, 2, 2):
@@ -554,7 +536,7 @@ def _golden_power_series():
 
 
 GOLDEN_OUTPUTS = {
-    "trig_operator_nd": (_golden_trig_nd,
+    "trig_operator_parts": (_golden_trig_parts,
         "6a2777c8212c9790b695d4edbba48203041340877a5eafcc9da7608a94d7aef8"),
     "kernel_moments": (_golden_kernel_moments,
         "e6209c5f3c2df4d5f83ce1a63739c91eff184002a8b2a6c605fc4abfa503c7a6"),
