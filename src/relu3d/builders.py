@@ -93,6 +93,16 @@ def _finish_report(net, width_exp, depth_exp, height_exp, bound, formula_id,
                        bound_formula_id=formula_id, inputs=inputs, meta=meta)
 
 
+def _check_rounding(a, name, N):
+    """ValueError when a chain's float sum of the monomials a may miss
+    2^-N: trig chains measured off by 1.6 to 2.5 times 2^-52 sum |a_k|."""
+    rounding = 4.0 * 2.0 ** -52 * float(np.sum(np.abs(a)))
+    if not rounding <= 2.0 ** -N:
+        raise ValueError(f"{name} = {N} is too large: the chain's float "
+                         f"rounding of {rounding:.3g} exceeds the bound "
+                         f"2^-{N}")
+
+
 def _min_height(amount, budget):
     """Smallest integer H >= 1 with amount * 2^(-2(H+1)) <= budget;
     ValueError when amount / budget leaves the float range."""
@@ -267,6 +277,7 @@ def build_smooth1d(target, N):
     certified = bool(getattr(target, "smooth_factorial", False))
     poly = chebyshev_interpolant_1d(target, m)
     a = poly.coeff_vector_1d()
+    _check_rounding(a, "N", N)
     interp = 2.0 ** (-2 * m - 1)
     budget = 2.0 ** (-N) - interp
     A = max(abs(c) for c in a[1:])
@@ -540,12 +551,7 @@ def _cos_chain(N2, budget):
     poly = chebyshev_interpolant_1d(
         lambda pts: np.cos(math.pi * pts[:, 0]), m)
     a = poly.coeff_vector_1d()
-    # the chain sums these monomials in floats, measured off by 1.6 to 2.5
-    # times 2^-52 sum |a_k|: past N2 = 28 that exceeds the bound 2^-N2
-    rounding = 4.0 * 2.0 ** -52 * float(np.sum(np.abs(a)))
-    if not rounding <= 2.0 ** -N2:
-        raise ValueError(f"N2 = {N2} is too large: the chain's float rounding "
-                         f"of {rounding:.3g} exceeds the bound 2^-{N2}")
+    _check_rounding(a, "N2", N2)
     A = max(abs(c) for c in a[1:])
     H = _min_height(A * 3.0 * m * m, budget - interp)
     return tuple(map(float, a)), H, interp

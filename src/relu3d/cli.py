@@ -387,11 +387,14 @@ def _build_parser():
 
 
 def run(argv):
-    """Parse and execute; returns the process exit code."""
+    """Parse and execute; returns the process exit code.  numpy's float
+    warnings are off: an explicit check refuses every non-finite value
+    with one error line."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -114,7 +114,7 @@ def test_polyNd_degree4_d2_bound():
 # -- smooth -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", [2, 5, 9])
+@pytest.mark.parametrize("N", [2, 5, 9, 28])
 def test_smooth1d_reciprocal_bound(N):
     target = TargetSpec.catalog("reciprocal-shift")
     rep = build_smooth1d(target, N)
@@ -334,12 +334,15 @@ def test_trig_at_N2_28_meets_its_bound():
     lambda: build_trig(1, 29, kind="cos"),
     lambda: build_trig(1, 29, kind="sin"),
     lambda: build_lp(TargetSpec.catalog("abs-power", domain="sym-cube"),
-                     4, 29)], ids=["cos", "sin", "lp"])
+                     4, 29),
+    lambda: build_smooth1d(TargetSpec.catalog("reciprocal-shift"), 29)],
+    ids=["cos", "sin", "lp", "smooth"])
 def test_trig_chains_refuse_a_float_rounding_over_the_bound(build,
                                                             monkeypatch):
     # at N2 = 29, 4 * 2^-52 * sum |a_k| = 7.1e-9 exceeds 2^-29 = 1.9e-9:
     # the cosine nets of k = 1, 3 and 8 measured 2.7e-9 to 3.5e-9; an L^p
-    # build is refused before its expansion
+    # build is refused before its expansion.  The smooth chain of 1/(x+2)
+    # at N = 29 (2.3e-8 against 1.9e-9) measured 1.07e-8.
     def no_expansion(*args):
         raise AssertionError("trig_operator_parts called")
 

@@ -371,15 +371,19 @@ def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
 
 @pytest.mark.parametrize("args", [
     ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "299"],
+    ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "29"],
     ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "700"],
+    ["--theorem", "ellipse", "--target", "reciprocal-shift", "--rho", "4",
+     "--N", "300"],
     ["--theorem", "ellipse", "--target", "reciprocal-shift", "--rho", "4",
      "--N", "700"],
     ["--theorem", "trig", "--k", "1", "--N2", "169"],
     ["--theorem", "trig", "--k", "1", "--N2", "30"],
     ["--theorem", "lp", "--target", "abs-power", "--N1", "4", "--N2", "1100"],
     ["--theorem", "poly", "--coeffs", "0,0,1", "--H", "2000"]],
-    ids=["smooth-height", "smooth-degree", "ellipse-degree", "trig-factorial",
-         "trig-rounding", "lp-factorial", "poly-square-height"])
+    ids=["smooth-height", "smooth-rounding", "smooth-degree", "ellipse-height",
+         "ellipse-degree", "trig-factorial", "trig-rounding", "lp-factorial",
+         "poly-square-height"])
 def test_build_of_an_overflowing_float_formula_is_usage_error(tmp_path,
                                                              capsys, args):
     assert run(["build"] + args + ["-o", str(tmp_path / "x.net")]) == 2
@@ -691,6 +695,31 @@ def test_module_entry_point_exits_with_the_run_code(tmp_path):
                           str(out), "--target", "square", "--bound", "nan"],
                          env=env, capture_output=True, text=True)
     assert bad.returncode == 2 and bad.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "sq.net", "--params", "ap.json", "--norm", "lp"],
+    ["verify", "sq.net", "--params", "ap.json", "--norm", "sup"],
+    ["sweep", "--theorem", "smooth", "--params", "ap.json", "--values", "3",
+     "-o", "s.csv"],
+    ["build", "--theorem", "lp", "--params", "ap.json", "--N1", "4",
+     "--N2", "8", "-o", "lp.net"]],
+    ids=["verify-lp", "verify-sup", "sweep", "build-lp"])
+def test_a_singular_target_prints_one_error_line(tmp_path, args):
+    # |x|^-1 on the symmetric cube: numpy warns of 1/0 and of inf - inf,
+    # and an explicit check then refuses the non-finite value
+    build_square(tmp_path)
+    (tmp_path / "ap.json").write_text(json.dumps({"target": {
+        "catalog_id": "abs-power", "domain": "sym-cube",
+        "params": {"alpha": -1}}}))
+    src = str(Path(relu3d.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "relu3d.cli"] + args,
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_import_loads_no_scipy_quadrature_stack():
