@@ -29,7 +29,7 @@ from .blocks import (_clip_wires, _fold_wire, _sym_prod_wires,
                      _unit_prod_bank, _unit_prod_wires, periodic_fold_net,
                      product_d_net)
 from .builder_dsl import NetBuilder, Wire
-from .chebyshev import chebyshev_interpolant_1d, chebyshev_tensor_coeffs
+from .chebyshev import chebyshev_tensor_coeffs
 from .hermite import hermite_expansion, hermite_poly_coeffs, hermite_tail_bound
 from .net import (Net3D, SizeMetrics, chain, linear_combine, metrics,
                   parallel)
@@ -122,6 +122,25 @@ def _min_height(amount, budget):
     return H
 
 
+def _chain(target, N, name, budget):
+    """The power chain of the degree-(N + 1) Chebyshev interpolant of a
+    target on [0, 1]: its monomial coefficients a, A = max_{k>=1} |a_k| and
+    the minimal height H with A 3m^2 2^(-2(H+1)) <= budget.  ValueError
+    when the chain's float rounding exceeds 2^-N."""
+    m = N + 1
+    a = chebyshev_tensor_coeffs(target, m, 1).coeff_vector_1d()
+    _check_rounding(a, name, N)
+    A = max(abs(c) for c in a[1:])
+    return a, A, _min_height(A * 3.0 * m * m, budget)
+
+
+def _poly_amount(coeffs):
+    """sum over |j| >= 2 of |a_j| 6 (|j| - 1): build_polyNd's error is this
+    amount times 2^(-2(H+1))."""
+    return sum(abs(a) * 6.0 * (sum(j) - 1)
+               for j, a in coeffs.items() if sum(j) >= 2)
+
+
 # ---------------------------------------------------------------------------
 # accumulating power chains (width 8)
 
@@ -205,9 +224,7 @@ def build_polyNd(poly, H):
     width_exp = expected_size("polyNd", {"n": n, "H": H, "d": d}).width
     coeffs = dict(poly.coeffs)
     a0 = coeffs.get((0,) * d, 0.0)
-    step = 2.0 ** (-2 * (H + 1))
-    bound = sum(abs(a) * 6.0 * (sum(j) - 1) * step
-                for j, a in coeffs.items() if sum(j) >= 2)
+    bound = _poly_amount(coeffs) * 2.0 ** (-2 * (H + 1))
     amax = max((abs(a) for j, a in coeffs.items() if sum(j) >= 1), default=0.0)
     stated = expected_bound("polyNd", {"amax": amax, "n": n, "H": H, "d": d})
     inputs = {"d": d, "n": n, "H": H}
@@ -275,13 +292,8 @@ def build_smooth1d(target, N):
         raise ValueError("need N >= 1")
     m = N + 1
     certified = bool(getattr(target, "smooth_factorial", False))
-    poly = chebyshev_interpolant_1d(target, m)
-    a = poly.coeff_vector_1d()
-    _check_rounding(a, "N", N)
     interp = 2.0 ** (-2 * m - 1)
-    budget = 2.0 ** (-N) - interp
-    A = max(abs(c) for c in a[1:])
-    H = _min_height(A * 3.0 * m * m, budget)
+    a, A, H = _chain(target, N, "N", 2.0 ** (-N) - interp)
     inner = build_poly1d(a, H)
     stated_proof = math.ceil(0.5 * (math.log2(6) * m
                                     + 3 * math.log2(m + 1)
@@ -293,7 +305,6 @@ def build_smooth1d(target, N):
         "stated_height": expected_size("smooth", {"N": N}).height,
         "stated_height_alt": stated_proof,
         "derivative_bound_certified": certified,
-        "conditioning_warning": poly.meta["conditioning_warning"],
     }
     formula = "smooth1d" if certified else "smooth1d-empirical"
     return _finish_report(inner.net, 8, m - 1, H, 2.0 ** (-N), formula,
@@ -315,8 +326,7 @@ def build_analytic_cube(target, N, delta, d=1):
     poly = power_series_truncate(target, N)
     series = poly.coeffs
     tail = (1.0 - delta) ** N
-    amount = sum(abs(a) * 6.0 * (sum(j) - 1)
-                 for j, a in series.items() if sum(j) >= 2)
+    amount = _poly_amount(series)
     H = _min_height(amount, tail)
     inner = build_polyNd(poly, H)
     meta = {
@@ -344,14 +354,12 @@ def build_analytic_ellipse(target, N, rho, d=1):
         raise ValueError(f"need rho > 2^sqrt(d) = {2.0 ** math.sqrt(d):.4f}")
     poly = chebyshev_tensor_coeffs(target, N, d)
     shape = rho ** (-N / math.sqrt(d))
-    amount = sum(abs(a) * 6.0 * (sum(j) - 1)
-                 for j, a in poly.coeffs.items() if sum(j) >= 2)
+    amount = _poly_amount(poly.coeffs)
     H = _min_height(amount, shape)
     inner = build_polyNd(poly, H)
     meta = {
         "coeffs": dict(poly.coeffs),
         "max_abs_coeff": poly.meta["max_abs_coeff"],
-        "conditioning_warning": poly.meta["conditioning_warning"],
         "stated_height": expected_size(
             "ellipse", {"N": N, "rho": rho, "d": d}).height,
         "shape": shape,
@@ -507,7 +515,7 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
              for nu in iproduct(range(N + 1), repeat=d)]
     if d == 1:
         net = _tensor_sum(terms, 0.0, d, None, None)
-        width_exp = max(8 * N * d, N ** d * (4 + d)) if N >= 1 else 8
+        width_exp = expected_size("hermite", {"N": N, "d": d, "B": B}).width
         height_exp = H + 1 if N >= 2 else 1
         return _finish_report(net, width_exp, N + d - 1, height_exp, bound,
                               "hermite-gauss", inputs, meta)
@@ -548,12 +556,8 @@ def _cos_chain(N2, budget):
         raise ValueError(f"N2 = {N2} is too large: the interpolation bound's "
                          f"{m + 1}! exceeds the float range")
     interp = math.pi ** (m + 1) / (2.0 ** (2 * m + 1) * math.factorial(m + 1))
-    poly = chebyshev_interpolant_1d(
-        lambda pts: np.cos(math.pi * pts[:, 0]), m)
-    a = poly.coeff_vector_1d()
-    _check_rounding(a, "N2", N2)
-    A = max(abs(c) for c in a[1:])
-    H = _min_height(A * 3.0 * m * m, budget - interp)
+    a, _, H = _chain(lambda pts: np.cos(math.pi * pts[:, 0]), N2, "N2",
+                     budget - interp)
     return tuple(map(float, a)), H, interp
 
 

@@ -57,12 +57,7 @@ def alpha_coeffs(n, r):
         s = 0.0
         for k in range(1, r + 1):
             l = j * k
-            if j == 0:
-                a_l = K.a[0]
-            elif l <= n:
-                a_l = K.a[l]
-            else:
-                a_l = 0.0
+            a_l = K.a[l] if l <= n else 0.0
             s += (-1.0) ** (k + 1) * math.comb(r, k) * a_l
         alpha[j] = s
     return alpha, K

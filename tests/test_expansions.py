@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from relu3d.chebyshev import (cheb_to_monomial_matrix, chebyshev_interpolant_1d,
-                              chebyshev_tensor_coeffs)
+from relu3d.chebyshev import cheb_to_monomial_matrix, chebyshev_tensor_coeffs
 from relu3d.hermite import (gauss_nodes, hermite_eval, hermite_expansion,
                             hermite_orthonormality_check, hermite_poly_coeffs,
                             hermite_tail_bound)
@@ -27,7 +26,7 @@ from relu3d.trig_operator import (_default_nodes, _torus_grid, alpha_coeffs,
 
 
 def test_chebyshev_reproduces_square():
-    poly = chebyshev_interpolant_1d(lambda p: p[:, 0] ** 2, 2)
+    poly = chebyshev_tensor_coeffs(lambda p: p[:, 0] ** 2, 2, 1)
     vec = poly.coeff_vector_1d()
     assert np.allclose(vec, [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -37,8 +36,8 @@ def test_chebyshev_reproduces_square():
 def test_chebyshev_polynomial_reproduction(m, coeffs):
     coeffs = coeffs[:m + 1]
     c = np.asarray(coeffs + [0.0] * (m + 1 - len(coeffs)))
-    poly = chebyshev_interpolant_1d(
-        lambda p: np.polynomial.polynomial.polyval(p[:, 0], c), m)
+    poly = chebyshev_tensor_coeffs(
+        lambda p: np.polynomial.polynomial.polyval(p[:, 0], c), m, 1)
     assert np.max(np.abs(poly.coeff_vector_1d() - c)) <= 1e-9 * max(
         1.0, np.max(np.abs(c)))
 
@@ -46,7 +45,7 @@ def test_chebyshev_polynomial_reproduction(m, coeffs):
 def test_chebyshev_interp_error_reciprocal():
     m = 8
     target = TargetSpec.catalog("reciprocal-shift")
-    poly = chebyshev_interpolant_1d(target, m)
+    poly = chebyshev_tensor_coeffs(target, m, 1)
     xs = np.linspace(0, 1, 4097)[:, None]
     resid = np.max(np.abs(poly(xs) - target(xs)))
     # |f^(9)| <= 9!/2^10 on [0,1] for 1/(x+2)
@@ -56,14 +55,11 @@ def test_chebyshev_interp_error_reciprocal():
 
 
 def test_chebyshev_coeff_bound_flag():
-    poly = chebyshev_interpolant_1d(
-        TargetSpec.catalog("cosine", params=()), 6)
-    assert poly.meta["coeff_bound_ok"]
-
-
-def test_chebyshev_conditioning_warning_for_large_degree():
-    poly = chebyshev_interpolant_1d(TargetSpec.catalog("reciprocal-shift"), 30)
-    assert poly.meta["conditioning_warning"]
+    # the stated monomial coefficient bound |a_k| <= 2(m+1)3^m
+    m = 6
+    poly = chebyshev_tensor_coeffs(
+        TargetSpec.catalog("cosine", params=()), m, 1)
+    assert np.all(np.abs(poly.coeff_vector_1d()) <= 2.0 * (m + 1) * 3.0 ** m)
 
 
 def test_chebyshev_refuses_degrees_whose_growth_overflows():
@@ -75,11 +71,11 @@ def test_chebyshev_refuses_degrees_whose_growth_overflows():
         assert not np.all(np.isfinite(cheb_to_monomial_matrix(405)))
     for f in (np.cos, lambda x: 1.0 / (x + 2.0), lambda x: np.exp(x - 1.0)):
         target = lambda p, f=f: f(p[:, 0])
-        poly = chebyshev_interpolant_1d(target, 404)
+        poly = chebyshev_tensor_coeffs(target, 404, 1)
         assert np.all(np.isfinite(poly.coeff_vector_1d()))
         for m in (405, 646, 647):
             with pytest.raises(ValueError, match=f"degree {m} is too large"):
-                chebyshev_interpolant_1d(target, m)
+                chebyshev_tensor_coeffs(target, m, 1)
     for m in (405, 647):
         with pytest.raises(ValueError, match=f"degree {m} is too large"):
             chebyshev_tensor_coeffs(np.cos, m, 2)
@@ -126,7 +122,7 @@ def test_golden_tensor_expansion_coefficients(case):
 
 def test_chebyshev_coefficient_geometric_decay():
     target = TargetSpec.catalog("reciprocal-shift")
-    poly = chebyshev_interpolant_1d(target, 14)
+    poly = chebyshev_tensor_coeffs(target, 14, 1)
     c = np.abs(poly.meta["cheb_coeffs"])
     ratios = c[5:13] / c[4:12]
     assert np.all(ratios < 0.5)
