@@ -586,7 +586,7 @@ BUILD_GOLDEN = {
         "4d34b7d7dedfb167f6f262e686d599e2e99b0289046e1f3495b8b0147f73f66f"),
     "ellipse": (
         "c7c4839c2b672cd8b9bbd944998697442e7bab1c99de779f187576ae909747f2",
-        "874af1b6cda90877d5086132d94569769a31ac20c90b4983dce1b0383f165441"),
+        "4a0b24e9003c22a92cd96955bbb316bbc674af45437533bf8f3f846e43359428"),
     "hermite": (
         "d3e67fd3c6e67a52ef6f7f503969bdba45c8b6bd78a53a1ae5180d9ff19923a1",
         "68022055ab732ba883059a679996aed0166f51ab97119ece59a235ee570b6b42"),
@@ -604,7 +604,7 @@ BUILD_GOLDEN = {
         "61f1481a5226905e28e4bd75cf0a06f73b0aacbd57b4f1c3f579785b0edd5d15"),
     "smooth": (
         "764da7d726d3c8f630922d54c4366578b3d162388b2e0b94a2e7f8c1080d811f",
-        "f0d42211a28f061dd76186c269f33d9bbdd25f495941a5b24366581f2816d0ca"),
+        "4f0c63873070d44d2de8cd659d0208cd8275b8e722810925401b9b8ecfcf69e6"),
     "trig-cos": (
         "b27c5c89c362c1b0ed2e9553f038acfdb67c22bc71c8ec726d3b4c923987a56f",
         "afeb8230d8c48277863dd44fe099070555fc33318e506ac04a0590f91a7285f9"),
