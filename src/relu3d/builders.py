@@ -93,14 +93,15 @@ def _finish_report(net, width_exp, depth_exp, height_exp, bound, formula_id,
                        bound_formula_id=formula_id, inputs=inputs, meta=meta)
 
 
-def _check_rounding(a, name, N):
-    """ValueError when a chain's float sum of the monomials a may miss
-    2^-N: trig chains measured off by 1.6 to 2.5 times 2^-52 sum |a_k|."""
+def _check_rounding(a, name, N, bound, stated):
+    """ValueError when a chain's float sum of the monomials a may miss the
+    bound (written as stated): trig chains measured off by 1.6 to 2.5 times
+    2^-52 sum |a_k|."""
     rounding = 4.0 * 2.0 ** -52 * float(np.sum(np.abs(a)))
-    if not rounding <= 2.0 ** -N:
+    if not rounding <= bound:
         raise ValueError(f"{name} = {N} is too large: the chain's float "
                          f"rounding of {rounding:.3g} exceeds the bound "
-                         f"2^-{N}")
+                         f"{stated}")
 
 
 def _min_height(amount, budget):
@@ -129,7 +130,7 @@ def _chain(target, N, name, budget):
     when the chain's float rounding exceeds 2^-N."""
     m = N + 1
     a = chebyshev_tensor_coeffs(target, m, 1).coeff_vector_1d()
-    _check_rounding(a, name, N)
+    _check_rounding(a, name, N, 2.0 ** -N, f"2^-{N}")
     A = max(abs(c) for c in a[1:])
     return a, A, _min_height(A * 3.0 * m * m, budget)
 
@@ -354,6 +355,8 @@ def build_analytic_ellipse(target, N, rho, d=1):
         raise ValueError(f"need rho > 2^sqrt(d) = {2.0 ** math.sqrt(d):.4f}")
     poly = chebyshev_tensor_coeffs(target, N, d)
     shape = rho ** (-N / math.sqrt(d))
+    _check_rounding(list(poly.coeffs.values()), "N", N, shape,
+                    f"rho^(-N/sqrt(d)) = {shape:.3g}")
     amount = _poly_amount(poly.coeffs)
     H = _min_height(amount, shape)
     inner = build_polyNd(poly, H)

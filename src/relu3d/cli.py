@@ -111,7 +111,11 @@ def _parse_values(args):
 
 def _target_from(args, doc):
     """TargetSpec from a parameter document and/or flags."""
-    tdoc = dict(doc.get("target", {}))
+    tdoc = doc.get("target", {})
+    if not isinstance(tdoc, dict):
+        raise UsageError(f"the target document must be a JSON object, "
+                         f"got {tdoc!r:.40}")
+    tdoc = dict(tdoc)
     if getattr(args, "target", None):
         tdoc["catalog_id"] = args.target
     if getattr(args, "d", None) is not None:
@@ -120,11 +124,12 @@ def _target_from(args, doc):
         tdoc["domain"] = args.domain
     if not tdoc.get("catalog_id"):
         return None
-    cid = TARGET_ALIASES.get(tdoc["catalog_id"], tdoc["catalog_id"])
-    tdoc["catalog_id"] = cid
+    cid = tdoc["catalog_id"]
+    if isinstance(cid, str):
+        tdoc["catalog_id"] = TARGET_ALIASES.get(cid, cid)
     try:
         return TargetSpec.from_document(tdoc)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(_reason(exc))
 
 

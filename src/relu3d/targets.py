@@ -10,6 +10,7 @@ bounds, Gaussian integrability).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -77,6 +78,11 @@ def catalog_ids():
     return sorted(_CATALOG)
 
 
+def _number(value):
+    """True for an int or float; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     kind: str = "catalog-function"
@@ -99,10 +105,24 @@ class TargetSpec:
 
     @staticmethod
     def from_document(doc):
-        return TargetSpec.catalog(doc["catalog_id"],
-                                  d=int(doc.get("dimension", 1)),
+        """The TargetSpec of a target document; ValueError unless it is an
+        object whose catalog_id and domain are strings, whose dimension is
+        a whole number >= 1 and whose params are an object of numbers (a
+        nan or inf parameter is left to the measurement's refusal of
+        values that are not finite)."""
+        dim = doc.get("dimension", 1) if isinstance(doc, dict) else 0
+        params = doc.get("params", {}) if isinstance(doc, dict) else None
+        if not (_number(dim) and 1 <= dim <= sys.float_info.max
+                and dim == int(dim) and isinstance(params, dict)
+                and all(_number(v) for v in params.values())
+                and all(isinstance(doc.get(k, ""), str)
+                        for k in ("catalog_id", "domain"))):
+            raise ValueError(f"a target document is an object with a string "
+                             f"catalog_id and domain, a whole dimension >= 1 "
+                             f"and params of numbers, not {doc!r:.60}")
+        return TargetSpec.catalog(doc["catalog_id"], d=int(dim),
                                   domain=doc.get("domain", "unit-cube"),
-                                  **doc.get("params", {}))
+                                  **params)
 
     def to_document(self):
         return {"catalog_id": self.catalog_id, "params": dict(self.params),

@@ -187,6 +187,19 @@ def test_analytic_ellipse_error_decay():
     assert errs[2] < errs[1] < errs[0]
 
 
+def test_analytic_ellipse_refuses_a_float_rounding_over_its_shape():
+    # 1/(x+2) at rho 4: N = 22 measures 3.9e-15 against its shape 5.7e-14;
+    # at N = 24 the monomial sum cancels (sum |a_j| = 774) and the net
+    # measured 3.5e-13 against 3.6e-15
+    target = TargetSpec.catalog("reciprocal-shift")
+    rep = build_analytic_ellipse(target, 22, 4.0)
+    xs = np.linspace(0, 1, 4097)[:, None]
+    err = np.max(np.abs(evaluate_array(rep.net, xs) - target(xs)))
+    assert err <= rep.theoretical_bound == 4.0 ** -22
+    with pytest.raises(ValueError, match="float rounding"):
+        build_analytic_ellipse(target, 24, 4.0)
+
+
 def test_analytic_ellipse_rejects_small_rho():
     target = TargetSpec.catalog("reciprocal-shift")
     with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 
 import csv
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -377,13 +380,17 @@ def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
      "--N", "300"],
     ["--theorem", "ellipse", "--target", "reciprocal-shift", "--rho", "4",
      "--N", "700"],
+    ["--theorem", "ellipse", "--target", "reciprocal-shift", "--rho", "4",
+     "--N", "24"],
+    ["--theorem", "analytic-cube", "--target", "geometric-product",
+     "--delta", "0.9", "--N", "320"],
     ["--theorem", "trig", "--k", "1", "--N2", "169"],
     ["--theorem", "trig", "--k", "1", "--N2", "30"],
     ["--theorem", "lp", "--target", "abs-power", "--N1", "4", "--N2", "1100"],
     ["--theorem", "poly", "--coeffs", "0,0,1", "--H", "2000"]],
     ids=["smooth-height", "smooth-rounding", "smooth-degree", "ellipse-height",
-         "ellipse-degree", "trig-factorial", "trig-rounding", "lp-factorial",
-         "poly-square-height"])
+         "ellipse-degree", "ellipse-rounding", "cube-height", "trig-factorial",
+         "trig-rounding", "lp-factorial", "poly-square-height"])
 def test_build_of_an_overflowing_float_formula_is_usage_error(tmp_path,
                                                              capsys, args):
     assert run(["build"] + args + ["-o", str(tmp_path / "x.net")]) == 2
@@ -720,6 +727,63 @@ def test_a_singular_target_prints_one_error_line(tmp_path, args):
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+# target documents outside the contract: not an object, a dimension that is
+# not a whole number >= 1, params that are not an object of finite numbers,
+# a catalog id that is not a string
+BAD_TARGETS = {
+    "not-an-object": '"linear"',
+    "dimension-string": '{"catalog_id": "linear", "dimension": "x"}',
+    "dimension-null": '{"catalog_id": "linear", "dimension": null}',
+    "dimension-overflow": '{"catalog_id": "linear", "dimension": 1e400}',
+    "params-list": '{"catalog_id": "linear", "params": [1]}',
+    "param-null": '{"catalog_id": "reciprocal-shift", "params": {"a": null}}',
+    "param-string": '{"catalog_id": "cosine", "params": {"omega": "x"}}',
+    "param-bool": '{"catalog_id": "cosine", "params": {"omega": true}}',
+    "catalog-id-list": '{"catalog_id": ["linear"]}',
+}
+BAD_TARGET_VERBS = {
+    "build": ["build", "--theorem", "smooth", "--N", "3", "-o", "x.net",
+              "--params", "t.json"],
+    "verify": ["verify", "sq.net", "--params", "t.json"],
+    "sweep": ["sweep", "--theorem", "smooth", "--values", "3", "-o", "s.csv",
+              "--params", "t.json"],
+    "table1": ["table1", "--config", "t.json", "-o", "t.csv"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(BAD_TARGET_VERBS))
+@pytest.mark.parametrize("case", sorted(BAD_TARGETS))
+def test_a_malformed_target_document_is_usage_error(tmp_path, capsys,
+                                                    monkeypatch, case, verb):
+    build_square(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    doc = ('[{"row": "ellipse", "N": 4, "rho": 4.0, "target": %s}]'
+           if verb == "table1" else '{"target": %s}')
+    (tmp_path / "t.json").write_text(doc % BAD_TARGETS[case])
+    capsys.readouterr()
+    assert run(BAD_TARGET_VERBS[verb]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", ["relu3d"] + sorted(
+    f"relu3d.{m.name}" for m in pkgutil.iter_modules(relu3d.__path__)))
+def test_every_exported_name_exists(name):
+    # the package has no __all__: each public name it binds must be one
+    # that a submodule exports
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", None)
+    if exported is None:
+        exported = [n for n, v in vars(module).items()
+                    if not n.startswith("_") and not inspect.ismodule(v)]
+        submodules = [importlib.import_module(f"relu3d.{m.name}")
+                      for m in pkgutil.iter_modules(module.__path__)]
+        assert set(exported) <= {n for m in submodules for n in m.__all__}
+    assert len(exported) == len(set(exported))
+    for n in exported:
+        assert hasattr(module, n), n
 
 
 def test_import_loads_no_scipy_quadrature_stack():
