@@ -31,7 +31,7 @@ from .blocks import (_clip_wires, _fold_wire, _sym_prod_wires,
 from .builder_dsl import NetBuilder, Wire
 from .chebyshev import chebyshev_tensor_coeffs
 from .hermite import hermite_expansion, hermite_poly_coeffs, hermite_tail_bound
-from .net import (Net3D, SizeMetrics, chain, linear_combine, metrics,
+from .net import (Net3D, SizeMetrics, _pack, chain, linear_combine, metrics,
                   parallel)
 from .polynd import PolyND, exact_degree_indices, tensor_points
 from .smoothness import modulus_smoothness
@@ -191,7 +191,7 @@ def build_poly1d(coeffs, H):
                                     "n": n, "H": H})
     inputs = {"n": n, "H": H}
     if n == 1:
-        net = Net3D(1, [], [{0: a[1]}], [a[0]])
+        net = Net3D(1, [], _pack(None, [{0: a[1]}], [a[0]]))
         return _finish_report(net, 0, 0, 0, bound, "poly1d", inputs,
                               {"note": "degree 1 is affine, no hidden layers"})
     if H < 1:
@@ -236,7 +236,7 @@ def build_polyNd(poly, H):
             e = tuple(1 if q == i else 0 for q in range(d))
             if coeffs.get(e, 0.0) != 0.0:
                 row[i] = coeffs[e]
-        net = Net3D(d, [], [row], [a0])
+        net = Net3D(d, [], _pack(None, [row], [a0]))
         meta["note"] = "degree 1 is affine, no hidden layers"
         return _finish_report(net, 0, 0, 0, bound, "polyNd", inputs, meta)
     if H < 1:
@@ -538,7 +538,7 @@ def _tensor_sum(terms, const, d, H, M):
     d >= 2 the factors run in parallel under one [-M, M]^d product net of
     height H.  No terms give the constant net."""
     if not terms:
-        return Net3D(d, [], [{}], [const])
+        return Net3D(d, [], _pack(None, [{}], [const]))
     if d == 1:
         nets = [factors[0] for _, factors in terms]
     else:

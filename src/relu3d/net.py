@@ -14,10 +14,10 @@ Activation is ReLU everywhere except the readout.
 Size vocabulary: width = max neurons on any single floor, depth = number of
 hidden layers, height = max floor count over layers.
 
-A Net3D stores each hidden layer, and its readout, as packed arrays
-(``_Rows``); validation, metrics, compilation, serialization and the
-compositions work on those arrays.  ``Layer``/``Neuron`` objects are the
-input form of the constructor and the read view ``Net3D.layers``.
+A Net3D stores each hidden layer, and its readout, as a ``Layer`` of
+packed arrays; validation, metrics, compilation, serialization and the
+compositions work on those arrays.  ``Layer.floors`` reads a hidden layer
+as floors of ``Neuron`` objects, built on each read.
 """
 
 from __future__ import annotations
@@ -75,49 +75,6 @@ class Neuron:
     weights: dict
     bias: float
     intra: tuple = ()
-
-
-class Layer:
-    """floors: tuple of floors, each a tuple of Neuron.  Immutable.
-
-    A layer of ``Net3D.layers`` is a view of the net's packed rows: its
-    size is read from them and its floors are built when first read.
-    """
-
-    __slots__ = ("_floors", "_rows")
-
-    def __init__(self, floors):
-        object.__setattr__(self, "_floors", floors)
-        object.__setattr__(self, "_rows", None)
-
-    @classmethod
-    def _view(cls, rows):
-        layer = cls(None)
-        object.__setattr__(layer, "_rows", rows)
-        return layer
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Layer is immutable")
-
-    @property
-    def floors(self):
-        if self._floors is None:
-            object.__setattr__(self, "_floors", _floors_of(self._rows))
-        return self._floors
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.floors == other.floors
-
-    def __repr__(self):
-        return f"Layer(floors={self.floors!r})"
-
-    @property
-    def size(self):
-        if self._floors is None:
-            return self._rows.n
-        return sum(len(f) for f in self.floors)
 
 
 @dataclass(frozen=True)
@@ -183,41 +140,54 @@ def _cut(items, ptr):
     return [items[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
-class _Rows:
+class Layer:
     """The neurons of one hidden layer, or the readout rows, packed.
 
     sizes: the floor sizes (None for the readout).  Row r, in flat order,
     has inbound weights w_idx/w_val[w_ptr[r]:w_ptr[r + 1]] in their given
     order with explicit zeros kept, bias bias[r], and intra links
     (l_floor, l_index, l_coeff)[l_ptr[r]:l_ptr[r + 1]] in their given
-    order with duplicates kept.  The arrays are read-only and may be
-    shared between nets.
+    order with duplicates kept.  A Layer is immutable (its arrays are
+    read-only) and may be shared between nets.  Layers compare with the
+    semantics of their floors, weights as maps (any order) and intra links
+    in order, and are unhashable.
     """
 
     __slots__ = ("sizes", "w_ptr", "w_idx", "w_val", "bias", "l_ptr",
                  "l_floor", "l_index", "l_coeff")
+    __hash__ = None
 
     def __init__(self, sizes, w_ptr, w_idx, w_val, bias, l_ptr=None,
                  l_floor=_NO_INTS, l_index=_NO_INTS, l_coeff=_NO_FLOATS):
         if l_ptr is None:
             l_ptr = np.zeros(len(w_ptr), dtype=np.int64)
-        self.sizes = sizes
-        self.w_ptr, self.w_idx, self.w_val = w_ptr, w_idx, w_val
-        self.bias = bias
-        self.l_ptr, self.l_floor = l_ptr, l_floor
-        self.l_index, self.l_coeff = l_index, l_coeff
-        for name in self.__slots__:
-            arr = getattr(self, name)
+        for name, arr in zip(self.__slots__, (sizes, w_ptr, w_idx, w_val,
+                                              bias, l_ptr, l_floor, l_index,
+                                              l_coeff)):
             if arr is not None:
                 arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Layer is immutable")
 
     @property
-    def n(self):
+    def size(self):
         return len(self.w_ptr) - 1
 
-    def same(self, other):
-        """Equality with the semantics of the Neuron view: weights compare
-        as dicts (any order), intra links as tuples (in order)."""
+    @property
+    def floors(self):
+        """The floors of a hidden layer as tuples of Neuron, built on each
+        read."""
+        neurons = [Neuron(weights=w, bias=b, intra=tuple(links))
+                   for w, b, links in zip(_weight_dicts(self),
+                                          self.bias.tolist(),
+                                          _row_links(self))]
+        return tuple(tuple(f) for f in _cut(neurons, _ptr(self.sizes)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Layer:
+            return NotImplemented
         return all(np.array_equal(a, b)
                    for a, b in zip(self._key(), other._key()))
 
@@ -229,32 +199,19 @@ class _Rows:
 
 
 def _pack(sizes, weights, biases, intras=None):
-    """_Rows from per-row weight dicts, biases and intra-link tuples."""
+    """Layer from per-row weight dicts, biases and intra-link tuples."""
     w_ptr = _ptr([len(w) for w in weights])
     w_idx = _ints(iconcat.from_iterable(weights))
     w_val = np.fromiter(iconcat.from_iterable(w.values() for w in weights),
                         dtype=float, count=int(w_ptr[-1]))
     bias = np.array(biases, dtype=float).reshape(-1)
     if intras is None:
-        return _Rows(sizes, w_ptr, w_idx, w_val, bias)
+        return Layer(sizes, w_ptr, w_idx, w_val, bias)
     links = list(iconcat.from_iterable(intras))
-    return _Rows(sizes, w_ptr, w_idx, w_val, bias,
+    return Layer(sizes, w_ptr, w_idx, w_val, bias,
                  _ptr([len(t) for t in intras]),
                  _ints(t[0] for t in links), _ints(t[1] for t in links),
                  np.array([t[2] for t in links], dtype=float).reshape(-1))
-
-
-def _pack_layer(layer):
-    if isinstance(layer, _Rows):
-        return layer
-    if not isinstance(layer, Layer):
-        layer = Layer(floors=())  # rejected by _validate at its position
-    if layer._rows is not None:
-        return layer._rows
-    neurons = [nrn for floor in layer.floors for nrn in floor]
-    return _pack(np.array([len(f) for f in layer.floors], dtype=np.int64),
-                 [n.weights for n in neurons], [n.bias for n in neurons],
-                 [n.intra for n in neurons])
 
 
 def _weight_dicts(rows):
@@ -269,49 +226,27 @@ def _row_links(rows):
                          rows.l_coeff.tolist())), rows.l_ptr)
 
 
-def _floors_of(rows):
-    """The Neuron floors of a hidden layer's packed rows."""
-    neurons = [Neuron(weights=w, bias=b, intra=tuple(links))
-               for w, b, links in zip(_weight_dicts(rows), rows.bias.tolist(),
-                                      _row_links(rows))]
-    return tuple(tuple(f) for f in _cut(neurons, _ptr(rows.sizes)))
-
-
 class Net3D:
     """Immutable intra-linked ReLU network with affine (multi-)readout.
 
-    layers: hidden layers of Neuron floors, read as views built on each
-    access.  readout_weights: tuple of rows, one per output, each
-    {flat_index: coeff} over the last hidden layer (or over the input if
-    there are no hidden layers), also a view.  Scalar networks have exactly
-    one row; ``evaluate`` returns a plain float for those.
-
-    The compositions, ``deserialize`` and the builder DSL pass packed rows
-    instead: each layer a _Rows, readout_weights the readout's _Rows and no
-    readout_bias.
+    layers: the hidden layers, a tuple of Layer.  readout: a Layer with
+    sizes None, one row per output over the last hidden layer (or over
+    the input if there are no hidden layers).  Scalar networks have
+    exactly one row; ``evaluate`` returns a plain float for those.  The
+    builder DSL (``relu3d.builder_dsl.NetBuilder``) makes nets by hand.
     """
 
-    __slots__ = ("input_dim", "_hidden", "_readout", "_program")
+    __slots__ = ("input_dim", "layers", "_readout", "_program")
 
-    def __init__(self, input_dim, layers, readout_weights, readout_bias=None):
-        if isinstance(readout_weights, _Rows):
-            readout = readout_weights
-        else:
-            readout = _pack(None, list(readout_weights),
-                            [float(b) for b in readout_bias])
+    def __init__(self, input_dim, layers, readout):
         object.__setattr__(self, "input_dim", int(input_dim))
-        object.__setattr__(self, "_hidden",
-                           tuple(_pack_layer(l) for l in layers))
+        object.__setattr__(self, "layers", tuple(layers))
         object.__setattr__(self, "_readout", readout)
         object.__setattr__(self, "_program", None)
         _validate(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Net3D is immutable")
-
-    @property
-    def layers(self):
-        return tuple(Layer._view(rows) for rows in self._hidden)
 
     @property
     def readout_weights(self):
@@ -329,15 +264,13 @@ class Net3D:
         if not isinstance(other, Net3D):
             return NotImplemented
         return (self.input_dim == other.input_dim
-                and len(self._hidden) == len(other._hidden)
-                and all(a.same(b) for a, b in zip(self._hidden,
-                                                  other._hidden))
-                and self._readout.same(other._readout))
+                and self.layers == other.layers
+                and self._readout == other._readout)
 
     def __hash__(self):
         # a cheap key over fields __eq__ compares, so equal nets hash equally
         return hash((self.input_dim, self.readout_bias,
-                     tuple(rows.n for rows in self._hidden)))
+                     tuple(layer.size for layer in self.layers)))
 
 
 def _check_finite(value, where):
@@ -399,8 +332,9 @@ def _validate(net):
     if net.input_dim < 1:
         raise NetFormatError("input_dim must be positive")
     prev = net.input_dim
-    for k, rows in enumerate(net._hidden):
-        if not len(rows.sizes):
+    for k, rows in enumerate(net.layers):
+        if not isinstance(rows, Layer) or rows.sizes is None \
+                or not len(rows.sizes):
             raise NetFormatError(f"layers[{k}] must be a nonempty Layer")
         bad = _bad_rows(rows, prev)
         empty = np.flatnonzero(rows.sizes == 0)
@@ -414,9 +348,11 @@ def _validate(net):
             ni = r - int(_starts(rows.sizes)[fi])
             _row_fault(rows, r, prev,
                        f"layers[{k}].floors[{fi}].neurons[{ni}]", fi, ni)
-        prev = rows.n
+        prev = rows.size
     ro = net._readout
-    if not ro.n or ro.n != len(ro.bias):
+    if not isinstance(ro, Layer) or ro.sizes is not None:
+        raise NetFormatError("readout must be a Layer with sizes None")
+    if not ro.size or ro.size != len(ro.bias):
         raise NetFormatError("readout must have matching weight rows and biases")
     bad = _bad_rows(ro, prev)
     if len(bad):
@@ -454,7 +390,7 @@ class _LayerProgram:
     __slots__ = ("W", "b", "segments")
 
     def __init__(self, rows, prev_size):
-        n = rows.n
+        n = rows.size
         self.W = _csr(rows.w_ptr, rows.w_idx, rows.w_val, prev_size)
         self.b = rows.bias
         # links as (row, flat source) entries sorted that way; duplicate
@@ -485,9 +421,9 @@ def _compile(net):
     if net._program is None:
         progs = []
         prev = net.input_dim
-        for rows in net._hidden:
+        for rows in net.layers:
             progs.append(_LayerProgram(rows, prev))
-            prev = rows.n
+            prev = rows.size
         ro = net._readout
         R = _csr(ro.w_ptr, ro.w_idx, ro.w_val, prev)
         object.__setattr__(net, "_program", (progs, R, ro.bias))
@@ -551,7 +487,7 @@ def evaluate_array(net, pts):
         raise NetFormatError(f"expected points of length {net.input_dim}, "
                              f"got an array of shape {pts.shape}")
     m = pts.shape[0]
-    n_widest = max([net.input_dim] + [rows.n for rows in net._hidden])
+    n_widest = max([net.input_dim] + [rows.size for rows in net.layers])
     chunk = max(64, min(m, CHUNK_ELEMENTS // max(1, n_widest)))
     # an empty batch still runs one (empty) chunk, giving an empty result
     outs = [_forward(net, pts[start:start + chunk].T).T
@@ -570,7 +506,7 @@ def evaluate_exact(net, x):
         [Fraction(v) for v in np.atleast_1d(np.asarray(x, dtype=float))]
     if len(acts) != net.input_dim:
         raise NetFormatError("dimension mismatch")
-    for rows in net._hidden + (net._readout,):
+    for rows in net.layers + (net._readout,):
         hidden = rows.sizes is not None
         offs = _starts(rows.sizes).tolist() if hidden else []
         new = []
@@ -589,9 +525,9 @@ def evaluate_exact(net, x):
 def metrics(net):
     """Size metrics; parameters are the nonzero weights, biases and intra
     coefficients, readout included."""
-    sizes = [rows.sizes for rows in net._hidden]
+    sizes = [rows.sizes for rows in net.layers]
     param_count = 0
-    for rows in net._hidden + (net._readout,):
+    for rows in net.layers + (net._readout,):
         param_count += (np.count_nonzero(rows.w_val)
                         + np.count_nonzero(rows.bias)
                         + np.count_nonzero(rows.l_coeff))
@@ -611,7 +547,7 @@ def _w_docs(rows, n_prev):
     dense/sparse choice is canonical: the parser discards zero entries, and
     round-tripping must be bit-stable."""
     keep = rows.w_val != 0.0
-    ptr = _ptr(np.bincount(_row_ids(rows.w_ptr)[keep], minlength=rows.n))
+    ptr = _ptr(np.bincount(_row_ids(rows.w_ptr)[keep], minlength=rows.size))
     order = _row_order(ptr, rows.w_idx[keep])
     idx = _cut(rows.w_idx[keep][order].tolist(), ptr)
     val = _cut(rows.w_val[keep][order].tolist(), ptr)
@@ -652,7 +588,7 @@ def serialize(net):
     """Return the schema-versioned document (a JSON string)."""
     prev = net.input_dim
     layers = []
-    for rows in net._hidden:
+    for rows in net.layers:
         neurons = [{"w": w, "b": b,
                     "intra": [{"floor": sf, "index": si, "coeff": c}
                               for (sf, si, c) in links]}
@@ -661,7 +597,7 @@ def serialize(net):
                                           _row_links(rows))]
         layers.append({"floors": [{"neurons": f} for f in
                                   _cut(neurons, _ptr(rows.sizes))]})
-        prev = rows.n
+        prev = rows.size
     doc = {
         "schema": SCHEMA_ID,
         "input_dim": net.input_dim,
@@ -750,13 +686,13 @@ def flatten_to_2d(net, pad_width_to=None):
     original network, matching the 2D-equivalence size statement.
     """
     hidden = []
-    widest = max((rows.n for rows in net._hidden), default=0)
-    for rows in net._hidden:
-        n, pad = rows.n, 0
+    widest = max((rows.size for rows in net.layers), default=0)
+    for rows in net.layers:
+        n, pad = rows.size, 0
         if pad_width_to and n == widest and n < pad_width_to:
             pad = pad_width_to - n
             widest = pad_width_to  # pad only one layer
-        hidden.append(_Rows(
+        hidden.append(Layer(
             np.array([n + pad], dtype=np.int64),
             np.append(rows.w_ptr, np.full(pad, rows.w_ptr[-1])),
             rows.w_idx, rows.w_val, np.append(rows.bias, np.zeros(pad)),
@@ -789,14 +725,14 @@ def _compose(outer, inner, n_basis):
     new_row, new_idx = np.divmod(keys[order], n_basis)
     bias = np.array(outer.bias)
     np.add.at(bias, row, w * inner.bias[o])
-    return _Rows(outer.sizes, _ptr(np.bincount(new_row, minlength=outer.n)),
+    return Layer(outer.sizes, _ptr(np.bincount(new_row, minlength=outer.size)),
                  new_idx, val[order], bias, outer.l_ptr, outer.l_floor,
                  outer.l_index, outer.l_coeff)
 
 
 def _last_width(input_dim, hidden):
     """Size of the layer a readout reads."""
-    return hidden[-1].n if hidden else input_dim
+    return hidden[-1].size if hidden else input_dim
 
 
 def chain(outer, inner):
@@ -804,20 +740,20 @@ def chain(outer, inner):
     if outer.input_dim != inner.output_dim:
         raise NetFormatError(f"chain mismatch: outer expects {outer.input_dim}"
                              f" inputs, inner produces {inner.output_dim}")
-    n_basis = _last_width(inner.input_dim, inner._hidden)
-    if not outer._hidden:
-        return Net3D(inner.input_dim, inner._hidden,
+    n_basis = _last_width(inner.input_dim, inner.layers)
+    if not outer.layers:
+        return Net3D(inner.input_dim, inner.layers,
                      _compose(outer._readout, inner._readout, n_basis))
-    first = _compose(outer._hidden[0], inner._readout, n_basis)
+    first = _compose(outer.layers[0], inner._readout, n_basis)
     return Net3D(inner.input_dim,
-                 inner._hidden + (first,) + outer._hidden[1:],
+                 inner.layers + (first,) + outer.layers[1:],
                  outer._readout)
 
 
 def _stack(blocks, remaps):
     """Concatenate the rows of blocks, remapping each block's weight
     columns by its array in remaps (intra links unchanged)."""
-    return _Rows(
+    return Layer(
         None, _ptr(np.concatenate([np.diff(b.w_ptr) for b in blocks])),
         np.concatenate([m[b.w_idx] for b, m in zip(blocks, remaps)]),
         np.concatenate([b.w_val for b in blocks]),
@@ -831,16 +767,16 @@ def _stack(blocks, remaps):
 def _carry(readout):
     """One floor of (sigma(y), sigma(-y)) pairs for each output y of the
     readout, and the readout that recovers y from them."""
-    n = readout.n
+    n = readout.size
     ptr, pos = _take(readout.w_ptr, np.repeat(np.arange(n), 2))
     val = readout.w_val[pos]
     neg = np.repeat(np.arange(2 * n) % 2 == 1, np.diff(ptr))
     val[neg] = -val[neg]
     bias = np.repeat(readout.bias, 2)
     bias[1::2] = -bias[1::2]
-    pad = _Rows(np.array([2 * n], dtype=np.int64), ptr, readout.w_idx[pos],
+    pad = Layer(np.array([2 * n], dtype=np.int64), ptr, readout.w_idx[pos],
                 val, bias)
-    pairs = _Rows(None, np.arange(0, 2 * n + 1, 2), np.arange(2 * n),
+    pairs = Layer(None, np.arange(0, 2 * n + 1, 2), np.arange(2 * n),
                   np.tile([1.0, -1.0], n), np.zeros(n))
     return pad, pairs
 
@@ -857,7 +793,7 @@ def _merge(nets, share_input):
     """
     if not nets:
         raise NetFormatError("need at least one net")
-    depth = max(len(n._hidden) for n in nets)
+    depth = max(len(n.layers) for n in nets)
     if share_input:
         input_dim = nets[0].input_dim
         if any(n.input_dim != input_dim for n in nets):
@@ -875,8 +811,8 @@ def _merge(nets, share_input):
     for k in range(depth):
         parts = []
         for j, n in enumerate(nets):
-            if k < len(n._hidden):
-                parts.append(n._hidden[k])
+            if k < len(n.layers):
+                parts.append(n.layers[k])
             else:
                 pad, reads[j] = _carry(reads[j])
                 parts.append(pad)
@@ -890,7 +826,7 @@ def _merge(nets, share_input):
         new_remap = []
         for j, p in enumerate(parts):
             fi = np.repeat(np.arange(len(p.sizes)), p.sizes)
-            at = np.arange(p.n) - _starts(p.sizes)[fi]
+            at = np.arange(p.size) - _starts(p.sizes)[fi]
             new_remap.append(starts[fi] + col[j, fi] + at)
         cat = _stack(parts, remap)
         shift = np.concatenate([col[j, p.l_floor]
@@ -898,7 +834,7 @@ def _merge(nets, share_input):
         order = np.argsort(np.concatenate(new_remap))  # merged row -> cat row
         w_ptr, w_pos = _take(cat.w_ptr, order)
         l_ptr, l_pos = _take(cat.l_ptr, order)
-        hidden.append(_Rows(sizes, w_ptr, cat.w_idx[w_pos],
+        hidden.append(Layer(sizes, w_ptr, cat.w_idx[w_pos],
                             cat.w_val[w_pos], cat.bias[order], l_ptr,
                             cat.l_floor[l_pos],
                             (cat.l_index + shift)[l_pos],
@@ -926,7 +862,7 @@ def linear_combine(nets, coeffs, bias):
     if any(n.output_dim != 1 for n in nets):
         raise NetFormatError("linear_combine requires scalar nets")
     input_dim, hidden, readout = _merge(nets, share_input=True)
-    combo = _Rows(None, np.array([0, len(coeffs)]), np.arange(len(coeffs)),
+    combo = Layer(None, np.array([0, len(coeffs)]), np.arange(len(coeffs)),
                   np.array(coeffs, dtype=float), np.array([float(bias)]))
     return Net3D(input_dim, hidden,
                  _compose(combo, readout, _last_width(input_dim, hidden)))
@@ -934,9 +870,7 @@ def linear_combine(nets, coeffs, bias):
 
 def identity_net(dim=1):
     """x -> x via sigma(x) - sigma(-x) pairs (one floor, 2*dim neurons)."""
-    floor = []
-    for i in range(dim):
-        floor.append(Neuron(weights={i: 1.0}, bias=0.0))
-        floor.append(Neuron(weights={i: -1.0}, bias=0.0))
+    pairs = [{i: sign} for i in range(dim) for sign in (1.0, -1.0)]
     rows = [{2 * i: 1.0, 2 * i + 1: -1.0} for i in range(dim)]
-    return Net3D(dim, [Layer(floors=(tuple(floor),))], rows, [0.0] * dim)
+    return Net3D(dim, [_pack(np.array([2 * dim]), pairs, [0.0] * (2 * dim))],
+                 _pack(None, rows, [0.0] * dim))

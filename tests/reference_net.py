@@ -1,26 +1,49 @@
-"""Scalar reference checks of Net3D documents and Layer/Neuron objects.
+"""Scalar reference checks of Net3D documents and hand-made parts.
 
 These are the neuron-by-neuron forms of ``relu3d.net``'s validation, size
 metrics and document parser, kept as independent oracles for the
-vectorized code: they walk Layer/Neuron objects and plain dicts and share
-nothing with the packed arrays but ``NetFormatError``, ``Layer``,
-``Neuron`` and ``SizeMetrics``.
+vectorized code: they walk Neuron floors and plain dicts and share
+nothing with the packed arrays but ``NetFormatError``, ``Neuron`` and
+``SizeMetrics``.
 
 A net is given as its parts (input_dim, layers, readout_weights,
-readout_bias); ``parts(net)`` reads them from a Net3D's views.
-``decision`` and ``array_decision`` give the outcome of the reference and
-of relu3d.net in one comparable form.
+readout_bias), each layer a tuple of floors and each floor a tuple of
+Neuron; ``parts(net)`` reads them from a Net3D.  ``pack(*parts)`` packs
+them into a Net3D, unchecked, so that relu3d.net's own validation sees
+hand-made nets that are invalid on purpose (``NetBuilder`` refuses those
+while wiring).  ``decision`` and ``array_decision`` give the outcome of
+the reference and of relu3d.net in one comparable form.
 """
 
 import json
 import math
 
-from relu3d.net import (SCHEMA_ID, Layer, NetFormatError, Neuron, SizeMetrics,
-                        metrics as array_metrics)
+import numpy as np
+
+from relu3d.net import (SCHEMA_ID, Net3D, NetFormatError, Neuron, SizeMetrics,
+                        _pack, metrics as array_metrics)
 
 
 def parts(net):
-    return (net.input_dim, net.layers, net.readout_weights, net.readout_bias)
+    return (net.input_dim, [layer.floors for layer in net.layers],
+            net.readout_weights, net.readout_bias)
+
+
+def pack(input_dim, layers, readout_weights, readout_bias):
+    """The Net3D of the parts.  A layer that is not a tuple of floors is
+    passed on as it is, for Net3D to refuse."""
+    packed = []
+    for floors in layers:
+        if isinstance(floors, tuple):
+            neurons = [nrn for floor in floors for nrn in floor]
+            floors = _pack(np.array([len(f) for f in floors], dtype=np.int64),
+                           [n.weights for n in neurons],
+                           [n.bias for n in neurons],
+                           [n.intra for n in neurons])
+        packed.append(floors)
+    return Net3D(input_dim, packed,
+                 _pack(None, list(readout_weights),
+                       [float(b) for b in readout_bias]))
 
 
 def decision(make_parts):
@@ -52,10 +75,10 @@ def validate(input_dim, layers, readout_weights, readout_bias):
     if input_dim < 1:
         raise NetFormatError("input_dim must be positive")
     prev = input_dim
-    for k, layer in enumerate(layers):
-        if not isinstance(layer, Layer) or not layer.floors:
+    for k, floors in enumerate(layers):
+        if not isinstance(floors, tuple) or not floors:
             raise NetFormatError(f"layers[{k}] must be a nonempty Layer")
-        for fi, floor in enumerate(layer.floors):
+        for fi, floor in enumerate(floors):
             if not floor:
                 raise NetFormatError(f"layers[{k}].floors[{fi}] is empty")
             for ni, nrn in enumerate(floor):
@@ -68,10 +91,10 @@ def validate(input_dim, layers, readout_weights, readout_bias):
                     _check_finite(w, where + ".w")
                 _check_finite(nrn.bias, where + ".b")
                 for (sf, si, coeff) in nrn.intra:
-                    if sf < 0 or sf >= len(layer.floors):
+                    if sf < 0 or sf >= len(floors):
                         raise NetFormatError(f"intra source floor {sf} out of "
                                              f"range at {where}")
-                    if si < 0 or si >= len(layer.floors[sf]):
+                    if si < 0 or si >= len(floors[sf]):
                         raise NetFormatError(f"intra source index {si} out of "
                                              f"range at {where}")
                     if (sf, si) >= (fi, ni):
@@ -79,7 +102,7 @@ def validate(input_dim, layers, readout_weights, readout_bias):
                             f"intra link at {where} must point to a strictly "
                             f"earlier neuron (got floor {sf}, index {si})")
                     _check_finite(coeff, where + ".intra")
-        prev = layer.size
+        prev = sum(len(f) for f in floors)
     if not readout_weights or len(readout_weights) != len(readout_bias):
         raise NetFormatError("readout must have matching weight rows and biases")
     for oi, row in enumerate(readout_weights):
@@ -96,9 +119,9 @@ def metrics(input_dim, layers, readout_weights, readout_bias):
     height = 0
     neuron_count = 0
     param_count = 0
-    for layer in layers:
-        height = max(height, len(layer.floors))
-        for floor in layer.floors:
+    for floors in layers:
+        height = max(height, len(floors))
+        for floor in floors:
             width = max(width, len(floor))
             neuron_count += len(floor)
             for nrn in floor:
@@ -179,8 +202,8 @@ def parse(document):
                     raise NetFormatError(f"malformed neuron at {where}: {exc}")
                 neurons.append(Neuron(weights=weights, bias=bias, intra=intra))
             floors.append(tuple(neurons))
-        layers.append(Layer(floors=tuple(floors)))
-        prev = layers[-1].size
+        layers.append(tuple(floors))
+        prev = sum(len(f) for f in floors)
     ro = doc.get("readout")
     if not isinstance(ro, dict) or "w" not in ro or "b" not in ro:
         raise NetFormatError("missing readout section")

@@ -18,8 +18,7 @@ from relu3d.builders import (build_analytic_cube, build_analytic_ellipse,
                              choose_hermite_params, expected_bound,
                              expected_size)
 from relu3d.hermite import hermite_eval, hermite_tail_bound
-from relu3d.net import (Layer, Net3D, Neuron, _compile, evaluate_array,
-                        metrics, serialize)
+from relu3d.net import Neuron, _compile, evaluate_array, metrics, serialize
 from relu3d.polynd import PolyND
 from relu3d.targets import TargetSpec
 from relu3d.verify import gauss_l2_error, lp_error, sup_error, sweep
@@ -657,7 +656,7 @@ def _with_fault(parts, kind, k, r):
     r when k is the depth."""
     input_dim, layers, rows, bias = parts
     layers, rows, bias = list(layers), list(rows), list(bias)
-    prev = layers[k - 1].size if k else input_dim
+    prev = sum(len(f) for f in layers[k - 1]) if k else input_dim
     if k == len(layers):
         r %= len(rows)
         if kind == "bias":
@@ -665,10 +664,11 @@ def _with_fault(parts, kind, k, r):
         else:
             rows[r] = {**rows[r], prev if kind == "index" else 0: math.inf}
         return input_dim, layers, rows, bias
-    if not isinstance(layers[k], Layer) or not layers[k].size:
+    size = sum(len(f) for f in layers[k])
+    if not isinstance(layers[k], tuple) or not size:
         return parts  # an earlier fault removed the layer's neurons
-    floors = [list(f) for f in layers[k].floors]
-    r %= layers[k].size
+    floors = [list(f) for f in layers[k]]
+    r %= size
     fi = 0
     while r >= len(floors[fi]):
         r -= len(floors[fi])
@@ -690,7 +690,7 @@ def _with_fault(parts, kind, k, r):
                                 prev if kind == "index" else 0: math.inf},
                                nrn.bias, nrn.intra)
     if kind != "layer":
-        layers[k] = Layer(floors=tuple(tuple(f) for f in floors))
+        layers[k] = tuple(tuple(f) for f in floors)
     return input_dim, layers, rows, bias
 
 
@@ -713,7 +713,8 @@ def test_array_checks_match_the_scalar_reference(case):
                                  int(rng.integers(depth + 1)),
                                  int(rng.integers(1 << 30)))
         want = reference_net.decision(lambda: faulty)
-        assert reference_net.array_decision(lambda: Net3D(*faulty)) == want
+        assert reference_net.array_decision(
+            lambda: reference_net.pack(*faulty)) == want
         assert want[0] == "error"
 
 

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_net import FUZZ_NETS, JSON_LEAF, _leaf_paths, _put
 
+import reference_net
 import relu3d
 from relu3d import blocks, trig_operator
 from relu3d.builders import THEOREM_IDS, THEOREMS
 from relu3d.cli import _build_parser, run
-from relu3d.net import (Net3D, deserialize, evaluate_array, identity_net,
+from relu3d.net import (deserialize, evaluate_array, identity_net,
                         parallel_shared, serialize)
 
 
@@ -263,7 +264,7 @@ def test_verify_of_an_unusable_bound_or_support_is_usage_error(
 def test_verify_of_a_net_with_22_inputs_is_usage_error(tmp_path, capsys):
     # a sup grid of 2 points per axis over 22 inputs exceeds the point cap
     path = tmp_path / "wide.net"
-    path.write_text(serialize(Net3D(22, [], [{0: 1.0}], [0.0])))
+    path.write_text(serialize(reference_net.pack(22, [], [{0: 1.0}], [0.0])))
     assert run(["verify", str(path), "--target", "linear",
                 "--bound", "1"]) == 2
     assert "cannot measure" in capsys.readouterr().err

@@ -14,19 +14,19 @@ import reference_net
 from relu3d import blocks, builders, verify
 from relu3d import net as rnet
 from relu3d.builder_dsl import NetBuilder
-from relu3d.net import (Layer, Net3D, NetFormatError, Neuron, _compile,
-                        chain, deserialize, evaluate, evaluate_array,
+from relu3d.net import (NetFormatError, Neuron, _compile, chain, deserialize, evaluate, evaluate_array,
                         evaluate_batch, evaluate_exact, flatten_to_2d,
                         identity_net, linear_combine, metrics, parallel,
                         parallel_shared, serialize)
 from relu3d.targets import TargetSpec
+from test_builders import GOLDEN_CASES
 
 GRID = np.linspace(0.0, 1.0, 1001)[:, None]
 
 
 def single_neuron_net(w, b):
-    layer = Layer(floors=((Neuron(weights={0: w}, bias=b),),))
-    return Net3D(1, [layer], [{0: 1.0}], [0.0])
+    layer = ((Neuron(weights={0: w}, bias=b),),)
+    return reference_net.pack(1, [layer], [{0: 1.0}], [0.0])
 
 
 # -- evaluation -------------------------------------------------------------
@@ -85,8 +85,8 @@ def test_evaluate_rejects_nonfinite_intermediate():
 
 @pytest.mark.parametrize("net,x", [
     (linear_combine([identity_net(1)], [4.0], 0.0), 1e308),
-    (Net3D(1, [], [{0: 2.0}], [0.5]), 1e308),
-    (Net3D(1, [], [{0: 2.0}], [0.5]), math.nan),
+    (reference_net.pack(1, [], [{0: 2.0}], [0.5]), 1e308),
+    (reference_net.pack(1, [], [{0: 2.0}], [0.5]), math.nan),
 ], ids=["overflow", "no-hidden-layers", "nan"])
 def test_evaluate_rejects_nonfinite_output(net, x):
     with pytest.raises(NetFormatError, match="non-finite output"):
@@ -171,17 +171,17 @@ def test_evaluation_determinism():
 
 def test_intra_link_must_point_earlier():
     nrn_bad = Neuron(weights={0: 1.0}, bias=0.0, intra=((0, 0, 1.0),))
-    layer = Layer(floors=((nrn_bad,),))
+    layer = ((nrn_bad,),)
     with pytest.raises(NetFormatError):
-        Net3D(1, [layer], [{0: 1.0}], [0.0])
+        reference_net.pack(1, [layer], [{0: 1.0}], [0.0])
 
 
 def test_forward_intra_link_rejected():
     a = Neuron(weights={0: 1.0}, bias=0.0, intra=((1, 0, 1.0),))
     b = Neuron(weights={0: 1.0}, bias=0.0)
-    layer = Layer(floors=((a,), (b,)))
+    layer = ((a,), (b,))
     with pytest.raises(NetFormatError):
-        Net3D(1, [layer], [{0: 1.0}], [0.0])
+        reference_net.pack(1, [layer], [{0: 1.0}], [0.0])
 
 
 def test_nonfinite_weight_rejected():
@@ -190,9 +190,9 @@ def test_nonfinite_weight_rejected():
 
 
 def test_out_of_range_weight_index_rejected():
-    layer = Layer(floors=((Neuron(weights={3: 1.0}, bias=0.0),),))
+    layer = ((Neuron(weights={3: 1.0}, bias=0.0),),)
     with pytest.raises(NetFormatError):
-        Net3D(1, [layer], [{0: 1.0}], [0.0])
+        reference_net.pack(1, [layer], [{0: 1.0}], [0.0])
 
 
 def test_equal_nets_hash_equally():
@@ -206,6 +206,12 @@ def test_net_is_immutable():
     net = identity_net(1)
     with pytest.raises(AttributeError):
         net.input_dim = 2
+    # net.layers hands out the stored layers, which nets share
+    assert net.layers[0] is net.layers[0]
+    with pytest.raises(AttributeError):
+        net.layers[0].bias = np.zeros(2)
+    with pytest.raises(ValueError, match="read-only"):
+        net.layers[0].bias[0] = 1.0
 
 
 # -- metrics ----------------------------------------------------------------
@@ -406,7 +412,7 @@ def two_input_net(weights, intra):
     first = (Neuron(weights={0: 1.0}, bias=0.0),
              Neuron(weights={1: 1.0}, bias=0.0))
     top = (Neuron(weights=weights, bias=0.5, intra=intra),)
-    return Net3D(2, [Layer(floors=(first, top))], [{2: 1.0}], [0.0])
+    return reference_net.pack(2, [(first, top)], [{2: 1.0}], [0.0])
 
 
 def test_nets_differing_by_an_explicit_zero_weight_are_unequal():
@@ -430,7 +436,7 @@ def test_weight_order_does_not_change_equality_or_hash():
 
 def five_input_net(rows, readout):
     floor = tuple(Neuron(weights=w, bias=0.5) for w in rows)
-    return Net3D(5, [Layer(floors=(floor,))], [readout], [0.0])
+    return reference_net.pack(5, [(floor,)], [readout], [0.0])
 
 
 def test_weight_order_and_explicit_zeros_serialize_to_the_same_bytes():
@@ -457,11 +463,12 @@ def test_weight_order_and_explicit_zeros_serialize_to_the_same_bytes():
 
 def test_layers_are_unhashable_while_equal_nets_hash_equally():
     net = blocks.square_net(2)
-    view = net.layers[0]
-    for layer in (view, Layer(floors=view.floors)):
+    back = deserialize(serialize(net))
+    assert back.layers[0] == net.layers[0]
+    for layer in (net.layers[0], back.layers[0]):
         with pytest.raises(TypeError):
             hash(layer)
-    assert hash(net) == hash(deserialize(serialize(net)))
+    assert hash(net) == hash(back)
 
 
 def composition_parts():
@@ -474,23 +481,27 @@ def composed_nets(parts):
 
 
 def test_round_trips_and_rebuilds_equal_the_composed_net():
-    for name, net in composed_nets(composition_parts()).items():
+    # every composition, merge golden and builder golden: the net's
+    # document and its floors, packed again, give the same net
+    nets = composed_nets(composition_parts())
+    nets.update((name, make()) for name, (_, make) in GOLDEN_MERGES.items())
+    nets.update((name, make().net)
+                for name, (_, _, make) in GOLDEN_CASES.items())
+    for name, net in nets.items():
         back = deserialize(serialize(net))
-        views = net.layers
-        rebuilt = Net3D(net.input_dim,
-                        [Layer(floors=view.floors) for view in views],
-                        net.readout_weights, net.readout_bias)
-        assert [Layer(floors=view.floors) for view in views] == list(views)
+        rebuilt = reference_net.pack(*reference_net.parts(net))
         for other in (back, rebuilt):
             assert other == net, name
             assert hash(other) == hash(net), name
+            assert serialize(other) == serialize(net), name
 
 
 def test_a_net_built_from_layers_equals_its_composition():
     x0, x1 = ({0: 1.0}, {0: -1.0}), ({1: 1.0}, {1: -1.0})
     floor = tuple(Neuron(weights=w, bias=0.0) for w in x0 + x1)
-    by_hand = Net3D(2, [Layer(floors=(floor,))],
-                    [{0: 1.0, 1: -1.0}, {2: 1.0, 3: -1.0}], [0.0, 0.0])
+    by_hand = reference_net.pack(2, [(floor,)],
+                                 [{0: 1.0, 1: -1.0}, {2: 1.0, 3: -1.0}],
+                                 [0.0, 0.0])
     composed = parallel([identity_net(1), identity_net(1)])
     assert by_hand == composed and hash(by_hand) == hash(composed)
     assert serialize(by_hand) == serialize(composed)
@@ -515,7 +526,7 @@ def test_compositions_and_net_io_build_no_neuron_objects(monkeypatch):
     assert made == []
     layer = nets["chain"].layers[0]
     assert layer.size == nets["chain"].layers[0].size > 0 and made == []
-    assert layer.floors and made  # reading a view's floors builds them
+    assert layer.floors and made  # reading a layer's floors builds them
 
 
 # -- builder DSL ------------------------------------------------------------
@@ -543,8 +554,8 @@ def test_dsl_numbers_interleaved_floors_in_floor_index_order():
               Neuron(weights={}, bias=0.0,
                      intra=((0, 0, 1.0), (0, 1, -1.0))))
     top = Neuron(weights={0: 1.0, 2: 10.0, 1: 100.0, 3: 1000.0}, bias=0.0)
-    by_hand = Net3D(1, [Layer(floors=(floor0, floor1)),
-                        Layer(floors=((top,),))], [{0: 1.0}], [0.0])
+    by_hand = reference_net.pack(1, [(floor0, floor1), ((top,),)],
+                                 [{0: 1.0}], [0.0])
     assert net.layers[1].floors[0][0].weights == top.weights
     assert serialize(net) == serialize(by_hand)
     for k in range(-8, 17):
@@ -694,13 +705,15 @@ GOLDEN_MERGES = {
                           blocks.power_chain_net(4, 2)])),
     "parallel-affine-part": (
         "5d7cfdcabdbf7226e9bfee0b3968b2e10cfdc2bb277a78fbf965bc188357eae4",
-        lambda: parallel([Net3D(2, [], [{0: 0.5, 1: -0.25}, {1: 2.0}],
-                                [0.0, -0.125]),
+        lambda: parallel([reference_net.pack(2, [],
+                                             [{0: 0.5, 1: -0.25}, {1: 2.0}],
+                                             [0.0, -0.125]),
                           blocks.power_chain_net(3, 2)])),
     "linear-combine-unequal-depth": (
         "80939fe0253327902c8d314e7cd71800d7ec61f9e845f963a6c18d2a49cc45ed",
         lambda: linear_combine(
-            [Net3D(1, [], [{0: 1.0}], [0.0]), blocks.square_net(2),
+            [reference_net.pack(1, [], [{0: 1.0}], [0.0]),
+             blocks.square_net(2),
              chain(blocks.sawtooth_net(1),
                    chain(blocks.square_net(3), blocks.sawtooth_net(2)))],
             [0.75, -0.5, 0.25], -0.0625)),

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import reference_net
 from relu3d import blocks, builders, twins, verify
 from relu3d import net as rnet
-from relu3d.net import (Layer, Net3D, Neuron, evaluate_array, identity_net,
-                        metrics)
+from relu3d.net import Neuron, evaluate_array, identity_net, metrics
 from relu3d.targets import TargetSpec
 from relu3d.verify import (TABLE1, ErrorReport, SweepRow, SweepTable,
                            fit_and_check, gauss_l2_error, lp_error, lp_errors,
@@ -18,8 +18,8 @@ from relu3d.verify import (TABLE1, ErrorReport, SweepRow, SweepTable,
 
 
 def zero_net():
-    layer = Layer(floors=((Neuron(weights={0: 0.0}, bias=0.0),),))
-    return Net3D(1, [layer], [{0: 0.0}], [0.0])
+    layer = ((Neuron(weights={0: 0.0}, bias=0.0),),)
+    return reference_net.pack(1, [layer], [{0: 0.0}], [0.0])
 
 
 # -- ErrorReport / SweepTable invariants -------------------------------------
@@ -100,7 +100,7 @@ def test_sup_error_grid_refinement_stability():
 @pytest.mark.parametrize("d", [22, 1000])
 def test_sup_error_refuses_fewer_than_two_points_per_axis(d):
     # 2^22 points exceed SUP_POINT_CAP; the net needs no hidden layer
-    net = Net3D(d, [], [{0: 1.0}], [0.0])
+    net = reference_net.pack(d, [], [{0: 1.0}], [0.0])
     with pytest.raises(ValueError, match="cap"):
         sup_error(net, lambda p: p[:, 0], (0.0, 1.0))
 
@@ -114,7 +114,7 @@ def test_sup_error_grid_side_under_the_point_cap(d, side, monkeypatch):
                         lambda axes: np.zeros((1, len(axes))))
     monkeypatch.setattr(verify, "_abs_diff",
                         lambda net, target, pts: np.zeros(len(pts)))
-    er = sup_error(Net3D(d, [], [{0: 1.0}], [0.0]), None, (0.0, 1.0))
+    er = sup_error(reference_net.pack(d, [], [{0: 1.0}], [0.0]), None, (0.0, 1.0))
     assert er.resolution["points_per_dim"] == side
 
 
