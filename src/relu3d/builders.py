@@ -30,9 +30,10 @@ from .blocks import (_clip_wires, _fold_wire, _sym_prod_wires,
                      product_d_net)
 from .builder_dsl import NetBuilder, Wire
 from .chebyshev import chebyshev_tensor_coeffs
-from .hermite import hermite_expansion, hermite_poly_coeffs, hermite_tail_bound
-from .net import (Net3D, SizeMetrics, _pack, chain, linear_combine, metrics,
-                  parallel)
+from .hermite import (check_support, hermite_expansion, hermite_poly_coeffs,
+                      hermite_tail_bound, support_probe)
+from .net import (Net3D, SizeMetrics, _forward, _pack, chain, linear_combine,
+                  metrics, parallel)
 from .polynd import PolyND, exact_degree_indices, tensor_points
 from .smoothness import modulus_smoothness
 from .targets import TargetSpec, power_series_truncate
@@ -518,6 +519,14 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
              for nu in iproduct(range(N + 1), repeat=d)]
     if d == 1:
         net = _tensor_sum(terms, 0.0, d, None, None)
+        # gauss_l2_error measures only a net that vanishes outside M.  The
+        # build's own check runs _forward, which perfbench's trace does not
+        # count as evaluation work
+        try:
+            check_support(_forward(net, support_probe(M).T), M)
+        except ValueError as exc:
+            raise ValueError(f"N = {N} is too large for d = 1: the built "
+                             f"{exc}") from None
         width_exp = expected_size("hermite", {"N": N, "d": d, "B": B}).width
         height_exp = H + 1 if N >= 2 else 1
         return _finish_report(net, width_exp, N + d - 1, height_exp, bound,

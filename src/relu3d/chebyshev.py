@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .polynd import PolyND, contract, tensor_points
+from .targets import finite_values
 
 __all__ = ["chebyshev_tensor_coeffs", "cheb_to_monomial_matrix"]
 
@@ -74,7 +75,7 @@ def chebyshev_tensor_coeffs(target, N, d):
     A, nodes = _analysis_matrix(N)
     x_nodes = (nodes + 1.0) / 2.0
     pts = tensor_points([x_nodes] * d)
-    F = np.asarray(target(pts), dtype=float).reshape([N + 1] * d)
+    F = finite_values(target, pts).reshape([N + 1] * d)
     # per-axis analysis then per-axis monomial conversion
     cheb = contract([A] * d, F)
     coeff = contract([cheb_to_monomial_matrix(N)] * d, cheb)

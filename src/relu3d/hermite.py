@@ -14,6 +14,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .polynd import contract, tensor_points
+from .targets import finite_values
 
 __all__ = [
     "hermite_poly_coeffs",
@@ -23,6 +24,8 @@ __all__ = [
     "hermite_expansion",
     "hermite_tail_bound",
     "gauss_nodes",
+    "support_probe",
+    "check_support",
 ]
 
 
@@ -96,7 +99,7 @@ def hermite_expansion(target, n, d=1):
     Q = max(2 * n + 16, 40)
     x, w = gauss_nodes(Q)
     vals = np.stack([hermite_eval(k, x) for k in range(n + 1)])  # (n+1, Q)
-    F = np.asarray(target(tensor_points([x] * d)), dtype=float)
+    F = finite_values(target, tensor_points([x] * d))
     # contract every axis with (Xi_k(x_i) w_i)
     C = contract([vals * w] * d, F.reshape([Q] * d))
     coeffs = {nu: float(C[nu]) for nu in iproduct(range(n + 1), repeat=d)}
@@ -115,3 +118,21 @@ def hermite_tail_bound(n, M):
     # (2n)!! = 2^n n!
     log += n * math.log(2.0) + math.lgamma(n + 1)
     return math.exp(log)
+
+
+def support_probe(M):
+    """The six points outside [-M, M] where a net clipped to it must
+    vanish, M + 0.25, M + 1 and M + 2 on each side, as a (6, 1) array."""
+    return np.array([[-M - 2.0], [-M - 1.0], [-M - 0.25],
+                     [M + 0.25], [M + 1.0], [M + 2.0]])
+
+
+def check_support(values, M):
+    """ValueError unless a univariate net's values at support_probe(M) are
+    all within 1e-6 of zero: that passes rounding dust from large
+    clipped-basis coefficients and still rejects anything with real mass
+    outside the support."""
+    outside = np.max(np.abs(values))
+    if outside > 1e-6:
+        raise ValueError(f"network does not vanish outside [-{M}, {M}] "
+                         f"(|value| up to {outside:.2e})")

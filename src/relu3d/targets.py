@@ -19,7 +19,7 @@ import numpy as np
 from .polynd import PolyND
 
 __all__ = ["TargetSpec", "catalog_ids", "ParityComponent", "parity_decompose",
-           "parity_values", "power_series_truncate"]
+           "parity_values", "power_series_truncate", "finite_values"]
 
 # domain descriptors: name -> (lo, hi) per coordinate (None = unbounded)
 DOMAINS = {
@@ -108,8 +108,9 @@ class TargetSpec:
         """The TargetSpec of a target document; ValueError unless it is an
         object whose catalog_id and domain are strings, whose dimension is
         a whole number >= 1 and whose params are an object of numbers (a
-        nan or inf parameter is left to the measurement's refusal of
-        values that are not finite)."""
+        nan or inf parameter is left to the refusals of target values
+        that are not finite, by finite_values in the builders and by the
+        measurements)."""
         dim = doc.get("dimension", 1) if isinstance(doc, dict) else 0
         params = doc.get("params", {}) if isinstance(doc, dict) else None
         if not (_number(dim) and 1 <= dim <= sys.float_info.max
@@ -212,7 +213,8 @@ class ParityComponent:
 
     def __call__(self, pts):
         pts = _as_points(pts, self.base.d)
-        return _parity_sum(self.eta, _reflections(self.base, pts))
+        return _parity_sum(self.eta, _reflections(self.base, pts,
+                                                  self.base.d))
 
 
 def _as_points(pts, d):
@@ -224,10 +226,23 @@ def _as_points(pts, d):
     return pts
 
 
-def _reflections(base, pts):
-    """base(pts * signs) for each sign vector in {1, -1}^d, iproduct order."""
-    return [base(pts * np.array(signs))
-            for signs in iproduct((1.0, -1.0), repeat=base.d)]
+def finite_values(target, nodes):
+    """target(nodes) as a float array.  A value that is not a finite number
+    raises ValueError naming the first such value and its node; target may
+    be any callable on (m, d) point arrays."""
+    values = np.asarray(target(nodes), dtype=float)
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"the target is {values[i]} at the node "
+                         f"{nodes[i].tolist()}, not a finite number")
+    return values
+
+
+def _reflections(evaluate, pts, d):
+    """evaluate(pts * signs) for each sign vector in {1, -1}^d, iproduct
+    order."""
+    return [evaluate(pts * np.array(signs))
+            for signs in iproduct((1.0, -1.0), repeat=d)]
 
 
 def _parity_sum(eta, reflected):
@@ -253,7 +268,9 @@ def parity_decompose(target):
 
 def parity_values(target, pts):
     """{eta: values of the eta parity component at pts} for every eta in
-    {0, 1}^d, from one evaluation of the target per sign reflection."""
-    reflected = _reflections(target, _as_points(pts, target.d))
+    {0, 1}^d, from one evaluation of the target per sign reflection.  A
+    target value that is not finite raises ValueError (finite_values)."""
+    reflected = _reflections(lambda p: finite_values(target, p),
+                             _as_points(pts, target.d), target.d)
     return {eta: _parity_sum(eta, reflected)
             for eta in iproduct((0, 1), repeat=target.d)}

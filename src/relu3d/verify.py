@@ -18,6 +18,7 @@ import numpy as np
 
 from . import builders
 from .builders import expected_bound, expected_size
+from .hermite import check_support, support_probe
 from .net import evaluate_array, flatten_to_2d, metrics
 from .polynd import gauss_panels, tensor_points
 from .targets import DOMAINS, TargetSpec
@@ -277,15 +278,10 @@ def gauss_l2_error(net, target, M_support, bound=math.inf):
     if M < 0:   # nan goes on to the node cap, which refuses it
         raise ValueError(f"the support must be nonnegative, got {M}")
     x, w = _gauss_panels(-M - 2.0, M + 2.0, order=GAUSS_PANEL_ORDER)
-    probe = np.array([[-M - 2.0], [-M - 1.0], [-M - 0.25],
-                      [M + 0.25], [M + 1.0], [M + 2.0]])
-    outside = np.max(np.abs(evaluate_array(net, probe)))
-    # 1e-6 tolerates rounding dust from large clipped-basis coefficients
-    # while still rejecting anything with real mass outside the window
-    if outside > 1e-6:
-        raise ValueError(
-            f"network does not vanish outside [-{M}, {M}] (|value| up to "
-            f"{outside:.2e}); clip it to compact support first")
+    try:
+        check_support(evaluate_array(net, support_probe(M)), M)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; clip it to compact support first") from None
     if not hasattr(target, "gauss_tail_sq"):
         raise ValueError("target has no Gaussian tail envelope")
     tail_sq = target.gauss_tail_sq(M + 2.0)

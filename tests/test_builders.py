@@ -284,6 +284,16 @@ def test_hermite_gauss_bound_and_metrics():
         assert m.width <= rep.expected_metrics.width
 
 
+@pytest.mark.parametrize("N", [15, 16])
+def test_hermite_gauss_refuses_a_net_its_measurement_refuses(N):
+    # at d = 1 the built net reaches 1.2e-6 (N = 15) and 2.1e-5 (N = 16)
+    # at gauss_l2_error's probe points outside its support, over the 1e-6
+    # that measurement allows; N = 14 reaches 7.2e-7 and builds
+    target = TargetSpec.catalog("cosine", domain="gaussian-line")
+    with pytest.raises(ValueError, match="does not vanish"):
+        build_hermite_gauss(target, N)
+
+
 @pytest.mark.parametrize("N,d", [(68, 2), (48, 3)])
 def test_hermite_gauss_refuses_an_overflowing_product_range(N, d):
     # choose_hermite_params accepts these N; the d-fold product range does not

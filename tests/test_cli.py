@@ -373,6 +373,44 @@ def test_build_of_an_overflowing_hermite_degree_is_usage_error(tmp_path,
     assert "float range" in capsys.readouterr().err
 
 
+def test_build_of_a_hermite_net_that_verify_refuses_is_usage_error(
+        tmp_path, capsys):
+    # the d = 1 net of N = 16 is 2.1e-5 away from 0 outside its support,
+    # which verify --norm gauss refuses
+    out = tmp_path / "h.net"
+    assert run(["build", "--theorem", "hermite", "--target", "cosine",
+                "--domain", "gaussian-line", "--N", "16",
+                "-o", str(out)]) == 2
+    assert "does not vanish" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# theorem -> (degree flags, domain) of a build that evaluates its target on
+# expansion nodes: Chebyshev (smooth, ellipse), torus (lp), Gauss-Hermite
+NAN_TARGET_BUILDS = {
+    "smooth": (["--N", "3"], "unit-cube"),
+    "ellipse": (["--N", "4", "--rho", "4"], "unit-cube"),
+    "lp": (["--N1", "4", "--N2", "8"], "sym-cube"),
+    "hermite": (["--N", "4"], "gaussian-line"),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(NAN_TARGET_BUILDS))
+def test_a_target_not_finite_at_the_nodes_is_usage_error(tmp_path, capsys,
+                                                          theorem):
+    # cosine with omega = nan is nan at every node: the refusal names the
+    # target, not the degree or the built net
+    flags, domain = NAN_TARGET_BUILDS[theorem]
+    doc = tmp_path / "t.json"
+    doc.write_text('{"target": {"catalog_id": "cosine", "domain": "%s", '
+                   '"params": {"omega": NaN}}}' % domain)
+    assert run(["build", "--theorem", theorem, "--params", str(doc),
+                "-o", str(tmp_path / "x.net")] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "not a finite number" in err
+
+
 @pytest.mark.parametrize("args", [
     ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "299"],
     ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "29"],

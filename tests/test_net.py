@@ -14,7 +14,8 @@ import reference_net
 from relu3d import blocks, builders, verify
 from relu3d import net as rnet
 from relu3d.builder_dsl import NetBuilder
-from relu3d.net import (NetFormatError, Neuron, _compile, chain, deserialize, evaluate, evaluate_array,
+from relu3d.net import (Net3D, NetFormatError, Neuron, _compile, chain,
+                        deserialize, evaluate, evaluate_array,
                         evaluate_batch, evaluate_exact, flatten_to_2d,
                         identity_net, linear_combine, metrics, parallel,
                         parallel_shared, serialize)
@@ -193,6 +194,13 @@ def test_out_of_range_weight_index_rejected():
     layer = ((Neuron(weights={3: 1.0}, bias=0.0),),)
     with pytest.raises(NetFormatError):
         reference_net.pack(1, [layer], [{0: 1.0}], [0.0])
+
+
+@pytest.mark.parametrize("readout", [[{0: 1.0}], identity_net(1).layers[0]],
+                         ids=["rows", "hidden-layer"])
+def test_readout_must_be_a_readout_layer(readout):
+    with pytest.raises(NetFormatError, match="readout must be a Layer"):
+        Net3D(1, [], readout)
 
 
 def test_equal_nets_hash_equally():
