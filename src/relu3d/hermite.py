@@ -24,7 +24,6 @@ __all__ = [
     "hermite_expansion",
     "hermite_tail_bound",
     "gauss_nodes",
-    "support_probe",
     "check_support",
 ]
 
@@ -120,19 +119,15 @@ def hermite_tail_bound(n, M):
     return math.exp(log)
 
 
-def support_probe(M):
-    """The six points outside [-M, M] where a net clipped to it must
-    vanish, M + 0.25, M + 1 and M + 2 on each side, as a (6, 1) array."""
-    return np.array([[-M - 2.0], [-M - 1.0], [-M - 0.25],
-                     [M + 0.25], [M + 1.0], [M + 2.0]])
-
-
-def check_support(values, M):
-    """ValueError unless a univariate net's values at support_probe(M) are
-    all within 1e-6 of zero: that passes rounding dust from large
+def check_support(evaluate, M):
+    """ValueError unless evaluate, a univariate net's forward pass on an
+    (m, 1) array, is within 1e-6 of zero at M + 0.25, M + 1 and M + 2 on
+    each side of [-M, M]: that passes rounding dust from large
     clipped-basis coefficients and still rejects anything with real mass
     outside the support."""
-    outside = np.max(np.abs(values))
+    probe = np.array([[-M - 2.0], [-M - 1.0], [-M - 0.25],
+                      [M + 0.25], [M + 1.0], [M + 2.0]])
+    outside = np.max(np.abs(evaluate(probe)))
     if outside > 1e-6:
         raise ValueError(f"network does not vanish outside [-{M}, {M}] "
                          f"(|value| up to {outside:.2e})")
