@@ -4,7 +4,8 @@ These are the neuron-by-neuron forms of ``relu3d.net``'s validation, size
 metrics and document parser, kept as independent oracles for the
 vectorized code: they walk Neuron floors and plain dicts and share
 nothing with the packed arrays but ``NetFormatError``, ``Neuron`` and
-``SizeMetrics``.
+``SizeMetrics``.  Only ``pack``, which makes nets for relu3d.net to
+check, uses its ``_pack`` and ``Net3D``.
 
 A net is given as its parts (input_dim, layers, readout_weights,
 readout_bias), each layer a tuple of floors and each floor a tuple of
