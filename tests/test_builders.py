@@ -353,24 +353,52 @@ def test_trig_at_N2_28_meets_its_bound():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: build_trig(1, 29, kind="cos"),
-    lambda: build_trig(1, 29, kind="sin"),
+    lambda: build_trig(1, 43, kind="cos"),
+    lambda: build_trig(1, 42, kind="sin"),
     lambda: build_lp(TargetSpec.catalog("abs-power", domain="sym-cube"),
-                     4, 29),
-    lambda: build_smooth1d(TargetSpec.catalog("reciprocal-shift"), 29)],
+                     4, 42),
+    lambda: build_smooth1d(TargetSpec.catalog("reciprocal-shift"), 45)],
     ids=["cos", "sin", "lp", "smooth"])
 def test_trig_chains_refuse_a_float_rounding_over_the_bound(build,
                                                             monkeypatch):
-    # at N2 = 29, 4 * 2^-52 * sum |a_k| = 7.1e-9 exceeds 2^-29 = 1.9e-9:
-    # the cosine nets of k = 1, 3 and 8 measured 2.7e-9 to 3.5e-9; an L^p
-    # build is refused before its expansion.  The smooth chain of 1/(x+2)
-    # at N = 29 (2.3e-8 against 1.9e-9) measured 1.07e-8.
+    # the first refused values: 64 * 2^-52 * sum |a_k| plus the chopped
+    # mass is 2.2e-13 for the cosine chain, over the cosine budget 2^-43
+    # and the sine budget 2^-42 / 2; an L^p build is refused before its
+    # expansion.  The smooth chain of 1/(x+2) at N = 45 estimates 3.9e-14
+    # against 2^-45 = 2.8e-14.
     def no_expansion(*args):
         raise AssertionError("trig_operator_parts called")
 
     monkeypatch.setattr(builders, "trig_operator_parts", no_expansion)
     with pytest.raises(ValueError, match="float rounding"):
         build()
+
+
+@pytest.mark.parametrize("kind,N2", [("cos", 29), ("cos", 42), ("sin", 29),
+                                     ("sin", 41)])
+def test_trig_meets_its_bound_up_to_the_last_N2_that_builds(kind, N2):
+    # on criterion 11's grid; the chopped chains measured 4.3e-14 to
+    # 5.8e-14 for k = 1, 3 and 8 at every N2 from 27 on
+    f = getattr(np, kind)
+    rep = build_trig(1, N2, kind=kind)
+    er = sup_error(rep.net, lambda p: f(math.pi * p[:, 0]), (-1.0, 1.0),
+                   bound=2.0 ** -N2, base_resolution=2 ** 16 + 1)
+    assert er.passed, er.measured
+
+
+# cos(pi t) on [0, 1] is -sin(pi s / 2) in s = 2t - 1: its even Chebyshev
+# coefficients are noise, and once chopped, sum |a_k| stays at most
+# cosh(pi) = 11.59 and the heights grow by about one per two N2
+CHAIN_HEIGHTS = {8: 9, 12: 11, 16: 14, 20: 16, 24: 18, 28: 20, 32: 22,
+                 36: 25, 40: 27}
+
+
+def test_cos_chain_is_well_conditioned():
+    for N2, H in CHAIN_HEIGHTS.items():
+        a, got, _ = builders._cos_chain(N2, 2.0 ** -N2)
+        assert sum(abs(c) for c in a) <= 12.0 and got == H, N2
+    with pytest.raises(ValueError, match="float rounding"):
+        builders._cos_chain(44, 2.0 ** -44)
 
 
 # -- L^p --------------------------------------------------------------------
@@ -578,11 +606,11 @@ GOLDEN_VALUES = {
         "d3e67fd3c6e67a52ef6f7f503969bdba45c8b6bd78a53a1ae5180d9ff19923a1",
         "0.1258919434848488", "0.36787944117144233"),
     "lp-d1": (
-        "a1df6b748ca76dd1983046c919e42858b8317bc50d257ad4049c3f4bea331580",
-        "0.07302342990590396", "0.723804136770589"),
+        "fe2b140a0e5cc5b8dbef3c85aa14acd07ddcc41a1ed1aa9156f622248e7c366e",
+        "0.07302342990590413", "0.723804136770589"),
     "lp-d2": (
-        "d27caf7e999960206335622f57d0ca921214f320b8aecf3dc0211a72c0c1d5e1",
-        "0.1670398863438914", "11.103850281699838"),
+        "ddbd395fe5925c0b378d2ef5ddb959d33b3b0b2a60b3dd4a7d58e02ec8a6c59b",
+        "0.16703988634389144", "11.103850281699838"),
     "poly": (
         "d59fcc27ff7ebc1ef9e63bae6fe56f8a44f286ba0517d76d547c77e4aab71321",
         "0.01318359375", "0.052734375"),
@@ -593,11 +621,11 @@ GOLDEN_VALUES = {
         "764da7d726d3c8f630922d54c4366578b3d162388b2e0b94a2e7f8c1080d811f",
         "0.0017823436581363983", "0.125"),
     "trig-cos": (
-        "b27c5c89c362c1b0ed2e9553f038acfdb67c22bc71c8ec726d3b4c923987a56f",
-        "0.0003013950394026299", "0.015625"),
+        "74a2fedb1a37308f7c19d33c738ab2736eb29e0898b48f224784c866f50e922d",
+        "0.00030139503940285195", "0.015625"),
     "trig-sin": (
-        "5b75f59d03576e14f439f9bc63fc6f0e6430b478a733f383581ae15a520294e2",
-        "7.844031909925997e-05", "0.015625"),
+        "5d7dc9e287ea62d24010bc351db6fa474c2956cb38be85ce72a13a58c20abe1d",
+        "7.844031910014815e-05", "0.015625"),
 }
 
 
@@ -632,9 +660,9 @@ GOLDEN_FORWARD = {
     "hermite":
         "e54cd28354c8cc090338df6147c59123e0ecab52c026f6156e365792b6282948",
     "lp-d1":
-        "be0c472a88c6d7df4a97dc1830b7a5907b5de420566d4a1247f646b4b894ebab",
+        "28c5040eefb24fcbb831204f116cc102779a3bc591e577bd141710aeb38cfd10",
     "lp-d2":
-        "3c85ec0662285eaec6d1371ddbdd66633bf9574b330b0c47695e4fb6e29f85ee",
+        "500f5a83a776ed034daf1ab996b4cb4629e149c6573b2445c675d30af6881ad4",
     "poly":
         "175472fe76e3720128984271547f068726da11959d6b598f93415ad8ebd71d2f",
     "polyNd":
@@ -642,9 +670,9 @@ GOLDEN_FORWARD = {
     "smooth":
         "ebee24c3bcafab83b1cd968b307876b6f407a09fbf998d119f6db27c33c02b2d",
     "trig-cos":
-        "e0a7087bc7634922957678742ad77e1332860024274fe1a379d47e855528ebf5",
+        "ee163a9b93aa8014b05682acf1294f91e13778376e832ecfeea8490c1c383eda",
     "trig-sin":
-        "d7a5e4a4ef3afa852b02b1afc40fccad5627c2e08b66eb3d7f95d6f9a0dd3f9b",
+        "b044b7683ae6cfe6580f1ea45a2e227fa840e0d0a0e97cfc4163467a87535e24",
 }
 
 
@@ -792,49 +820,49 @@ GOLDEN_GADGETS = {
     # trig fold branches: s = sp = 0 at k = 1, one tent floor at k = 2,
     # three at k = 7; the shortest chain (N2 = 1) and a longer one
     "trig-cos-1-1": (
-        "d2a9c804b419284d79d27b193ac99f7923978cff4d034bb99dffbeb935b58146",
+        "e25a911636c7152a050f0c504a586e63ff9d8791a31fa470f090f9acc49304a1",
         lambda: build_trig(1, 1, kind="cos").net),
     "trig-cos-2-1": (
-        "fd824f1ed08a93f229caa2f2afb460b6d12d3b8dff80b9a7f0622263f82ded84",
+        "0f521380951119e5623a44c479c16e0a16c2ecb3557644f06f4ce229e3a99060",
         lambda: build_trig(2, 1, kind="cos").net),
     "trig-cos-7-1": (
-        "555782975ea1edb3a06f4823cdb92ef98add501fa2ce37fb9ebd1ee98c368053",
+        "7a06d3e0f20b2ef59b46af5bee53ab9c68ba6ca214fce9ddba8bd3b495e93030",
         lambda: build_trig(7, 1, kind="cos").net),
     "trig-cos-1-8": (
-        "4f549458e190c7f8bece59f7e6c2791229ebc669404b68bb607548fb1785a4e3",
+        "debe2f27f554b8f656c1d5b5909720bacf0bfcac3344d70b502ad90571cc9960",
         lambda: build_trig(1, 8, kind="cos").net),
     "trig-cos-2-8": (
-        "4f66e4c8b2f294710615cbf34975bc65fc2c37cd03ddb00005fbe6c2d7728a23",
+        "6f1c4d0c10e8beaf59c19a637dd86b632872f425bc45bb8c04f8ae8bbe3ac6b7",
         lambda: build_trig(2, 8, kind="cos").net),
     "trig-cos-7-8": (
-        "a0abc020460c5298dff3c57998d67c1d8c42adeec89907721af03334531fd9be",
+        "8684cd217be70eac1437a4267efdd96744ed73b8f460bf06ce99605152f8cf75",
         lambda: build_trig(7, 8, kind="cos").net),
     "trig-sin-1-1": (
-        "e2ab4e5ea0ca73ab850f6b7f28468fbd31cf24ce394b1296b5ac1253b9c37b5c",
+        "1550f1586188fbf7a362c080433fde61a3503611db29ab1e9054ac1085ef1be7",
         lambda: build_trig(1, 1, kind="sin").net),
     "trig-sin-2-1": (
-        "aeac9c45a85ce08dc3b3a043ac2c1321ec7c530868d006e18b2e4d751a14db4e",
+        "f2622c495f8a4a16a900e0af1885a1007f1b413c443fe44badb075664fde0795",
         lambda: build_trig(2, 1, kind="sin").net),
     "trig-sin-7-1": (
-        "f9bbe9c745dac814ae0f4165dace3fe28cd9fb9a2c1c8126095bb68e8feae435",
+        "676b05e00831eb517284ae117b77e98de8dfa62ce07fd4f52ed1917b57d5f347",
         lambda: build_trig(7, 1, kind="sin").net),
     "trig-sin-1-8": (
-        "015602df23e74e895cd07debf9151034dda74f13c84f81bde6b26d3be5978d95",
+        "f50d30d5773a3ac4ab11ae3767eca86134d872c41be8636d5429b306d23d04c8",
         lambda: build_trig(1, 8, kind="sin").net),
     "trig-sin-2-8": (
-        "b7bd370e535b2d68df76384872409b2b99ec3015d282d9e1ddb8842b9d3e2c0b",
+        "aa7d7518817d555c389ed23f575ef8dcf29a89ccf87babddfdac278e72151fbf",
         lambda: build_trig(2, 8, kind="sin").net),
     "trig-sin-7-8": (
-        "b54e44ac60b8a1288c1217b89cd24cfcdf9ab54b35de7aaa112f7549dc3bce41",
+        "d571ab779dc72155ac0c5c2b763ac293219880af20be09dcbbbb4c1416a3916e",
         lambda: build_trig(7, 8, kind="sin").net),
     # an odd target: the lp goldens above are even and build no sine factor
     "lp-step-4-8": (
-        "a5269ffdbd0797c4f1033dbbf28ef1f8f1ad09a45742aba7c0557e3974f7e42c",
+        "01aeb50040b940aaa648ab0468a0a4e3165497d37e2c3c5e8a5a2c4d0643caf9",
         lambda: build_lp(TargetSpec.catalog("step", domain="sym-cube"),
                          4, 8).net),
     # a d = 2 target with terms in all four parity components (25 terms)
     "lp-geo-d2-3-6": (
-        "862f8ec0f0e98afbca8db5d7fb93303c1d924e8e72dd38caa2c468f6b16bce5e",
+        "31a6cbecaa7e60951707c17bac155d63b5555745edd794edefcac249beb70c4c",
         lambda: build_lp(_GEO2_SYM, 3, 6, d=2).net),
 }
 
@@ -846,15 +874,19 @@ def test_golden_gadget_hashes(name):
 
 
 # the lp-wide-forward benchmark net, build_lp(abs-power, N1=32, N2=24, d=1)
-# (108k neurons): sha256 of serialize and of its forward output on 257
-# evenly spaced points of [-1, 1]
+# (84,802 neurons since the chains' noise-level Chebyshev coefficients are
+# chopped; 107,842 before): sha256 of serialize and of its forward output
+# on 257 evenly spaced points of [-1, 1]
 GOLDEN_LP_WIDE = (
-    "0d5b951f9265bdc3a516ea8e5b6068a3e54da73e9ddc98b6546345330812e506",
-    "375f98d412fddfd39704c87b4277dd0dbb58b72c51c4dedf483d3325f90076b7")
+    "9bbbbdba17f829f62b6e92ea09d8a6ebe9d5229290fdcac5175cb0eb3681d37b",
+    "4230fe5b969eca250bcebe6f6ed4dadf2feabb624070bf51cf0bcb9c46c6db84")
 
 
 def test_golden_lp_wide_net():
     net = build_lp(_ABS_POW, 32, 24, d=1).net
+    got = metrics(net)
+    assert (got.neuron_count, got.param_count, got.height) == \
+        (84802, 644064, 18)
     y = evaluate_array(net, np.linspace(-1.0, 1.0, 257))
     assert (_sha(net), hashlib.sha256(y.tobytes()).hexdigest()) == \
         GOLDEN_LP_WIDE

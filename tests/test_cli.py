@@ -413,7 +413,7 @@ def test_a_target_not_finite_at_the_nodes_is_usage_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("args", [
     ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "299"],
-    ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "29"],
+    ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "45"],
     ["--theorem", "smooth", "--target", "reciprocal-shift", "--N", "700"],
     ["--theorem", "ellipse", "--target", "reciprocal-shift", "--rho", "4",
      "--N", "300"],
@@ -424,7 +424,7 @@ def test_a_target_not_finite_at_the_nodes_is_usage_error(tmp_path, capsys,
     ["--theorem", "analytic-cube", "--target", "geometric-product",
      "--delta", "0.9", "--N", "320"],
     ["--theorem", "trig", "--k", "1", "--N2", "169"],
-    ["--theorem", "trig", "--k", "1", "--N2", "30"],
+    ["--theorem", "trig", "--k", "1", "--N2", "43"],
     ["--theorem", "lp", "--target", "abs-power", "--N1", "4", "--N2", "1100"],
     ["--theorem", "poly", "--coeffs", "0,0,1", "--H", "2000"]],
     ids=["smooth-height", "smooth-rounding", "smooth-degree", "ellipse-height",
@@ -637,11 +637,11 @@ BUILD_GOLDEN = {
         "d3e67fd3c6e67a52ef6f7f503969bdba45c8b6bd78a53a1ae5180d9ff19923a1",
         "68022055ab732ba883059a679996aed0166f51ab97119ece59a235ee570b6b42"),
     "lp-d1": (
-        "a1df6b748ca76dd1983046c919e42858b8317bc50d257ad4049c3f4bea331580",
-        "cf10a846f9dceb4c9c591f9cf5741be1ae336e0523deebb27072f3d8e4fe26d0"),
+        "fe2b140a0e5cc5b8dbef3c85aa14acd07ddcc41a1ed1aa9156f622248e7c366e",
+        "094130f37c90e116c60f261a9686e62a7059daafa53e299bca03414f94eb1d8f"),
     "lp-d2": (
-        "d27caf7e999960206335622f57d0ca921214f320b8aecf3dc0211a72c0c1d5e1",
-        "0bb6eb7571aa8ab47f8ff1caedf8dd0d47ecd3b95135f06a069c62ec8c56a63f"),
+        "ddbd395fe5925c0b378d2ef5ddb959d33b3b0b2a60b3dd4a7d58e02ec8a6c59b",
+        "723b74ed7b8107877b1471bd68339adda9f13757b62830301dca67949dbd6689"),
     "poly": (
         "d59fcc27ff7ebc1ef9e63bae6fe56f8a44f286ba0517d76d547c77e4aab71321",
         "3eeae0a485794a9219099fb6556874506f9d227b9be1394aa42332e43f8fe1d3"),
@@ -652,11 +652,11 @@ BUILD_GOLDEN = {
         "764da7d726d3c8f630922d54c4366578b3d162388b2e0b94a2e7f8c1080d811f",
         "4f0c63873070d44d2de8cd659d0208cd8275b8e722810925401b9b8ecfcf69e6"),
     "trig-cos": (
-        "b27c5c89c362c1b0ed2e9553f038acfdb67c22bc71c8ec726d3b4c923987a56f",
-        "afeb8230d8c48277863dd44fe099070555fc33318e506ac04a0590f91a7285f9"),
+        "74a2fedb1a37308f7c19d33c738ab2736eb29e0898b48f224784c866f50e922d",
+        "6c02d405698db4a84e96071845f65f3861458f80bc27c360fce27c262f19225c"),
     "trig-sin": (
-        "5b75f59d03576e14f439f9bc63fc6f0e6430b478a733f383581ae15a520294e2",
-        "779af4e4526a317418d53500208949996b055332f06ee664cd917745e94e8736"),
+        "5d7dc9e287ea62d24010bc351db6fa474c2956cb38be85ce72a13a58c20abe1d",
+        "fcb6d6074ba38e37dee451106f8904830eea20766fe4390c6a1aa02d77cf9f67"),
 }
 
 
