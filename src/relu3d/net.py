@@ -178,7 +178,9 @@ class Layer:
     @property
     def floors(self):
         """The floors of a hidden layer as tuples of Neuron, built on each
-        read."""
+        read; ValueError on the readout."""
+        if self.sizes is None:
+            raise ValueError("a readout Layer (sizes None) has no floors")
         neurons = [Neuron(weights=w, bias=b, intra=tuple(links))
                    for w, b, links in zip(_weight_dicts(self),
                                           self.bias.tolist(),

@@ -203,6 +203,11 @@ def test_readout_must_be_a_readout_layer(readout):
         Net3D(1, [], readout)
 
 
+def test_a_readout_layer_has_no_floors():
+    with pytest.raises(ValueError, match="readout Layer .* has no floors"):
+        identity_net(1)._readout.floors
+
+
 def test_equal_nets_hash_equally():
     a, b = blocks.square_net(3), blocks.square_net(3)
     assert a == b and a is not b
