@@ -86,12 +86,3 @@ class PolyND:
                     term = term * pts[:, axis] ** power
             vals += term
         return vals
-
-    def coeff_vector_1d(self):
-        """Dense a_0..a_n for d = 1."""
-        if self.d != 1:
-            raise ValueError("only for univariate polynomials")
-        out = np.zeros(self.degree + 1)
-        for (j,), a in self.coeffs.items():
-            out[j] = a
-        return out
