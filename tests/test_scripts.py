@@ -8,6 +8,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relu3d
@@ -60,6 +61,27 @@ def test_run_sweeps_applies_the_pass_slack(measured, code, tmp_path,
     assert len(lines) == 7
     for line in lines:
         assert line.endswith("BOUND FAILURES at [2.0]" if code else "ok")
+
+
+@pytest.mark.parametrize("refusal, shift, code", [
+    ("the chain's float rounding of 1e-13 exceeds", 0.0, 0),
+    ("error budget must be positive", 0.0, 1),
+    ("the chain's float rounding of 1e-13 exceeds", 1.0, 1)],
+    ids=["refused", "wrong-refusal", "over-bound"])
+def test_check_chain_limits_flags_a_wrong_refusal_or_a_missed_bound(
+        refusal, shift, code, capsys):
+    # one build (a trig net within 2^-8) at the first degree, then a refusal
+    script = runpy.run_path(str(SCRIPTS / "check_chain_limits.py"))
+    rep = build_trig(1, 8)
+
+    def build(n):
+        if n > script["FIRST"]:
+            raise ValueError(refusal)
+        return rep
+
+    target = lambda p: np.cos(np.pi * p[:, 0]) + shift
+    assert script["check"]("cos", build, target, (-1.0, 1.0)) == code
+    assert capsys.readouterr().out.startswith("cos: ")
 
 
 def test_run_sweeps_makes_the_paper_sweeps(tmp_path, monkeypatch):
