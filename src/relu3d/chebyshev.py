@@ -4,9 +4,11 @@ Interpolation happens at Chebyshev points of the first kind (mapped to the
 unit cube); coefficients come from the discrete cosine analysis and are then
 converted to the monomial basis in the original variable.  The conversion
 matrix T_j(2x - 1) -> monomials is exact in integer arithmetic, but its
-entries grow like (3 + 2 sqrt 2)^m, so the float sum of the monomials
-cancels at high degree; the builders refuse a chain whose estimated
-rounding exceeds its bound.
+entries grow like (3 + 2 sqrt 2)^m, so coefficients at the float noise
+floor become huge monomials whose float sum cancels at high degree.  The
+builders' power chains chop those coefficients first (builders._chain)
+and refuse a chain whose estimated rounding exceeds its budget;
+chebyshev_tensor_coeffs itself converts every coefficient.
 """
 
 from __future__ import annotations

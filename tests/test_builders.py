@@ -397,6 +397,7 @@ def test_cos_chain_is_well_conditioned():
     for N2, H in CHAIN_HEIGHTS.items():
         a, got, _ = builders._cos_chain(N2, 2.0 ** -N2)
         assert sum(abs(c) for c in a) <= 12.0 and got == H, N2
+    # at N2 = 44 the chopped mass alone, 6.2e-14, exceeds the budget 2^-44
     with pytest.raises(ValueError, match="float rounding"):
         builders._cos_chain(44, 2.0 ** -44)
 
@@ -874,9 +875,8 @@ def test_golden_gadget_hashes(name):
 
 
 # the lp-wide-forward benchmark net, build_lp(abs-power, N1=32, N2=24, d=1)
-# (84,802 neurons since the chains' noise-level Chebyshev coefficients are
-# chopped; 107,842 before): sha256 of serialize and of its forward output
-# on 257 evenly spaced points of [-1, 1]
+# (84,802 neurons): its size, and sha256 of serialize and of its forward
+# output on 257 evenly spaced points of [-1, 1]
 GOLDEN_LP_WIDE = (
     "9bbbbdba17f829f62b6e92ea09d8a6ebe9d5229290fdcac5175cb0eb3681d37b",
     "4230fe5b969eca250bcebe6f6ed4dadf2feabb624070bf51cf0bcb9c46c6db84")
