@@ -1,8 +1,8 @@
 """Scalar reference checks of Net3D documents and hand-made parts.
 
 These are the neuron-by-neuron forms of ``relu3d.net``'s validation, size
-metrics and document parser, kept as independent oracles for the
-vectorized code: they walk Neuron floors and plain dicts and share
+metrics, document writer and document parser, kept as independent oracles
+for the vectorized code: they walk Neuron floors and plain dicts and share
 nothing with the packed arrays but ``NetFormatError``, ``Neuron`` and
 ``SizeMetrics``.  Only ``pack``, which makes nets for relu3d.net to
 check, uses its ``_pack`` and ``Net3D``.
@@ -134,6 +134,42 @@ def metrics(input_dim, layers, readout_weights, readout_bias):
         param_count += 1 if b != 0.0 else 0
     return SizeMetrics(width=width, depth=len(layers), height=height,
                        neuron_count=neuron_count, param_count=param_count)
+
+
+def _w_doc(weights, n_prev):
+    """A row's weight document.  Exact zeros are dropped first, so the
+    dense/sparse choice is canonical."""
+    row = sorted((i, v) for i, v in weights.items() if v != 0.0)
+    if n_prev and len(row) > 0.6 * n_prev:
+        dense = [0.0] * n_prev
+        for i, v in row:
+            dense[i] = v
+        return dense
+    return {"i": [i for i, _ in row], "v": [v for _, v in row]}
+
+
+def serialize(net):
+    """The document of a net (one without repeated weight indices in a
+    row, as every constructor makes), one dict per neuron through
+    json.dumps."""
+    input_dim, layers, readout_weights, readout_bias = parts(net)
+    prev = input_dim
+    layer_docs = []
+    for floors in layers:
+        layer_docs.append({"floors": [
+            {"neurons": [{"w": _w_doc(nrn.weights, prev), "b": nrn.bias,
+                          "intra": [{"floor": sf, "index": si, "coeff": c}
+                                    for (sf, si, c) in nrn.intra]}
+                         for nrn in floor]}
+            for floor in floors]})
+        prev = sum(len(f) for f in floors)
+    return json.dumps({
+        "schema": SCHEMA_ID,
+        "input_dim": input_dim,
+        "layers": layer_docs,
+        "readout": {"w": [_w_doc(w, prev) for w in readout_weights],
+                    "b": list(readout_bias)},
+    })
 
 
 def _w_parse(doc, n_prev, where):

@@ -20,7 +20,7 @@ from relu3d.net import (Net3D, NetFormatError, Neuron, _compile, chain,
                         identity_net, linear_combine, metrics, parallel,
                         parallel_shared, serialize)
 from relu3d.targets import TargetSpec
-from test_builders import GOLDEN_CASES
+from test_builders import _ABS_POW, GOLDEN_CASES, GOLDEN_GADGETS
 
 GRID = np.linspace(0.0, 1.0, 1001)[:, None]
 
@@ -416,6 +416,85 @@ def test_array_checks_match_the_scalar_reference_on_single_values(path,
     assert reference_net.array_decision(
         lambda: deserialize(document)) == reference_net.decision(
             lambda: reference_net.parse(document))
+
+
+def test_writer_matches_the_reference_writer_on_every_golden_net():
+    nets = {f"fuzz-{i}": net for i, net in enumerate(FUZZ_NETS)}
+    nets.update((name, make()) for name, (_, make) in GOLDEN_MERGES.items())
+    nets.update((name, make()) for name, (_, make) in GOLDEN_GADGETS.items())
+    nets.update((name, make().net)
+                for name, (_, _, make) in GOLDEN_CASES.items())
+    nets["lp-wide"] = builders.build_lp(_ABS_POW, 32, 24, d=1).net
+    for name, net in nets.items():
+        assert serialize(net) == reference_net.serialize(net), name
+
+
+# values whose texts differ from a naive format: a negative zero, the
+# smallest subnormal, exponent forms and a sum with 17 digits
+EDGE_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2,
+                               -1.5])
+
+
+@st.composite
+def packed_rows(draw, n_rows, n_prev, links):
+    """Packed rows over n_prev columns: each row's nonzero count is drawn
+    about the dense cut 0.6 n_prev (at it and one past it), explicit
+    zeros are added and the entries shuffled.  With links, row r gets
+    links (duplicates allowed) to rows before it, as (floor, index) of
+    the floor sizes links gives."""
+    cut = math.floor(0.6 * n_prev)
+    w_idx, w_val, counts, l_counts, l_flat, l_coeff = [], [], [], [], [], []
+    for r in range(n_rows):
+        order = draw(st.permutations(range(n_prev)))
+        n_nz = min(n_prev, draw(st.sampled_from([0, 1, cut, cut + 1,
+                                                 n_prev])))
+        n_zero = draw(st.integers(0, n_prev - n_nz))
+        vals = draw(st.lists(EDGE_VALUES.filter(bool), min_size=n_nz,
+                             max_size=n_nz)) + [0.0] * n_zero
+        pos = draw(st.permutations(range(n_nz + n_zero)))
+        w_idx += [order[p] for p in pos]
+        w_val += [vals[p] for p in pos]
+        counts.append(n_nz + n_zero)
+        if links is not None and r:
+            src = draw(st.lists(st.integers(0, r - 1), max_size=3))
+            l_counts.append(len(src))
+            l_flat += src + src[:1]  # the first link repeated
+            l_counts[-1] += len(src[:1])
+            l_coeff += draw(st.lists(EDGE_VALUES, min_size=l_counts[-1],
+                                     max_size=l_counts[-1]))
+        elif links is not None:
+            l_counts.append(0)
+    bias = draw(st.lists(EDGE_VALUES, min_size=n_rows, max_size=n_rows))
+    w = (np.array(w_idx, dtype=np.int64), np.array(w_val, dtype=float))
+    if links is None:
+        return rnet.Layer(None, rnet._ptr(counts), *w, np.array(bias))
+    starts = np.cumsum(links) - links
+    flat = np.array(l_flat, dtype=np.int64)
+    floor = np.searchsorted(starts, flat, side="right") - 1
+    return rnet.Layer(links, rnet._ptr(counts), *w, np.array(bias),
+                      rnet._ptr(l_counts), floor, flat - starts[floor],
+                      np.array(l_coeff, dtype=float))
+
+
+@st.composite
+def packed_nets(draw):
+    input_dim = draw(st.sampled_from([1, 5, 10]))
+    prev, layers = input_dim, []
+    for _ in range(draw(st.integers(0, 2))):
+        sizes = np.array(draw(st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=3)), dtype=np.int64)
+        layers.append(draw(packed_rows(int(sizes.sum()), prev, sizes)))
+        prev = int(sizes.sum())
+    readout = draw(packed_rows(draw(st.integers(1, 2)), prev, None))
+    return Net3D(input_dim, layers, readout)
+
+
+@settings(deadline=None, max_examples=200)
+@given(packed_nets())
+def test_writer_matches_the_reference_writer_on_packed_nets(net):
+    text = serialize(net)
+    assert text == reference_net.serialize(net)
+    assert serialize(deserialize(text)) == text
 
 
 # -- equality and hashing ---------------------------------------------------
