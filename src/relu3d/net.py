@@ -544,27 +544,6 @@ def metrics(net):
 # serialization
 
 
-def _w_docs(rows, n_prev):
-    """Each row's weight document.  Exact zeros are dropped first so the
-    dense/sparse choice is canonical: the parser discards zero entries, and
-    round-tripping must be bit-stable."""
-    keep = rows.w_val != 0.0
-    ptr = _ptr(np.bincount(_row_ids(rows.w_ptr)[keep], minlength=rows.size))
-    order = _row_order(ptr, rows.w_idx[keep])
-    idx = _cut(rows.w_idx[keep][order].tolist(), ptr)
-    val = _cut(rows.w_val[keep][order].tolist(), ptr)
-    docs = []
-    for row_idx, row_val in zip(idx, val):
-        if n_prev and len(row_idx) > 0.6 * n_prev:
-            dense = [0.0] * n_prev
-            for i, v in zip(row_idx, row_val):
-                dense[i] = v
-            docs.append(dense)
-        else:
-            docs.append({"i": row_idx, "v": row_val})
-    return docs
-
-
 def _w_parse(doc, n_prev, where):
     if isinstance(doc, list):
         if len(doc) != n_prev:
@@ -586,32 +565,75 @@ def _w_parse(doc, n_prev, where):
     raise NetFormatError(f"malformed weight document at {where}")
 
 
+def _float_texts(values):
+    """repr of each float, as json.dumps writes it, in an object array.
+    Each distinct bit pattern (so -0.0 apart from 0.0) is formatted once."""
+    bits, inv = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())),
+                    dtype=object)[inv]
+
+
+def _int_texts(values):
+    """repr of each int of a validated net (an index or a floor, so
+    nonnegative and below a layer size), as a list."""
+    top = int(values.max()) + 1 if len(values) else 0
+    return np.array(list(map(repr, range(top))), dtype=object)[values].tolist()
+
+
+def _joined(texts, ptr):
+    """texts cut at the offsets ptr, each row's joined by ", "."""
+    ptr = ptr.tolist()
+    return [", ".join(texts[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+def _w_texts(rows, n_prev):
+    """Each row's weight document text.  Exact zeros are dropped first so
+    the dense/sparse choice is canonical: the parser discards zero entries,
+    and round-tripping must be bit-stable.  A row with more than
+    0.6 n_prev entries is written dense."""
+    keep = rows.w_val != 0.0
+    ptr = _ptr(np.bincount(_row_ids(rows.w_ptr)[keep], minlength=rows.size))
+    order = _row_order(ptr, rows.w_idx[keep])
+    idx = rows.w_idx[keep][order]
+    val = _float_texts(rows.w_val[keep][order])
+    texts = [f'{{"i": [{i}], "v": [{v}]}}' for i, v in
+             zip(_joined(_int_texts(idx), ptr), _joined(val.tolist(), ptr))]
+    dense = np.flatnonzero(np.diff(ptr) > 0.6 * n_prev)
+    if len(dense):
+        grid = np.full((len(dense), n_prev), "0.0", dtype=object)
+        dense_ptr, pos = _take(ptr, dense)
+        grid[_row_ids(dense_ptr), idx[pos]] = val[pos]
+        for r, tokens in zip(dense.tolist(), grid.tolist()):
+            texts[r] = "[" + ", ".join(tokens) + "]"
+    return texts
+
+
 def serialize(net):
-    """Return the schema-versioned document (a JSON string)."""
+    """Return the schema-versioned document (a JSON string): the text
+    json.dumps gives for the document's dicts, written from the packed
+    arrays.  Floats are written as repr, which round-trips bit-exactly
+    (shortest representation, <= 17 significant digits)."""
     prev = net.input_dim
     layers = []
     for rows in net.layers:
-        neurons = [{"w": w, "b": b,
-                    "intra": [{"floor": sf, "index": si, "coeff": c}
-                              for (sf, si, c) in links]}
-                   for w, b, links in zip(_w_docs(rows, prev),
-                                          rows.bias.tolist(),
-                                          _row_links(rows))]
-        layers.append({"floors": [{"neurons": f} for f in
-                                  _cut(neurons, _ptr(rows.sizes))]})
+        links = [f'{{"floor": {f}, "index": {i}, "coeff": {c}}}'
+                 for f, i, c in zip(_int_texts(rows.l_floor),
+                                    _int_texts(rows.l_index),
+                                    _float_texts(rows.l_coeff).tolist())]
+        neurons = [f'{{"w": {w}, "b": {b}, "intra": [{l}]}}'
+                   for w, b, l in zip(_w_texts(rows, prev),
+                                      _float_texts(rows.bias).tolist(),
+                                      _joined(links, rows.l_ptr))]
+        floors = _joined(neurons, _ptr(rows.sizes))
+        layers.append('{"floors": [%s]}' % ", ".join(
+            f'{{"neurons": [{f}]}}' for f in floors))
         prev = rows.size
-    doc = {
-        "schema": SCHEMA_ID,
-        "input_dim": net.input_dim,
-        "layers": layers,
-        "readout": {
-            "w": _w_docs(net._readout, prev),
-            "b": list(net.readout_bias),
-        },
-    }
-    # repr-based float formatting: json uses repr(float), which round-trips
-    # bit-exactly (shortest representation, <= 17 significant digits).
-    return json.dumps(doc)
+    ro = net._readout
+    return ('{"schema": %s, "input_dim": %d, "layers": [%s], "readout": '
+            '{"w": [%s], "b": [%s]}}' % (
+                json.dumps(SCHEMA_ID), net.input_dim, ", ".join(layers),
+                ", ".join(_w_texts(ro, prev)),
+                ", ".join(_float_texts(ro.bias).tolist())))
 
 
 def _items(doc, key, where):
