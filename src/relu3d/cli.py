@@ -55,7 +55,7 @@ def _read_json(path, what):
             return json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # nested too deep
         raise UsageError(f"unreadable {what} {path}: {exc}")
 
 

@@ -26,7 +26,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain as iconcat
+from itertools import chain as iconcat, compress, repeat
+from operator import itemgetter, not_
 
 import numpy as np
 
@@ -544,27 +545,6 @@ def metrics(net):
 # serialization
 
 
-def _w_parse(doc, n_prev, where):
-    if isinstance(doc, list):
-        if len(doc) != n_prev:
-            raise NetFormatError(f"wrong inbound weight length at {where}: "
-                                 f"expected {n_prev}, got {len(doc)}")
-        return {i: float(v) for i, v in enumerate(doc) if v != 0.0}
-    if isinstance(doc, dict) and set(doc) == {"i", "v"}:
-        idx, val = doc["i"], doc["v"]
-        if len(idx) != len(val):
-            raise NetFormatError(f"sparse weight index/value length mismatch "
-                                 f"at {where}")
-        out = {}
-        for i, v in zip(idx, val):
-            i = int(i)
-            if not (0 <= i < n_prev):
-                raise NetFormatError(f"weight index {i} out of range at {where}")
-            out[i] = float(v)
-        return out
-    raise NetFormatError(f"malformed weight document at {where}")
-
-
 def _float_texts(values):
     """repr of each float, as json.dumps writes it, in an object array.
     Each distinct bit pattern (so -0.0 apart from 0.0) is formatted once."""
@@ -636,21 +616,177 @@ def serialize(net):
                 ", ".join(_float_texts(ro.bias).tolist())))
 
 
+_W, _B, _I, _V, _FLOOR, _INDEX, _COEFF = map(
+    itemgetter, ("w", "b", "i", "v", "floor", "index", "coeff"))
+# what a fault in a document raises before it is named
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _number(v):
+    """float of a JSON number (an int or a float, not a bool)."""
+    if type(v) not in (int, float):
+        raise TypeError(f"expected a number, got {type(v).__name__}")
+    return float(v)
+
+
+def _integer(v):
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
+    return v
+
+
+def _list(v):
+    if type(v) is not list:
+        raise TypeError(f"expected a list, got {type(v).__name__}")
+    return v
+
+
+def _numbers(values):
+    """float array of JSON numbers; TypeError on any other value and
+    OverflowError on an int past the float range."""
+    if not set(map(type, values)) <= {int, float}:
+        raise TypeError("expected numbers")
+    return np.array(values, dtype=float)
+
+
+def _integers(values):
+    if not set(map(type, values)) <= {int}:
+        raise TypeError("expected integers")
+    return _ints(values)
+
+
 def _items(doc, key, where):
     """doc[key] (default []) as a list of JSON objects."""
     items = doc.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(v, dict)
-                                              for v in items):
+    if not isinstance(items, list) or not all(map(isinstance, items,
+                                                  repeat(dict))):
         raise NetFormatError(f"{where}.{key} must be a list of objects")
     return items
 
 
+def _weight_rows(docs, prev):
+    """w_ptr, w_idx, w_val of a list of weight documents: a dense row
+    without its zeros, a sparse row as written.  A fault raises one of
+    _MALFORMED, unnamed."""
+    dense = list(map(isinstance, docs, repeat(list)))
+    full = list(compress(docs, dense))
+    sparse = list(compress(docs, map(not_, dense)))
+    d_row = d_idx = _NO_INTS
+    d_val = _NO_FLOATS
+    if full:
+        if set(map(len, full)) != {prev}:
+            raise ValueError("wrong inbound weight length")
+        grid = _numbers(list(iconcat.from_iterable(full))).reshape(
+            len(full), prev)
+        d_row, d_idx = np.nonzero(grid)
+        d_val = grid[d_row, d_idx]
+    idx, val = list(map(_I, sparse)), list(map(_V, sparse))
+    counts = list(map(len, idx))
+    if (set(map(len, sparse)) - {2} or set(map(type, idx + val)) - {list}
+            or list(map(len, val)) != counts):
+        raise ValueError("malformed sparse row")
+    s_idx = _integers(list(iconcat.from_iterable(idx)))
+    if len(s_idx) and (s_idx.min() < 0 or s_idx.max() >= prev):
+        raise ValueError("weight index out of range")
+    is_dense = np.array(dense, dtype=bool)
+    s_row = np.repeat(np.flatnonzero(~is_dense), counts)
+    # a row written in rising index order repeats none
+    if np.any((s_row[1:] == s_row[:-1]) & (s_idx[1:] <= s_idx[:-1])) \
+            and list(map(len, map(set, idx))) != counts:
+        raise ValueError("repeated weight index")
+    s_val = _numbers(list(iconcat.from_iterable(val)))
+    row = np.concatenate([np.flatnonzero(is_dense)[d_row], s_row])
+    order = np.argsort(row, kind="stable")
+    return (_ptr(np.bincount(row, minlength=len(docs))),
+            np.concatenate([d_idx, s_idx])[order],
+            np.concatenate([d_val, s_val])[order])
+
+
+def _read_layer(layer_doc, k, prev):
+    """Hidden layer k from its document, one array conversion per field."""
+    floors = [_items(f, "neurons", f"layers[{k}].floors[{fi}]")
+              for fi, f in enumerate(_items(layer_doc, "floors",
+                                            f"layers[{k}]"))]
+    neurons = list(iconcat.from_iterable(floors))
+    intras = list(map(dict.get, neurons, repeat("intra"), repeat([])))
+    if set(map(type, intras)) - {list}:
+        raise TypeError("expected lists")
+    links = list(iconcat.from_iterable(intras))
+    return Layer(np.array(list(map(len, floors)), dtype=np.int64),
+                 *_weight_rows(list(map(_W, neurons)), prev),
+                 _numbers(list(map(_B, neurons))), _ptr(list(map(len, intras))),
+                 _integers(list(map(_FLOOR, links))),
+                 _integers(list(map(_INDEX, links))),
+                 _numbers(list(map(_COEFF, links))))
+
+
+def _w_check(doc, n_prev, where):
+    """Raise the first fault of a row's weight document."""
+    if isinstance(doc, list):
+        if len(doc) != n_prev:
+            raise NetFormatError(f"wrong inbound weight length at {where}: "
+                                 f"expected {n_prev}, got {len(doc)}")
+        for v in doc:
+            _number(v)
+    elif isinstance(doc, dict) and set(doc) == {"i", "v"}:
+        idx, val = _list(doc["i"]), _list(doc["v"])
+        if len(idx) != len(val):
+            raise NetFormatError(f"sparse weight index/value length mismatch "
+                                 f"at {where}")
+        seen = set()
+        for i, v in zip(idx, val):
+            i = _integer(i)
+            if not (0 <= i < n_prev):
+                raise NetFormatError(f"weight index {i} out of range at {where}")
+            if i in seen:
+                raise NetFormatError(f"repeated weight index {i} at {where}")
+            seen.add(i)
+            _number(v)
+    else:
+        raise NetFormatError(f"malformed weight document at {where}")
+
+
+def _layer_fault(layer_doc, k, prev):
+    """Raise the first fault of layer k's document, neuron by neuron."""
+    for fi, floor_doc in enumerate(_items(layer_doc, "floors",
+                                          f"layers[{k}]")):
+        neurons = _items(floor_doc, "neurons", f"layers[{k}].floors[{fi}]")
+        for ni, nd in enumerate(neurons):
+            where = f"layers[{k}].floors[{fi}].neurons[{ni}]"
+            try:
+                _w_check(nd["w"], prev, where + ".w")
+                _number(nd["b"])
+                for link in _list(nd.get("intra", [])):
+                    _integer(link["floor"])
+                    _integer(link["index"])
+                    _number(link["coeff"])
+            except _MALFORMED as exc:
+                raise NetFormatError(f"malformed neuron at {where}: {exc}")
+
+
+def _readout_fault(ro, prev):
+    """Raise the first fault of the readout's document, row by row."""
+    try:
+        for oi, rd in enumerate(_list(ro["w"])):
+            _w_check(rd, prev, f"readout.w[{oi}]")
+        for b in _list(ro["b"]):
+            _number(b)
+    except _MALFORMED as exc:
+        raise NetFormatError(f"malformed readout: {exc}")
+
+
 def deserialize(document):
-    """Parse a document produced by serialize (str or parsed dict)."""
+    """Parse a document produced by serialize (str or parsed dict).
+
+    Numbers must be JSON numbers, indices and input_dim integers, and
+    sparse rows may not repeat an index.  Each layer is read in one pass
+    with array conversions; a layer with a fault is walked again neuron by
+    neuron to name its first fault in document order.
+    """
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # undecodable or nested
             raise NetFormatError(f"invalid JSON: {exc}") from exc
     else:
         doc = document
@@ -660,40 +796,28 @@ def deserialize(document):
         raise NetFormatError(f"unsupported schema {doc.get('schema')!r} at "
                              f"schema (expected {SCHEMA_ID})")
     try:
-        input_dim = int(doc["input_dim"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        input_dim = _integer(doc["input_dim"])
+    except (KeyError, TypeError):
         raise NetFormatError("missing or invalid input_dim")
     prev = input_dim
     hidden = []
     for k, layer_doc in enumerate(_items(doc, "layers", "document")):
-        sizes, weights, biases, intras = [], [], [], []
-        for fi, floor_doc in enumerate(_items(layer_doc, "floors",
-                                              f"layers[{k}]")):
-            neurons = _items(floor_doc, "neurons", f"layers[{k}].floors[{fi}]")
-            for ni, nd in enumerate(neurons):
-                where = f"layers[{k}].floors[{fi}].neurons[{ni}]"
-                try:
-                    weights.append(_w_parse(nd["w"], prev, where + ".w"))
-                    biases.append(float(nd["b"]))
-                    intras.append(tuple((int(l["floor"]), int(l["index"]),
-                                         float(l["coeff"]))
-                                        for l in nd.get("intra", [])))
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise NetFormatError(f"malformed neuron at {where}: {exc}")
-            sizes.append(len(neurons))
-        hidden.append(_pack(np.array(sizes, dtype=np.int64), weights, biases,
-                            intras))
-        prev = len(biases)
+        try:
+            hidden.append(_read_layer(layer_doc, k, prev))
+        except _MALFORMED:
+            _layer_fault(layer_doc, k, prev)
+            raise
+        prev = hidden[-1].size
     ro = doc.get("readout")
     if not isinstance(ro, dict) or "w" not in ro or "b" not in ro:
         raise NetFormatError("missing readout section")
     try:
-        rows = [_w_parse(rd, prev, f"readout.w[{oi}]")
-                for oi, rd in enumerate(ro["w"])]
-        bias = [float(b) for b in ro["b"]]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise NetFormatError(f"malformed readout: {exc}")
-    return Net3D(input_dim, hidden, _pack(None, rows, bias))
+        readout = Layer(None, *_weight_rows(_list(ro["w"]), prev),
+                        _numbers(_list(ro["b"])))
+    except _MALFORMED:
+        _readout_fault(ro, prev)
+        raise
+    return Net3D(input_dim, hidden, readout)
 
 
 # ---------------------------------------------------------------------------

@@ -172,23 +172,44 @@ def serialize(net):
     })
 
 
+def _number(v):
+    """float of a JSON number (an int or a float, not a bool)."""
+    if type(v) not in (int, float):
+        raise TypeError(f"expected a number, got {type(v).__name__}")
+    return float(v)
+
+
+def _integer(v):
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
+    return v
+
+
+def _list(v):
+    if type(v) is not list:
+        raise TypeError(f"expected a list, got {type(v).__name__}")
+    return v
+
+
 def _w_parse(doc, n_prev, where):
     if isinstance(doc, list):
         if len(doc) != n_prev:
             raise NetFormatError(f"wrong inbound weight length at {where}: "
                                  f"expected {n_prev}, got {len(doc)}")
-        return {i: float(v) for i, v in enumerate(doc) if v != 0.0}
+        return {i: v for i, v in enumerate(map(_number, doc)) if v != 0.0}
     if isinstance(doc, dict) and set(doc) == {"i", "v"}:
-        idx, val = doc["i"], doc["v"]
+        idx, val = _list(doc["i"]), _list(doc["v"])
         if len(idx) != len(val):
             raise NetFormatError(f"sparse weight index/value length mismatch "
                                  f"at {where}")
         out = {}
         for i, v in zip(idx, val):
-            i = int(i)
+            i = _integer(i)
             if not (0 <= i < n_prev):
                 raise NetFormatError(f"weight index {i} out of range at {where}")
-            out[i] = float(v)
+            if i in out:
+                raise NetFormatError(f"repeated weight index {i} at {where}")
+            out[i] = _number(v)
         return out
     raise NetFormatError(f"malformed weight document at {where}")
 
@@ -206,7 +227,7 @@ def parse(document):
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # undecodable or nested
             raise NetFormatError(f"invalid JSON: {exc}") from exc
     else:
         doc = document
@@ -216,7 +237,7 @@ def parse(document):
         raise NetFormatError(f"unsupported schema {doc.get('schema')!r} at "
                              f"schema (expected {SCHEMA_ID})")
     try:
-        input_dim = int(doc["input_dim"])
+        input_dim = _integer(doc["input_dim"])
     except (KeyError, TypeError, ValueError, OverflowError):
         raise NetFormatError("missing or invalid input_dim")
     prev = input_dim
@@ -231,10 +252,10 @@ def parse(document):
                 where = f"layers[{k}].floors[{fi}].neurons[{ni}]"
                 try:
                     weights = _w_parse(nd["w"], prev, where + ".w")
-                    bias = float(nd["b"])
-                    intra = tuple((int(l["floor"]), int(l["index"]),
-                                   float(l["coeff"]))
-                                  for l in nd.get("intra", []))
+                    bias = _number(nd["b"])
+                    intra = tuple((_integer(l["floor"]), _integer(l["index"]),
+                                   _number(l["coeff"]))
+                                  for l in _list(nd.get("intra", [])))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise NetFormatError(f"malformed neuron at {where}: {exc}")
                 neurons.append(Neuron(weights=weights, bias=bias, intra=intra))
@@ -246,8 +267,8 @@ def parse(document):
         raise NetFormatError("missing readout section")
     try:
         rows = [_w_parse(rd, prev, f"readout.w[{oi}]")
-                for oi, rd in enumerate(ro["w"])]
-        bias = [float(b) for b in ro["b"]]
+                for oi, rd in enumerate(_list(ro["w"]))]
+        bias = [_number(b) for b in _list(ro["b"])]
     except (TypeError, ValueError, OverflowError) as exc:
         raise NetFormatError(f"malformed readout: {exc}")
     return input_dim, layers, rows, bias

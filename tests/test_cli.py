@@ -109,6 +109,47 @@ def test_malformed_net_file_is_usage_error(tmp_path, capsys, text, verb):
     assert "network file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bias", ["7", True], ids=["string", "bool"])
+def test_eval_of_a_net_file_with_a_mistyped_number_is_usage_error(
+        tmp_path, capsys, bias):
+    # the readout bias used to be read as 7.0 or 1.0, and eval printed
+    # 0.5 plus that
+    doc = json.loads(serialize(identity_net(1)))
+    doc["readout"]["b"] = [bias]
+    path = tmp_path / "bias.net"
+    path.write_text(json.dumps(doc))
+    assert run(["eval", str(path), "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "expected a number" in err and err.count("\n") == 1, err
+
+
+# each verb with the file it reads, written as bad.json
+JSON_FILE_VERBS = {
+    "net": ["size", "bad.json"],
+    "params": ["build", "--theorem", "poly", "--coeffs", "0,1", "--H", "2",
+               "-o", "x.net", "--params", "bad.json"],
+    "report": ["verify", "bad.json", "--target", "square"],
+    "table1-config": ["table1", "--config", "bad.json", "-o", "t.csv"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(JSON_FILE_VERBS))
+@pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000,
+                                     b'{"schema": "\xff"}'],
+                         ids=["nested", "undecodable"])
+def test_a_nested_or_undecodable_json_file_is_usage_error(
+        tmp_path, capsys, monkeypatch, verb, content):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(content)
+    if verb == "report":  # verify reads bad.json.report.json beside it
+        (tmp_path / "bad.json").write_text(serialize(identity_net(1)))
+        (tmp_path / "bad.json.report.json").write_bytes(content)
+    capsys.readouterr()
+    assert run(JSON_FILE_VERBS[verb]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_eval_prints_one_line_per_point_of_a_multi_output_net(tmp_path,
                                                               capsys):
     path = tmp_path / "pair.net"

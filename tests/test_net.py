@@ -373,6 +373,57 @@ def test_deserialize_rejects_overflowing_numbers(path, value):
         deserialize(json.dumps(doc))
 
 
+_NEURON = ("layers", 0, "floors", 0, "neurons", 0)
+_LINK = ("layers", 0, "floors", 1, "neurons", 0, "intra", 0)
+# case -> (path in the sawtooth_net(2) document, value, message part):
+# each value used to be coerced (a string or bool to a number, a float to
+# an index, a string iterated as a list, the last of two equal indices
+# kept)
+MISTYPED = {
+    "readout-bias-string": (("readout", "b", 0), "7", "got str"),
+    "readout-biases-string": (("readout", "b"), "7", "expected a list"),
+    "bias-bool": (_NEURON + ("b",), True, "got bool"),
+    "dense-weight-string": (_NEURON + ("w", 0), "1", "got str"),
+    "sparse-index-string": (("readout", "w", 0, "i", 0), "2", "got str"),
+    "sparse-index-float": (("readout", "w", 0, "i", 0), 2.9,
+                           "expected an integer, got float"),
+    "sparse-value-bool": (("readout", "w", 0, "v", 0), True, "got bool"),
+    "sparse-lists-strings": (("readout", "w", 0), {"i": "2", "v": "5"},
+                             "expected a list, got str"),
+    "sparse-index-repeated": (("readout", "w", 0),
+                              {"i": [2, 2], "v": [-4.0, -2.0]},
+                              "repeated weight index 2 at readout.w[0]"),
+    "intra-floor-float": (_LINK + ("floor",), 0.9,
+                          "expected an integer, got float"),
+    "intra-index-bool": (_LINK + ("index",), False,
+                         "expected an integer, got bool"),
+    "intra-coeff-string": (_LINK + ("coeff",), "4", "got str"),
+    "intra-empty-string": (_LINK[:-1], "", "expected a list, got str"),
+    "input-dim-float": (("input_dim",), 1.9, "invalid input_dim"),
+    "input-dim-bool": (("input_dim",), True, "invalid input_dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_mistyped_values_are_refused_as_the_reference_refuses_them(case):
+    path, value, part = MISTYPED[case]
+    doc = json.loads(serialize(blocks.sawtooth_net(2)))
+    _put(doc, path, value)
+    document = json.dumps(doc)
+    want = reference_net.decision(lambda: reference_net.parse(document))
+    assert want[0] == "error" and part in want[1], want
+    assert reference_net.array_decision(lambda: deserialize(document)) == want
+
+
+@pytest.mark.parametrize("document", ["[" * 100000 + "]" * 100000,
+                                      b'{"schema": "\xff"}'],
+                         ids=["nested", "undecodable"])
+def test_nested_or_undecodable_json_is_a_format_error(document):
+    for parse in (deserialize, reference_net.parse):
+        with pytest.raises(NetFormatError, match="invalid JSON"):
+            parse(document)
+
+
 def test_deserialize_names_error_path():
     doc = json.loads(serialize(identity_net(1)))
     doc["layers"][0]["floors"][0]["neurons"][0]["w"] = "junk"
