@@ -560,12 +560,6 @@ def _int_texts(values):
     return np.array(list(map(repr, range(top))), dtype=object)[values].tolist()
 
 
-def _joined(texts, ptr):
-    """texts cut at the offsets ptr, each row's joined by ", "."""
-    ptr = ptr.tolist()
-    return [", ".join(texts[a:b]) for a, b in zip(ptr, ptr[1:])]
-
-
 def _w_texts(rows, n_prev):
     """Each row's weight document text.  Exact zeros are dropped first so
     the dense/sparse choice is canonical: the parser discards zero entries,
@@ -577,7 +571,8 @@ def _w_texts(rows, n_prev):
     idx = rows.w_idx[keep][order]
     val = _float_texts(rows.w_val[keep][order])
     texts = [f'{{"i": [{i}], "v": [{v}]}}' for i, v in
-             zip(_joined(_int_texts(idx), ptr), _joined(val.tolist(), ptr))]
+             zip(map(", ".join, _cut(_int_texts(idx), ptr)),
+                 map(", ".join, _cut(val.tolist(), ptr)))]
     dense = np.flatnonzero(np.diff(ptr) > 0.6 * n_prev)
     if len(dense):
         grid = np.full((len(dense), n_prev), "0.0", dtype=object)
@@ -603,8 +598,9 @@ def serialize(net):
         neurons = [f'{{"w": {w}, "b": {b}, "intra": [{l}]}}'
                    for w, b, l in zip(_w_texts(rows, prev),
                                       _float_texts(rows.bias).tolist(),
-                                      _joined(links, rows.l_ptr))]
-        floors = _joined(neurons, _ptr(rows.sizes))
+                                      map(", ".join,
+                                          _cut(links, rows.l_ptr)))]
+        floors = map(", ".join, _cut(neurons, _ptr(rows.sizes)))
         layers.append('{"floors": [%s]}' % ", ".join(
             f'{{"neurons": [{f}]}}' for f in floors))
         prev = rows.size
