@@ -710,7 +710,8 @@ def _read_layer(layer_doc, k, prev):
     links = list(iconcat.from_iterable(intras))
     return Layer(np.array(list(map(len, floors)), dtype=np.int64),
                  *_weight_rows(list(map(_W, neurons)), prev),
-                 _numbers(list(map(_B, neurons))), _ptr(list(map(len, intras))),
+                 _numbers(list(map(_B, neurons))),
+                 _ptr(list(map(len, intras))),
                  _integers(list(map(_FLOOR, links))),
                  _integers(list(map(_INDEX, links))),
                  _numbers(list(map(_COEFF, links))))
