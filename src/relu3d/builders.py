@@ -587,14 +587,6 @@ def _cos_chain(N2, budget):
     return tuple(map(float, a)), H, interp
 
 
-def _chain_nets():
-    """A memo of build_poly1d chain nets by (coefficients, height): the
-    folds of one build share each chain net, and the memo lives only as
-    long as that build."""
-    return functools.lru_cache(maxsize=None)(
-        lambda a, H: build_poly1d(a, H).net)
-
-
 def _sin_fold(k, sign):
     """Fold of one odd branch: |k t - 1/2| through sp tent floors at
     t = sigma(sign * x), so that the cosine chain after it approximates
@@ -608,6 +600,16 @@ def _sin_fold(k, sign):
     return b.finish([g])
 
 
+def _trig_net(k, kind, chain_net):
+    """cos(k pi x) or sin(k pi x) on [-1, 1]: the cosine chain net after
+    periodic_fold_net(k), or after each mirrored branch of _sin_fold."""
+    if kind == "cos":
+        return chain(chain_net, periodic_fold_net(k))
+    return linear_combine([chain(chain_net, _sin_fold(k, 1.0)),
+                           chain(chain_net, _sin_fold(k, -1.0))],
+                          [1.0, -1.0], 0.0)
+
+
 def build_trig(k, N2, kind="cos"):
     """Network within 2^-N2 of cos(k pi x) or sin(k pi x) on [-1, 1].
 
@@ -616,11 +618,6 @@ def build_trig(k, N2, kind="cos"):
     the difference of two mirrored branches evaluated at sigma(x) and
     sigma(-x) (width 16, exactly zero at the origin).
     """
-    return _build_trig(k, N2, kind, _chain_nets())
-
-
-def _build_trig(k, N2, kind, chain_net):
-    """build_trig with the chain nets taken from chain_net(a, H)."""
     k = int(k)
     N2 = int(N2)
     if k < 1 or N2 < 1:
@@ -629,18 +626,12 @@ def _build_trig(k, N2, kind, chain_net):
         raise ValueError(f"unknown kind {kind!r}")
     bound = expected_bound("trig", {"N2": N2})
     inputs = {"k": k, "N2": N2, "kind": kind}
+    a, H, interp = _cos_chain(N2, bound if kind == "cos" else bound / 2.0)
+    net = _trig_net(k, kind, build_poly1d(a, H).net)
     if kind == "cos":
-        a, H, interp = _cos_chain(N2, bound)
-        net = chain(chain_net(a, H), periodic_fold_net(k))
-        fold_h = max(0, math.ceil(math.log2(k))) + 1
-        width = 8
+        fold_h, width = max(0, math.ceil(math.log2(k))) + 1, 8
     else:
-        a, H, interp = _cos_chain(N2, bound / 2.0)
-        net = linear_combine([chain(chain_net(a, H), _sin_fold(k, 1.0)),
-                              chain(chain_net(a, H), _sin_fold(k, -1.0))],
-                             [1.0, -1.0], 0.0)
-        fold_h = max(0, math.ceil(math.log2(k - 0.5))) + 2
-        width = 16
+        fold_h, width = max(0, math.ceil(math.log2(k - 0.5))) + 2, 16
     meta = {"chain_coeffs": list(a), "chain_height": H,
             "interpolation_bound": interp,
             "stated_height": expected_size("trig", inputs).height}
@@ -696,14 +687,16 @@ def build_lp(target, N1, N2, r=2, d=1):
                 continue
             terms.append((eta, j, aj))
 
-    chain_net = _chain_nets()
+    # one chain net per height, built at first use
+    chain_net = functools.lru_cache(maxsize=None)(
+        lambda H: build_poly1d(a_cos, H).net)
 
     @functools.lru_cache(maxsize=None)
     def psi(jk, eta):
         if jk == 0:
             return _const_one_net()
-        return _build_trig(jk, N2, "cos" if eta == 0 else "sin",
-                           chain_net).net
+        return _trig_net(jk, "sin" if eta else "cos",
+                         chain_net(H_sin if eta else H_cos))
 
     factored = []
     for eta, j, aj in terms:

@@ -445,6 +445,18 @@ def test_lp_builds_each_cosine_chain_once(name, N2, chains, monkeypatch):
     assert sorted(calls) == sorted(heights) and len(calls) == chains
 
 
+@pytest.mark.parametrize("name", ["abs", "step", "scaled-exponential"])
+def test_lp_derives_its_cosine_chain_twice_per_build(name, monkeypatch):
+    # once for the cosine factors' budget and once for the sine factors',
+    # however many factors the expansion has
+    calls = []
+    derive = builders._cos_chain
+    monkeypatch.setattr(builders, "_cos_chain",
+                        lambda *a: calls.append(a) or derive(*a))
+    rep = build_lp(TargetSpec.catalog(name, domain="sym-cube"), 8, 10)
+    assert len(rep.meta["terms"]) > 2 and len(calls) == 2
+
+
 def test_lp_evaluates_the_target_once_per_sign_reflection(monkeypatch):
     # the d = 2 torus grid has 1024^2 points; smaller grids measure the net
     calls = []
