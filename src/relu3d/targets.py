@@ -1,10 +1,10 @@
 """Built-in catalog of analytically evaluable target functions.
 
-A TargetSpec names a function (catalog id + parameters + dimension + domain)
-or carries explicit coefficient data.  Targets are plain callables on
-(m, d) point arrays; catalog entries additionally expose the structural
-facts the builders need (closed-form power series, factorial derivative
-bounds, Gaussian integrability).
+A TargetSpec names a function (catalog id + parameters + dimension +
+domain).  Targets are plain callables on (m, d) point arrays; catalog
+entries additionally expose the structural facts the builders need
+(closed-form power series, factorial derivative bounds, Gaussian
+integrability).
 """
 
 from __future__ import annotations
@@ -85,12 +85,10 @@ def _number(value):
 
 @dataclass(frozen=True)
 class TargetSpec:
-    kind: str = "catalog-function"
     catalog_id: str = ""
     params: tuple = ()              # sorted (key, value) pairs
     d: int = 1
     domain: str = "unit-cube"
-    coeffs: tuple = ()              # ((multi-index, value), ...) for explicit
 
     @staticmethod
     def catalog(catalog_id, d=1, domain="unit-cube", **params):
@@ -99,7 +97,7 @@ class TargetSpec:
                            f"known: {catalog_ids()}")
         if domain not in DOMAINS:
             raise KeyError(f"unknown domain {domain!r}")
-        return TargetSpec(kind="catalog-function", catalog_id=catalog_id,
+        return TargetSpec(catalog_id=catalog_id,
                           params=tuple(sorted(params.items())), d=d,
                           domain=domain)
 
@@ -135,10 +133,6 @@ class TargetSpec:
         pts = _as_points(pts, self.d)
         if pts.shape[1] != self.d:
             raise ValueError(f"target expects dimension {self.d}")
-        if self.kind == "explicit-power-series":
-            poly = PolyND(self.d, dict(self.coeffs),
-                          max(sum(j) for j, _ in self.coeffs))
-            return poly(pts)
         return _CATALOG[self.catalog_id]["fn"](pts, dict(self.params))
 
     # -- structural facts --------------------------------------------------
@@ -146,26 +140,21 @@ class TargetSpec:
     @property
     def smooth_factorial(self):
         """True when |f^(n)| <= n! holds on the unit interval (catalog flag)."""
-        return (self.kind == "catalog-function"
-                and _CATALOG[self.catalog_id]["smooth_factorial"])
+        return _CATALOG[self.catalog_id]["smooth_factorial"]
 
     @property
     def gauss_ok(self):
         """True when f is integrable enough against the Gaussian measure and
         a tail envelope is available."""
-        return (self.kind == "catalog-function"
-                and _CATALOG[self.catalog_id]["gauss_ok"])
+        return _CATALOG[self.catalog_id]["gauss_ok"]
 
     def series_coeffs(self, N):
         """Closed-form power-series coefficients truncated to degree N."""
-        if self.kind == "explicit-power-series":
-            return {j: v for j, v in self.coeffs if sum(j) <= N}
-        if self.kind == "catalog-function":
-            series = _CATALOG[self.catalog_id]["series"]
-            if series is not None:
-                return series(dict(self.params), N, self.d)
-        raise ValueError(f"target {self.catalog_id or self.kind!r} has no "
-                         f"closed-form series")
+        series = _CATALOG[self.catalog_id]["series"]
+        if series is None:
+            raise ValueError(f"target {self.catalog_id!r} has no closed-form "
+                             f"series")
+        return series(dict(self.params), N, self.d)
 
     def gauss_tail_sq(self, M):
         """Closed-ish form for int_{||x||_inf > M} f^2 dgamma_d (d = 1)."""

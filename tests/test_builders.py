@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,9 +158,11 @@ def test_analytic_cube_requires_series():
 
 def test_analytic_cube_refuses_a_series_whose_mass_past_N_exceeds_1():
     # the terms up to degree 4 have mass 0.75, but with x^6 the series has
-    # 1.25, against the hypothesis sum |a_j| <= 1
-    target = TargetSpec(kind="explicit-power-series", d=1,
-                        coeffs=(((0,), 0.5), ((1,), 0.25), ((6,), 0.5)))
+    # 1.25, against the hypothesis sum |a_j| <= 1.  The stand-in target has
+    # the d and series_coeffs that build_analytic_cube reads, and no more
+    coeffs = {(0,): 0.5, (1,): 0.25, (6,): 0.5}
+    target = SimpleNamespace(d=1, series_coeffs=lambda N: {
+        j: v for j, v in coeffs.items() if sum(j) <= N})
     with pytest.raises(ValueError, match="mass exceeds 1"):
         build_analytic_cube(target, 4, 0.5)
 

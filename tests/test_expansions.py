@@ -3,6 +3,7 @@ the kernel trigonometric operator, parity split, and the smoothness modulus."""
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,8 +159,11 @@ def test_power_series_residual_bound():
 
 
 def test_power_series_rejects_heavy_mass():
-    heavy = TargetSpec(kind="explicit-power-series",
-                       coeffs=(((0,), 2.0), ((1,), 1.0)), d=1)
+    # a stand-in target with the d and series_coeffs that
+    # power_series_truncate reads, and no more
+    coeffs = {(0,): 2.0, (1,): 1.0}
+    heavy = SimpleNamespace(d=1, series_coeffs=lambda N: {
+        j: v for j, v in coeffs.items() if sum(j) <= N})
     with pytest.raises(ValueError, match="rescale"):
         power_series_truncate(heavy, 4)
 

@@ -25,7 +25,7 @@ README = SCRIPTS.parent / "README.md"
 TABLE1_CSV_SHA = \
     "80fce2218c0ff1a29a0d5565c28d1d76fe9b5c741124bc9b8d97afdfbfa46aa3"
 SWEEP_CALLS_SHA = \
-    "a21b2ecbeab5a20c00efd9bd1bc7444604b49bb5da1c4aa6b60453a8ccec0796"
+    "e0a3280cb62e61d28a656c23dcc21b9a7d6fb4469b75c2895f1101fbc0b1a1d1"
 
 
 def _sha(data):
