@@ -853,8 +853,8 @@ def _compose(outer, inner, n_basis):
     readout into rows over inner's basis (n_basis columns).
 
     Row by row and in outer's weight order, each product w * v joins the
-    basis column of v: a column's sum starts from 0.0 and the columns keep
-    the order they are first met.  The bias is outer's plus each w times
+    basis column of v: a column's sum starts from 0.0, and each row's
+    columns are in index order.  The bias is outer's plus each w times
     inner's bias, in the same order.  Sizes and intra links stay outer's.
     """
     row = _row_ids(outer.w_ptr)
@@ -862,16 +862,14 @@ def _compose(outer, inner, n_basis):
     counts = inner.w_ptr[o + 1] - inner.w_ptr[o]
     _, pos = _take(inner.w_ptr, o)
     keys = np.repeat(row, counts) * n_basis + inner.w_idx[pos]
-    keys, first, inv = np.unique(keys, return_index=True,
-                                 return_inverse=True)
+    keys, inv = np.unique(keys, return_inverse=True)
     val = np.zeros(len(keys))
     np.add.at(val, inv, np.repeat(w, counts) * inner.w_val[pos])
-    order = np.argsort(first)
-    new_row, new_idx = np.divmod(keys[order], n_basis)
+    new_row, new_idx = np.divmod(keys, n_basis)
     bias = np.array(outer.bias)
     np.add.at(bias, row, w * inner.bias[o])
     return Layer(outer.sizes, _ptr(np.bincount(new_row, minlength=outer.size)),
-                 new_idx, val[order], bias, outer.l_ptr, outer.l_floor,
+                 new_idx, val, bias, outer.l_ptr, outer.l_floor,
                  outer.l_index, outer.l_coeff)
 
 

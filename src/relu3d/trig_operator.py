@@ -129,9 +129,8 @@ def _expand(F, n, r, d, parity, nodes):
             shape[axis] = n + 1
             coeff_arr = coeff_arr * alpha.reshape(shape)
     a = {}
-    arr = np.atleast_1d(coeff_arr)
     for j in iproduct(range(n + 1), repeat=d):
-        v = float(arr[j] if d > 1 else arr[j[0]])
+        v = float(coeff_arr[j])
         if v != 0.0:
             a[j] = v
     return TrigOperatorCoeffs(d=d, n=n, r=r, alpha=alpha, parity=parity,
