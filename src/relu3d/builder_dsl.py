@@ -120,7 +120,9 @@ class _FloorBuilder:
         intra.sort()
         ref = _Ref(layer=k, floor=self.floor_index,
                    index=len(lb.floors[self.floor_index]))
-        lb.floors[self.floor_index].append((weights, pre.bias, tuple(intra)))
+        # weights in index order, as Net3D validates them cheaply
+        lb.floors[self.floor_index].append(
+            (dict(sorted(weights.items())), pre.bias, tuple(intra)))
         lb.refs.append(ref)
         return Wire({ref: 1.0})
 
@@ -186,6 +188,6 @@ class NetBuilder:
                 if ref.layer != want:
                     raise NetFormatError("readout wire not on the last layer")
                 row[ref.flat] = row.get(ref.flat, 0.0) + c
-            rows.append(row)
+            rows.append(dict(sorted(row.items())))
             bias.append(out.bias)
         return Net3D(self.input_dim, self._layers, _pack(None, rows, bias))

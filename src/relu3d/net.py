@@ -282,12 +282,19 @@ def _check_finite(value, where):
 
 
 def _bad_rows(rows, prev):
-    """Rows with an out-of-range weight index, a non-finite value or (in
-    a hidden layer) an intra link that is out of range or not earlier."""
+    """Rows with an out-of-range or repeated weight index, a non-finite
+    value or (in a hidden layer) an intra link that is out of range or not
+    earlier."""
     bad = ~np.isfinite(rows.bias)
-    w_bad = ((rows.w_idx < 0) | (rows.w_idx >= prev)
-             | ~np.isfinite(rows.w_val))
-    bad[_row_ids(rows.w_ptr)[w_bad]] = True
+    idx, row = rows.w_idx, _row_ids(rows.w_ptr)
+    w_bad = (idx < 0) | (idx >= prev) | ~np.isfinite(rows.w_val)
+    bad[row[w_bad]] = True
+    # a row whose indices rise repeats none; only the others are sorted
+    fall = row[1:][(row[1:] == row[:-1]) & (idx[1:] <= idx[:-1])]
+    if len(fall):
+        sel = np.isin(row, fall) & ~w_bad
+        keys = np.sort(row[sel] * prev + idx[sel].astype(np.int64))
+        bad[keys[1:][keys[1:] == keys[:-1]] // prev] = True
     if len(rows.l_floor):  # the readout has no links
         row = _row_ids(rows.l_ptr)
         sf, si = rows.l_floor, rows.l_index
@@ -303,6 +310,7 @@ def _bad_rows(rows, prev):
 def _row_fault(rows, r, prev, where, fi=None, ni=None):
     """Raise the first fault of row r, in the order the checks are listed."""
     a, b = int(rows.w_ptr[r]), int(rows.w_ptr[r + 1])
+    seen = set()
     for idx, w in zip(rows.w_idx[a:b].tolist(), rows.w_val[a:b].tolist()):
         if not (0 <= idx < prev):
             if fi is None:
@@ -310,6 +318,9 @@ def _row_fault(rows, r, prev, where, fi=None, ni=None):
                                      f"range at {where}")
             raise NetFormatError(f"inbound weight index {idx} out of range "
                                  f"at {where} (previous size {prev})")
+        if idx in seen:
+            raise NetFormatError(f"repeated weight index {idx} at {where}")
+        seen.add(idx)
         _check_finite(w, where + ".w")
     _check_finite(rows.bias[r], where + ".b")
     a, b = int(rows.l_ptr[r]), int(rows.l_ptr[r + 1])

@@ -19,7 +19,8 @@ from relu3d.builders import (build_analytic_cube, build_analytic_ellipse,
                              choose_hermite_params, expected_bound,
                              expected_size)
 from relu3d.hermite import hermite_eval, hermite_tail_bound
-from relu3d.net import Neuron, _compile, evaluate_array, metrics, serialize
+from relu3d.net import (Neuron, _compile, _row_ids, evaluate_array, metrics,
+                        serialize)
 from relu3d.polynd import PolyND
 from relu3d.targets import TargetSpec
 from relu3d.verify import gauss_l2_error, lp_error, sup_error, sweep
@@ -703,6 +704,15 @@ def test_forward_takes_one_step_per_floor(case):
     progs, _, _ = _compile(net)
     assert [len(p.segments) for p in progs] == [len(layer.floors)
                                                 for layer in net.layers]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_built_rows_are_in_index_order(case):
+    # the DSL and the compositions write each row's weights in index order
+    net = GOLDEN_CASES[case][2]().net
+    for rows in net.layers + (net._readout,):
+        same_row = np.diff(_row_ids(rows.w_ptr)) == 0
+        assert np.all(np.diff(rows.w_idx)[same_row] > 0)
 
 
 def _with_fault(parts, kind, k, r):

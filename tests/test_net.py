@@ -196,6 +196,29 @@ def test_out_of_range_weight_index_rejected():
         reference_net.pack(1, [layer], [{0: 1.0}], [0.0])
 
 
+def test_a_repeated_readout_weight_index_is_refused():
+    # accepted, the CSR forward pass summed both weights (1.5 at 0.5),
+    # evaluate_exact kept the last (1) and deserialize refused the document
+    readout = rnet.Layer(None, np.array([0, 2]), np.array([0, 0]),
+                         np.array([1.0, 2.0]), np.array([0.0]))
+    with pytest.raises(NetFormatError,
+                       match=r"^repeated weight index 0 at readout\[0\]$"):
+        Net3D(5, [], readout)
+
+
+def test_a_repeated_hidden_weight_index_is_refused_in_entry_order():
+    # neuron 0 of floor 1 reads input 1, input 0, then input 1 again with a
+    # nan weight: the repeat is its first fault
+    layer = rnet.Layer(np.array([1, 1]), np.array([0, 1, 4]),
+                       np.array([0, 1, 0, 1]),
+                       np.array([1.0, 1.0, 2.0, math.nan]), np.zeros(2))
+    readout = rnet.Layer(None, np.array([0, 1]), np.array([0]),
+                         np.array([1.0]), np.array([0.0]))
+    with pytest.raises(NetFormatError, match=r"^repeated weight index 1 at "
+                       r"layers\[0\]\.floors\[1\]\.neurons\[0\]$"):
+        Net3D(2, [layer], readout)
+
+
 @pytest.mark.parametrize("readout", [[{0: 1.0}], identity_net(1).layers[0]],
                          ids=["rows", "hidden-layer"])
 def test_readout_must_be_a_readout_layer(readout):
