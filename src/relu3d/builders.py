@@ -669,6 +669,8 @@ def build_lp(target, N1, N2, r=2, d=1):
     d = int(d)
     if N1 < r:
         raise ValueError("need N1 >= r")
+    if N2 < 1:
+        raise ValueError("need N2 >= 1")
     # the chains refuse an N2 they cannot meet before any expansion work
     a_cos, H_cos, _ = _cos_chain(N2, 2.0 ** (-N2))
     _, H_sin, _ = _cos_chain(N2, 2.0 ** (-N2) / 2.0)

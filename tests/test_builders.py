@@ -476,6 +476,14 @@ def test_lp_evaluates_the_target_once_per_sign_reflection(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("N2", [0, -3])
+def test_lp_refuses_N2_below_1_up_front(N2):
+    # the chain derivation refused these with a float-rounding message for
+    # 0 and with "math domain error" for -3
+    with pytest.raises(ValueError, match="^need N2 >= 1$"):
+        build_lp(TargetSpec.catalog("abs", domain="sym-cube"), 4, N2)
+
+
 def test_lp_rejects_small_degree():
     target = TargetSpec.catalog("abs", domain="sym-cube")
     with pytest.raises(ValueError):

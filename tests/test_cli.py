@@ -491,6 +491,15 @@ def test_build_of_a_torus_grid_over_the_cap_is_usage_error(tmp_path, capsys,
     assert "cap of 4000000 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N2", ["0", "-3"])
+def test_lp_with_N2_below_1_is_usage_error(tmp_path, capsys, N2):
+    assert run(["build", "--theorem", "lp", "--target", "abs", "--domain",
+                "sym-cube", "--N1", "4", "--N2", N2,
+                "-o", str(tmp_path / "x.net")]) == 2
+    assert "need N2 >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.net").exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["build", "--theorem", "poly", "--bogus", "1",
                 "-o", "/tmp/x.net"]) == 2
