@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,8 +20,8 @@ from relu3d.builders import (build_analytic_cube, build_analytic_ellipse,
                              choose_hermite_params, expected_bound,
                              expected_size)
 from relu3d.hermite import hermite_eval, hermite_tail_bound
-from relu3d.net import (Neuron, _compile, _row_ids, evaluate_array, metrics,
-                        serialize)
+from relu3d.net import (Neuron, _compile, _row_ids, evaluate_array,
+                        evaluate_exact, metrics, serialize)
 from relu3d.polynd import PolyND
 from relu3d.targets import TargetSpec
 from relu3d.verify import gauss_l2_error, lp_error, sup_error, sweep
@@ -94,6 +95,16 @@ def test_polyNd_bivariate_product():
     assert m.depth == 1
     assert m.height == H
     assert m.width <= rep.expected_metrics.width
+
+
+def test_polyNd_degree1_is_its_affine_part():
+    # a zero coefficient leaves its coordinate out of the readout row
+    poly = PolyND(3, {(0, 0, 0): 0.25, (1, 0, 0): -0.5, (0, 0, 1): 0.75}, 1)
+    rep = build_polyNd(poly, 4)
+    assert rep.net.layers == ()
+    for x in ([0.0, 0.5, 1.0], [0.125, 0.75, 0.375], [1.0, 1.0, 0.0]):
+        assert evaluate_exact(rep.net, x) == (
+            Fraction(1, 4) - Fraction(x[0]) / 2 + Fraction(x[2]) * 3 / 4)
 
 
 def test_polyNd_degree4_d2_bound():
@@ -307,6 +318,25 @@ def test_hermite_gauss_refuses_an_overflowing_product_range(N, d):
         build_hermite_gauss(target, N, d=d, beta=(1.0,) * d)
 
 
+@pytest.mark.parametrize("N, built, stated_width", [
+    (2, (80, 3, 12), 32), (3, (168, 4, 18), 54), (4, (288, 5, 24), 96)])
+def test_hermite_gauss_d2_sizes_and_expansion(N, built, stated_width):
+    # the d >= 2 product path; the built widths exceed the stated ones
+    target = TargetSpec.catalog("cosine", d=2, domain="gaussian-line")
+    rep = build_hermite_gauss(target, N, d=2, beta=(1.0, 1.0))
+    m = metrics(rep.net)
+    assert (m.width, m.depth, m.height) == built
+    assert expected_size("hermite", {"N": N, "d": 2, "B": 2 ** -0.5}).width \
+        == stated_width
+    # within the bound of the truncated expansion sum c_nu Xi_nu1 Xi_nu2
+    pts = np.random.default_rng(0).uniform(-3.0, 3.0, (20, 2))
+    expansion = sum(c * hermite_eval(nu[0], pts[:, 0])
+                    * hermite_eval(nu[1], pts[:, 1])
+                    for nu, c in rep.meta["coeffs"].items())
+    assert np.max(np.abs(evaluate_array(rep.net, pts) - expansion)) \
+        <= rep.theoretical_bound
+
+
 def test_hermite_gauss_rejects_uncertified_target():
     target = TargetSpec.catalog("abs")
     with pytest.raises(ValueError):
@@ -474,6 +504,14 @@ def test_lp_evaluates_the_target_once_per_sign_reflection(monkeypatch):
     monkeypatch.setattr(TargetSpec, "__call__", counted)
     build_lp(_ABS_SUM, 4, 8, d=2)
     assert len(calls) == 4
+
+
+def test_lp_of_zero_is_the_zero_net():
+    # every coefficient is 0, so no term is left
+    rep = build_lp(TargetSpec.catalog("constant", domain="sym-cube", c=0.0),
+                   4, 8)
+    assert rep.net.layers == () and rep.theoretical_bound == 0.0
+    assert evaluate_exact(rep.net, [0.25]) == 0
 
 
 @pytest.mark.parametrize("N2", [0, -3])
@@ -1003,6 +1041,23 @@ def min_height_table():
 def test_min_height_refuses_a_ratio_out_of_the_float_range(amount, budget):
     with pytest.raises(ValueError, match="out of the float range"):
         builders._min_height(amount, budget)
+
+
+def test_min_height_raises_a_closed_form_guess_that_is_too_low():
+    # log2 of the ratio 16.000000000000004 rounds to 4, so the guess is 1,
+    # but 2^-4 exceeds the budget
+    assert builders._min_height(1.0, math.nextafter(0.0625, 0.0)) == 2
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_min_height_is_minimal_around_powers_of_4(k, side):
+    budget = 4.0 ** -k
+    budget = math.nextafter(budget, side * math.inf) if side else budget
+    for amount in (1.0, 3.0):
+        H = builders._min_height(amount, budget)
+        assert amount * 2.0 ** (-2 * (H + 1)) <= budget
+        assert H == 1 or amount * 2.0 ** (-2 * H) > budget
 
 
 def test_golden_min_height():

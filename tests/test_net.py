@@ -785,6 +785,20 @@ def test_chain_composes_sawtooths():
     assert np.max(np.abs(ref - got)) <= 1e-12
 
 
+def test_chain_into_a_net_with_no_layers_composes_the_readouts():
+    # 1/4 + x/2 after g_3, the sawtooth with 4 teeth
+    net = chain(builders.build_poly1d([0.25, 0.5], 1).net,
+                blocks.sawtooth_net(3))
+
+    def g(x):
+        return 2 * x if x <= Fraction(1, 2) else 2 - 2 * x
+
+    for i in range(65):
+        x = Fraction(i, 64)
+        assert evaluate_exact(net, [float(x)]) == Fraction(1, 4) \
+            + g(g(g(x))) / 2
+
+
 def test_chain_rejects_dimension_mismatch():
     with pytest.raises(NetFormatError):
         chain(blocks.product2_unit(2), identity_net(1))
