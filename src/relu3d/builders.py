@@ -629,9 +629,11 @@ def build_trig(k, N2, kind="cos"):
     a, H, interp = _cos_chain(N2, bound if kind == "cos" else bound / 2.0)
     net = _trig_net(k, kind, build_poly1d(a, H).net)
     if kind == "cos":
-        fold_h, width = max(0, math.ceil(math.log2(k))) + 1, 8
+        fold_h = max(0, math.ceil(math.log2(k))) + 1
+        width = 8
     else:
-        fold_h, width = max(0, math.ceil(math.log2(k - 0.5))) + 2, 16
+        fold_h = max(0, math.ceil(math.log2(k - 0.5))) + 2
+        width = 16
     meta = {"chain_coeffs": list(a), "chain_height": H,
             "interpolation_bound": interp,
             "stated_height": expected_size("trig", inputs).height}

@@ -516,8 +516,6 @@ def test_lp_of_zero_is_the_zero_net():
 
 @pytest.mark.parametrize("N2", [0, -3])
 def test_lp_refuses_N2_below_1_up_front(N2):
-    # the chain derivation refused these with a float-rounding message for
-    # 0 and with "math domain error" for -3
     with pytest.raises(ValueError, match="^need N2 >= 1$"):
         build_lp(TargetSpec.catalog("abs", domain="sym-cube"), 4, N2)
 

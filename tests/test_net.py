@@ -197,8 +197,9 @@ def test_out_of_range_weight_index_rejected():
 
 
 def test_a_repeated_readout_weight_index_is_refused():
-    # accepted, the CSR forward pass summed both weights (1.5 at 0.5),
-    # evaluate_exact kept the last (1) and deserialize refused the document
+    # the readers of such a row disagree: the CSR forward pass sums both
+    # weights, evaluate_exact keeps the last and deserialize refuses the
+    # document serialize writes
     readout = rnet.Layer(None, np.array([0, 2]), np.array([0, 0]),
                          np.array([1.0, 2.0]), np.array([0.0]))
     with pytest.raises(NetFormatError,
