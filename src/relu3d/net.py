@@ -128,13 +128,6 @@ def _starts(sizes):
     return np.cumsum(sizes) - sizes
 
 
-def _row_order(ptr, idx):
-    """The stable permutation that puts each row's entries in index order,
-    rows kept in order (indices are nonnegative)."""
-    width = int(idx.max()) + 1 if len(idx) else 1
-    return np.argsort(_row_ids(ptr) * width + idx, kind="stable")
-
-
 def _cut(items, ptr):
     """items cut at the offsets ptr: one list per row (or floor)."""
     ptr = ptr.tolist()
@@ -145,13 +138,13 @@ class Layer:
     """The neurons of one hidden layer, or the readout rows, packed.
 
     sizes: the floor sizes (None for the readout).  Row r, in flat order,
-    has inbound weights w_idx/w_val[w_ptr[r]:w_ptr[r + 1]] in their given
-    order with explicit zeros kept, bias bias[r], and intra links
+    has inbound weights w_idx/w_val[w_ptr[r]:w_ptr[r + 1]], their indices
+    strictly rising and explicit zeros kept, bias bias[r], and intra links
     (l_floor, l_index, l_coeff)[l_ptr[r]:l_ptr[r + 1]] in their given
-    order with duplicates kept.  A Layer is immutable (its arrays are
-    read-only) and may be shared between nets.  Layers compare with the
-    semantics of their floors, weights as maps (any order) and intra links
-    in order, and are unhashable.
+    order with duplicates kept.  Net3D refuses a row whose indices do not
+    rise.  A Layer is immutable (its arrays are read-only) and may be
+    shared between nets.  Layers compare array by array and are
+    unhashable.
     """
 
     __slots__ = ("sizes", "w_ptr", "w_idx", "w_val", "bias", "l_ptr",
@@ -191,18 +184,14 @@ class Layer:
     def __eq__(self, other):
         if other.__class__ is not Layer:
             return NotImplemented
-        return all(np.array_equal(a, b)
-                   for a, b in zip(self._key(), other._key()))
-
-    def _key(self):
-        order = _row_order(self.w_ptr, self.w_idx)
-        return (self.sizes, self.w_ptr, self.w_idx[order], self.w_val[order],
-                self.bias, self.l_ptr, self.l_floor, self.l_index,
-                self.l_coeff)
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__slots__)
 
 
 def _pack(sizes, weights, biases, intras=None):
-    """Layer from per-row weight dicts, biases and intra-link tuples."""
+    """Layer from per-row weight dicts (in any order), biases and
+    intra-link tuples."""
+    weights = [dict(sorted(w.items())) for w in weights]
     w_ptr = _ptr([len(w) for w in weights])
     w_idx = _ints(iconcat.from_iterable(weights))
     w_val = np.fromiter(iconcat.from_iterable(w.values() for w in weights),
@@ -282,19 +271,13 @@ def _check_finite(value, where):
 
 
 def _bad_rows(rows, prev):
-    """Rows with an out-of-range or repeated weight index, a non-finite
-    value or (in a hidden layer) an intra link that is out of range or not
-    earlier."""
+    """Rows with an out-of-range weight index, a weight index that does
+    not rise above the one before it, a non-finite value or (in a hidden
+    layer) an intra link that is out of range or not earlier."""
     bad = ~np.isfinite(rows.bias)
     idx, row = rows.w_idx, _row_ids(rows.w_ptr)
-    w_bad = (idx < 0) | (idx >= prev) | ~np.isfinite(rows.w_val)
-    bad[row[w_bad]] = True
-    # a row whose indices rise repeats none; only the others are sorted
-    fall = row[1:][(row[1:] == row[:-1]) & (idx[1:] <= idx[:-1])]
-    if len(fall):
-        sel = np.isin(row, fall) & ~w_bad
-        keys = np.sort(row[sel] * prev + idx[sel].astype(np.int64))
-        bad[keys[1:][keys[1:] == keys[:-1]] // prev] = True
+    bad[row[(idx < 0) | (idx >= prev) | ~np.isfinite(rows.w_val)]] = True
+    bad[row[1:][(row[1:] == row[:-1]) & (idx[1:] <= idx[:-1])]] = True
     if len(rows.l_floor):  # the readout has no links
         row = _row_ids(rows.l_ptr)
         sf, si = rows.l_floor, rows.l_index
@@ -310,7 +293,7 @@ def _bad_rows(rows, prev):
 def _row_fault(rows, r, prev, where, fi=None, ni=None):
     """Raise the first fault of row r, in the order the checks are listed."""
     a, b = int(rows.w_ptr[r]), int(rows.w_ptr[r + 1])
-    seen = set()
+    last = -1
     for idx, w in zip(rows.w_idx[a:b].tolist(), rows.w_val[a:b].tolist()):
         if not (0 <= idx < prev):
             if fi is None:
@@ -318,9 +301,12 @@ def _row_fault(rows, r, prev, where, fi=None, ni=None):
                                      f"range at {where}")
             raise NetFormatError(f"inbound weight index {idx} out of range "
                                  f"at {where} (previous size {prev})")
-        if idx in seen:
+        if idx == last:
             raise NetFormatError(f"repeated weight index {idx} at {where}")
-        seen.add(idx)
+        if idx < last:
+            raise NetFormatError(f"weight index {idx} after {last} at "
+                                 f"{where}")
+        last = idx
         _check_finite(w, where + ".w")
     _check_finite(rows.bias[r], where + ".b")
     a, b = int(rows.l_ptr[r]), int(rows.l_ptr[r + 1])
@@ -374,17 +360,11 @@ def _validate(net):
 
 
 def _csr_matrix(val, idx, ptr, shape):
-    """scipy CSR matrix.  scipy.sparse is imported here, at the first
-    compile, so building, sizing or serializing a net never loads it."""
+    """scipy CSR matrix that owns copies of its arrays (a Layer's are
+    read-only).  scipy.sparse is imported here, at the first compile, so
+    building, sizing or serializing a net never loads it."""
     from scipy.sparse import csr_matrix
-    return csr_matrix((val, idx, ptr), shape=shape)
-
-
-def _csr(ptr, idx, val, n_cols):
-    """CSR matrix of packed rows, indices sorted within each row."""
-    order = _row_order(ptr, idx)
-    return _csr_matrix(val[order], idx[order], np.array(ptr),
-                       (len(ptr) - 1, n_cols))
+    return csr_matrix((val, idx, ptr), shape=shape, copy=True)
 
 
 class _LayerProgram:
@@ -405,7 +385,8 @@ class _LayerProgram:
 
     def __init__(self, rows, prev_size):
         n = rows.size
-        self.W = _csr(rows.w_ptr, rows.w_idx, rows.w_val, prev_size)
+        self.W = _csr_matrix(rows.w_val, rows.w_idx, rows.w_ptr,
+                             (n, prev_size))
         self.b = rows.bias
         # links as (row, flat source) entries sorted that way; duplicate
         # links are summed from 0.0 in their given order
@@ -439,7 +420,7 @@ def _compile(net):
             progs.append(_LayerProgram(rows, prev))
             prev = rows.size
         ro = net._readout
-        R = _csr(ro.w_ptr, ro.w_idx, ro.w_val, prev)
+        R = _csr_matrix(ro.w_val, ro.w_idx, ro.w_ptr, (ro.size, prev))
         object.__setattr__(net, "_program", (progs, R, ro.bias))
     return net._program
 
@@ -578,9 +559,8 @@ def _w_texts(rows, n_prev):
     0.6 n_prev entries is written dense."""
     keep = rows.w_val != 0.0
     ptr = _ptr(np.bincount(_row_ids(rows.w_ptr)[keep], minlength=rows.size))
-    order = _row_order(ptr, rows.w_idx[keep])
-    idx = rows.w_idx[keep][order]
-    val = _float_texts(rows.w_val[keep][order])
+    idx = rows.w_idx[keep]
+    val = _float_texts(rows.w_val[keep])
     texts = [f'{{"i": [{i}], "v": [{v}]}}' for i, v in
              zip(map(", ".join, _cut(_int_texts(idx), ptr)),
                  map(", ".join, _cut(val.tolist(), ptr)))]
@@ -696,16 +676,15 @@ def _weight_rows(docs, prev):
     if len(s_idx) and (s_idx.min() < 0 or s_idx.max() >= prev):
         raise ValueError("weight index out of range")
     is_dense = np.array(dense, dtype=bool)
-    s_row = np.repeat(np.flatnonzero(~is_dense), counts)
-    # a row written in rising index order repeats none
-    if np.any((s_row[1:] == s_row[:-1]) & (s_idx[1:] <= s_idx[:-1])) \
-            and list(map(len, map(set, idx))) != counts:
+    row = np.concatenate([np.flatnonzero(is_dense)[d_row],
+                          np.repeat(np.flatnonzero(~is_dense), counts)])
+    w_idx = np.concatenate([d_idx, s_idx])
+    order = np.lexsort((w_idx, row))
+    row, w_idx = row[order], w_idx[order]
+    if np.any((row[1:] == row[:-1]) & (w_idx[1:] == w_idx[:-1])):
         raise ValueError("repeated weight index")
     s_val = _numbers(list(iconcat.from_iterable(val)))
-    row = np.concatenate([np.flatnonzero(is_dense)[d_row], s_row])
-    order = np.argsort(row, kind="stable")
-    return (_ptr(np.bincount(row, minlength=len(docs))),
-            np.concatenate([d_idx, s_idx])[order],
+    return (_ptr(np.bincount(row, minlength=len(docs))), w_idx,
             np.concatenate([d_val, s_val])[order])
 
 
@@ -865,7 +844,7 @@ def _compose(outer, inner, n_basis):
 
     Row by row and in outer's weight order, each product w * v joins the
     basis column of v: a column's sum starts from 0.0, and each row's
-    columns are in index order.  The bias is outer's plus each w times
+    columns rise, as a Layer's must.  The bias is outer's plus each w times
     inner's bias, in the same order.  Sizes and intra links stay outer's.
     """
     row = _row_ids(outer.w_ptr)

@@ -208,16 +208,38 @@ def test_a_repeated_readout_weight_index_is_refused():
 
 
 def test_a_repeated_hidden_weight_index_is_refused_in_entry_order():
-    # neuron 0 of floor 1 reads input 1, input 0, then input 1 again with a
+    # neuron 0 of floor 1 reads input 0, input 1, then input 1 again with a
     # nan weight: the repeat is its first fault
     layer = rnet.Layer(np.array([1, 1]), np.array([0, 1, 4]),
-                       np.array([0, 1, 0, 1]),
-                       np.array([1.0, 1.0, 2.0, math.nan]), np.zeros(2))
+                       np.array([0, 0, 1, 1]),
+                       np.array([1.0, 2.0, 1.0, math.nan]), np.zeros(2))
     readout = rnet.Layer(None, np.array([0, 1]), np.array([0]),
                          np.array([1.0]), np.array([0.0]))
     with pytest.raises(NetFormatError, match=r"^repeated weight index 1 at "
                        r"layers\[0\]\.floors\[1\]\.neurons\[0\]$"):
         Net3D(2, [layer], readout)
+
+
+def _one_row(w_idx, w_val):
+    return rnet.Layer(None, np.array([0, len(w_idx)]), np.array(w_idx),
+                      np.array(w_val), np.array([0.0]))
+
+
+@pytest.mark.parametrize("hidden", [True, False], ids=["hidden", "readout"])
+def test_a_falling_weight_index_is_refused(hidden):
+    # the row reads input 2, then input 0 with a nan weight: the fall is
+    # its first fault
+    row = _one_row([2, 0], [1.0, math.nan])
+    if hidden:
+        layer = rnet.Layer(np.array([1]), row.w_ptr, row.w_idx, row.w_val,
+                           row.bias)
+        args, where = ([layer], _one_row([0], [1.0])), \
+            r"layers\[0\]\.floors\[0\]\.neurons\[0\]"
+    else:
+        args, where = ([], row), r"readout\[0\]"
+    with pytest.raises(NetFormatError,
+                       match=rf"^weight index 0 after 2 at {where}$"):
+        Net3D(3, *args)
 
 
 @pytest.mark.parametrize("readout", [[{0: 1.0}], identity_net(1).layers[0]],
@@ -513,10 +535,10 @@ EDGE_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2,
 @st.composite
 def packed_rows(draw, n_rows, n_prev, links):
     """Packed rows over n_prev columns: each row's nonzero count is drawn
-    about the dense cut 0.6 n_prev (at it and one past it), explicit
-    zeros are added and the entries shuffled.  With links, row r gets
-    links (duplicates allowed) to rows before it, as (floor, index) of
-    the floor sizes links gives."""
+    about the dense cut 0.6 n_prev (at it and one past it) and explicit
+    zeros are added at drawn columns, each row in index order, as a Layer
+    holds it.  With links, row r gets links (duplicates allowed) to rows
+    before it, as (floor, index) of the floor sizes links gives."""
     cut = math.floor(0.6 * n_prev)
     w_idx, w_val, counts, l_counts, l_flat, l_coeff = [], [], [], [], [], []
     for r in range(n_rows):
@@ -527,7 +549,7 @@ def packed_rows(draw, n_rows, n_prev, links):
         vals = draw(st.lists(EDGE_VALUES.filter(bool), min_size=n_nz,
                              max_size=n_nz)) + [0.0] * n_zero
         pos = draw(st.permutations(range(n_nz + n_zero)))
-        w_idx += [order[p] for p in pos]
+        w_idx += sorted(order[:n_nz + n_zero])
         w_val += [vals[p] for p in pos]
         counts.append(n_nz + n_zero)
         if links is not None and r:
