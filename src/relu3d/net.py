@@ -142,9 +142,9 @@ class Layer:
     strictly rising and explicit zeros kept, bias bias[r], and intra links
     (l_floor, l_index, l_coeff)[l_ptr[r]:l_ptr[r + 1]] in their given
     order with duplicates kept.  Net3D refuses a row whose indices do not
-    rise.  A Layer is immutable (its arrays are read-only) and may be
-    shared between nets.  Layers compare array by array and are
-    unhashable.
+    rise.  The arguments are taken with np.asarray, the values as floats.
+    A Layer is immutable (its arrays are read-only) and may be shared
+    between nets.  Layers compare array by array and are unhashable.
     """
 
     __slots__ = ("sizes", "w_ptr", "w_idx", "w_val", "bias", "l_ptr",
@@ -159,6 +159,8 @@ class Layer:
                                               bias, l_ptr, l_floor, l_index,
                                               l_coeff)):
             if arr is not None:
+                arr = np.asarray(arr, dtype=float if name in (
+                    "w_val", "bias", "l_coeff") else None)
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -270,6 +272,51 @@ def _check_finite(value, where):
         raise NetFormatError(f"non-finite value at {where}")
 
 
+def _is_int(arr):
+    """An integer array, or an object array of ints (the form _ints gives
+    indices past the int64 range)."""
+    return arr.dtype.kind in "iu" or (
+        arr.dtype == object and set(map(type, arr.tolist())) <= {int})
+
+
+def _check_arrays(rows, where):
+    """Raise unless the arrays of rows fit together, so that the row checks
+    can read them: one dimension each, integer offsets and sizes, integer
+    indices, offsets that run from 0 to their entry count without falling,
+    paired arrays of one length, one bias per row, floor sizes that sum to
+    the rows and no intra link in the readout."""
+    if any(getattr(rows, name).ndim != 1 for name in Layer.__slots__
+           if getattr(rows, name) is not None):
+        raise NetFormatError(f"{where} arrays must be one-dimensional")
+    if any(a.dtype.kind not in "iu" for a in (rows.sizes, rows.w_ptr,
+                                             rows.l_ptr) if a is not None) \
+            or not all(map(_is_int, (rows.w_idx, rows.l_floor, rows.l_index))):
+        raise NetFormatError(f"{where} offsets, sizes and indices must be "
+                             f"integers")
+    n = len(rows.w_ptr) - 1
+    for name, entries in (("w_ptr", len(rows.w_idx)),
+                          ("l_ptr", len(rows.l_floor))):
+        ptr = getattr(rows, name)
+        if len(ptr) != n + 1 or n < 0 or ptr[0] != 0 or ptr[-1] != entries \
+                or np.any(ptr[1:] < ptr[:-1]):
+            raise NetFormatError(f"{where}.{name} must run from 0 to "
+                                 f"{entries} without falling, one offset per "
+                                 f"row and one more")
+    if len(rows.w_val) != len(rows.w_idx) \
+            or not len(rows.l_floor) == len(rows.l_index) == len(rows.l_coeff):
+        raise NetFormatError(f"{where} index and value arrays differ in "
+                             f"length")
+    if len(rows.bias) != n:
+        raise NetFormatError(f"{where} must have matching weight rows and "
+                             f"biases")
+    if rows.sizes is None:
+        if len(rows.l_floor):
+            raise NetFormatError(f"{where} must have no intra links")
+    elif np.any(rows.sizes < 0) or rows.sizes.sum() != n:
+        raise NetFormatError(f"{where} floor sizes must be nonnegative and "
+                             f"sum to its row count {n}")
+
+
 def _bad_rows(rows, prev):
     """Rows with an out-of-range weight index, a weight index that does
     not rise above the one before it, a non-finite value or (in a hidden
@@ -334,8 +381,9 @@ def _validate(net):
     prev = net.input_dim
     for k, rows in enumerate(net.layers):
         if not isinstance(rows, Layer) or rows.sizes is None \
-                or not len(rows.sizes):
+                or not rows.sizes.size:
             raise NetFormatError(f"layers[{k}] must be a nonempty Layer")
+        _check_arrays(rows, f"layers[{k}]")
         bad = _bad_rows(rows, prev)
         empty = np.flatnonzero(rows.sizes == 0)
         fi = None
@@ -352,7 +400,8 @@ def _validate(net):
     ro = net._readout
     if not isinstance(ro, Layer) or ro.sizes is not None:
         raise NetFormatError("readout must be a Layer with sizes None")
-    if not ro.size or ro.size != len(ro.bias):
+    _check_arrays(ro, "readout")
+    if not ro.size:
         raise NetFormatError("readout must have matching weight rows and biases")
     bad = _bad_rows(ro, prev)
     if len(bad):

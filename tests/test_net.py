@@ -242,6 +242,57 @@ def test_a_falling_weight_index_is_refused(hidden):
         Net3D(3, *args)
 
 
+def _hidden(sizes=(1,), w_ptr=(0, 1), w_idx=(0,), w_val=(1.0,), bias=(0.0,),
+            l_ptr=(0, 0)):
+    return rnet.Layer(*map(np.array, (sizes, w_ptr, w_idx, w_val, bias,
+                                      l_ptr)))
+
+
+# Layers whose arrays do not fit together; each used to pass Net3D or
+# fail with an IndexError or ValueError of its own
+INCONSISTENT_LAYERS = {
+    "w_ptr-not-from-0": (_hidden(w_ptr=(1, 2), w_idx=(0, 0),
+                                 w_val=(1.0, 1.0)), r"layers\[0\]\.w_ptr"),
+    "w_ptr-short": (_hidden(w_idx=(0, 1), w_val=(1.0, 1.0)),
+                    r"layers\[0\]\.w_ptr"),
+    "l_ptr-length": (_hidden(l_ptr=(0, 0, 0)), r"layers\[0\]\.l_ptr"),
+    "sizes-sum": (_hidden(sizes=(2,)), r"layers\[0\] floor sizes"),
+    "w_val-short": (_hidden(w_ptr=(0, 2), w_idx=(0, 1)),
+                    r"layers\[0\] index and value arrays"),
+    "bias-long": (_hidden(bias=(0.0, 0.0)),
+                  r"layers\[0\] must have matching weight rows and biases"),
+    "float-index": (_hidden(w_idx=(0.7,)), r"layers\[0\] .* integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_LAYERS))
+def test_a_layer_whose_arrays_do_not_fit_together_is_refused(case):
+    layer, message = INCONSISTENT_LAYERS[case]
+    with pytest.raises(NetFormatError, match="^" + message):
+        Net3D(2, [layer], _one_row([0], [1.0]))
+    if case == "sizes-sum":
+        return  # a readout has no floor sizes
+    # the same arrays as a readout are refused as well, naming the readout
+    ro = rnet.Layer(None, *(getattr(layer, name)
+                            for name in rnet.Layer.__slots__[1:]))
+    with pytest.raises(NetFormatError,
+                       match="^" + message.replace(r"layers\[0\]", "readout")):
+        Net3D(2, [], ro)
+
+
+def test_a_readout_with_intra_links_is_refused():
+    ro = rnet.Layer(None, [0, 1], [0], [1.0], [0.0], [0, 1], [0], [0], [1.0])
+    with pytest.raises(NetFormatError,
+                       match="^readout must have no intra links$"):
+        Net3D(2, [], ro)
+
+
+def test_a_layer_takes_its_arrays_as_lists():
+    net = Net3D(1, [], rnet.Layer(None, [0, 1], [0], [1.0], [0.0]))
+    assert evaluate(net, [0.25]) == 0.25
+    assert net == deserialize(serialize(net))
+
+
 @pytest.mark.parametrize("readout", [[{0: 1.0}], identity_net(1).layers[0]],
                          ids=["rows", "hidden-layer"])
 def test_readout_must_be_a_readout_layer(readout):
