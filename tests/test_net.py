@@ -645,6 +645,46 @@ def test_writer_matches_the_reference_writer_on_packed_nets(net):
     assert serialize(deserialize(text)) == text
 
 
+def _sparse_rows(doc):
+    """The sparse weight documents of a net document, in document order."""
+    rows = [nd["w"] for layer in doc["layers"] for floor in layer["floors"]
+            for nd in floor["neurons"]] + doc["readout"]["w"]
+    return [w for w in rows if isinstance(w, dict)]
+
+
+def _rising(net):
+    return all(np.all((np.diff(rnet._row_ids(rows.w_ptr)) > 0)
+                      | (np.diff(rows.w_idx) > 0))
+               for rows in net.layers + (net._readout,))
+
+
+@settings(deadline=None, max_examples=100)
+@given(packed_nets(), st.data())
+def test_documents_may_hold_sparse_rows_in_any_order(net, data):
+    text = serialize(net)
+    doc = json.loads(text)
+    for w in _sparse_rows(doc):
+        pairs = data.draw(st.permutations(list(zip(w["i"], w["v"]))))
+        w["i"], w["v"] = [i for i, _ in pairs], [v for _, v in pairs]
+    back = deserialize(json.dumps(doc))
+    assert _rising(back)
+    assert back == deserialize(text)
+    assert serialize(back) == text
+
+
+def test_a_shuffled_row_that_repeats_an_index_is_refused_as_the_reference_refuses_it():
+    doc = json.loads(serialize(five_input_net(
+        [{0: 2.0, 3: 1.0}, {2: 1.0}], {0: -1.0, 1: 1.0})))
+    doc["layers"][0]["floors"][0]["neurons"][0]["w"] = {
+        "i": [3, 0, 3], "v": [1.0, 2.0, 4.0]}
+    document = json.dumps(doc)
+    want = reference_net.decision(lambda: reference_net.parse(document))
+    assert want == ("error", "malformed neuron at layers[0].floors[0]."
+                    "neurons[0]: repeated weight index 3 at layers[0]."
+                    "floors[0].neurons[0].w")
+    assert reference_net.array_decision(lambda: deserialize(document)) == want
+
+
 # -- equality and hashing ---------------------------------------------------
 
 
