@@ -337,6 +337,28 @@ def test_hermite_gauss_d2_sizes_and_expansion(N, built, stated_width):
         <= rep.theoretical_bound
 
 
+# the d = 2 L^p builds whose width exceeds the stated width
+LP_D2_OVER_STATED_WIDTH = {("gaussian-bump", 4), ("geometric-product", 4)}
+
+
+@pytest.mark.parametrize("name, N1, built, stated", [
+    ("abs-sum", 4, (46, 14, 11), (96, 14, 18)),
+    ("abs-sum", 6, (66, 14, 11), (216, 14, 18)),
+    ("abs-sum", 8, (86, 14, 11), (384, 14, 18)),
+    ("gaussian-bump", 4, (342, 14, 11), (96, 14, 18)),
+    ("geometric-product", 4, (1766, 14, 12), (96, 14, 18))])
+def test_lp_d2_sizes_against_the_stated_ones(name, N1, built, stated):
+    # build_lp checks its net against its own built size, so only this
+    # test sees where the d = 2 width exceeds the registry's
+    rep = build_lp(TargetSpec.catalog(name, d=2, domain="sym-cube"), N1, 12,
+                   d=2)
+    m = metrics(rep.net)
+    assert (m.width, m.depth, m.height) == built
+    s = expected_size("lp", {"N1": N1, "N2": 12, "r": 2, "d": 2})
+    assert (s.width, s.depth, s.height) == stated
+    assert (m.width > s.width) == ((name, N1) in LP_D2_OVER_STATED_WIDTH)
+
+
 def test_hermite_gauss_rejects_uncertified_target():
     target = TargetSpec.catalog("abs")
     with pytest.raises(ValueError):
