@@ -672,7 +672,7 @@ def test_documents_may_hold_sparse_rows_in_any_order(net, data):
     assert serialize(back) == text
 
 
-def test_a_shuffled_row_that_repeats_an_index_is_refused_as_the_reference_refuses_it():
+def test_a_shuffled_repeat_is_refused_as_the_reference_refuses_it():
     doc = json.loads(serialize(five_input_net(
         [{0: 2.0, 3: 1.0}, {2: 1.0}], {0: -1.0, 1: 1.0})))
     doc["layers"][0]["floors"][0]["neurons"][0]["w"] = {
