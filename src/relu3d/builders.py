@@ -410,10 +410,6 @@ def build_clipped_hermite(n, M, delta, H):
     if not 0 < delta < M:
         raise ValueError("need 0 < delta < M")
     c = hermite_poly_coeffs(n)
-    xi0 = float(c[0])
-    b = NetBuilder(1)
-    xi, chi = _clip_wires(b.layer(), b.input(0), M, delta)
-    b.commit()
     sq6M = math.sqrt(6.0) * M
     bound = sq6M ** n * 3.0 * n * n * 2.0 ** (-2 * (H + 1)) if n >= 2 else 0.0
     inputs = {"n": n, "M": M, "delta": delta, "H": H}
@@ -424,24 +420,30 @@ def build_clipped_hermite(n, M, delta, H):
         "stated_min_height": (n / 2.0) * math.log2(sq6M) + math.log2(3 * n) - 1
         if n >= 1 else 0.0,
     }
-    if n == 0:
-        net = b.finish([chi])
-        return _finish_report(net, 4, 1, 1, bound, "clipped-hermite", inputs,
-                              meta)
-    if n == 1:
-        net = b.finish([float(c[1]) * xi + xi0 * chi])
-        return _finish_report(net, 4, 1, 1, bound, "clipped-hermite", inputs,
-                              meta)
+    size = (4, 1, 1) if n <= 1 else (8, n, H + 1)
+    return _finish_report(_clipped_chain(c, M, delta, H), *size, bound,
+                          "clipped-hermite", inputs, meta)
+
+
+def _clipped_chain(c, M, delta, H):
+    """Net for sum_k c[k] x^k on [-M+delta, M-delta], zero outside [-M, M]:
+    a clip window, then a symmetric power chain on x/M that is linear in c."""
+    xi0 = float(c[0])
+    b = NetBuilder(1)
+    xi, chi = _clip_wires(b.layer(), b.input(0), M, delta)
+    b.commit()
+    if len(c) == 1:
+        return b.finish([xi0 * chi])
+    if len(c) == 2:
+        return b.finish([float(c[1]) * xi + xi0 * chi])
     if H < 1:
         raise ValueError("need H >= 1 for n >= 2")
-    scaled = [float(c[k]) * M ** k for k in range(n + 1)]
+    scaled = [float(ck) * M ** k for k, ck in enumerate(c)]
     u = xi * (1.0 / M)
     out = _unit_chain(b, u, scaled, H, extra_acc=xi0 * chi,
                       prod_wires=_sym_prod_wires)
-    # the chain contributes c[0] once; the clip correction subtracts Xi_n(0)
-    net = b.finish([out - xi0])
-    return _finish_report(net, 8, n, H + 1, bound, "clipped-hermite", inputs,
-                          meta)
+    # the chain contributes c[0] once; the clip correction subtracts it
+    return b.finish([out - xi0])
 
 
 @dataclass(frozen=True)
@@ -520,8 +522,6 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
                              f"product range R^d = {R:.4g}^{d} exceeds the "
                              f"float range")
     exp = hermite_expansion(target, N, d=d)
-    basis = {nu: build_clipped_hermite(nu, M, delta, H).net
-             for nu in range(N + 1)}
     meta = {
         "params": params,
         "coeffs": dict(exp.coeffs),
@@ -529,10 +529,10 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
         "tail_envelope": hermite_tail_bound(N, M),
     }
     inputs = {"N": N, "d": d, "beta": beta, "H": H, "delta": delta}
-    terms = [(exp.coeffs[nu], [basis[v] for v in nu])
-             for nu in iproduct(range(N + 1), repeat=d)]
     if d == 1:
-        net = _tensor_sum(terms, 0.0, d, None, None)
+        b = sum(np.pad(exp.coeffs[(nu,)] * hermite_poly_coeffs(nu),
+                       (0, N - nu)) for nu in range(N + 1))
+        net = _clipped_chain(b, M, delta, H)
         # gauss_l2_error measures only a net that vanishes outside M.  The
         # check runs _forward, not evaluate_array, so that a forward-pass
         # trace counts the measurement's points only
@@ -546,6 +546,9 @@ def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
         return _finish_report(net, width_exp, N + d - 1, height_exp, bound,
                               "hermite-gauss", inputs, meta)
     # d >= 2: per-index product of one-dimensional basis networks
+    basis = [build_clipped_hermite(nu, M, delta, H).net for nu in range(N + 1)]
+    terms = [(exp.coeffs[nu], [basis[v] for v in nu])
+             for nu in iproduct(range(N + 1), repeat=d)]
     Hp = _min_height(6.0 * (d - 1) * R ** d, bound)
     meta["product_height"] = Hp
     meta["product_range"] = R

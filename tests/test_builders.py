@@ -686,8 +686,8 @@ GOLDEN_VALUES = {
         "c7c4839c2b672cd8b9bbd944998697442e7bab1c99de779f187576ae909747f2",
         "0.00045079941976305937", "0.00390625"),
     "hermite": (
-        "d3e67fd3c6e67a52ef6f7f503969bdba45c8b6bd78a53a1ae5180d9ff19923a1",
-        "0.1258919434848488", "0.36787944117144233"),
+        "e21f8393955a2ea6f0eb2ce5401bd9576017f53e44a40b55caef15a1075e24c6",
+        "0.12589194348444394", "0.36787944117144233"),
     "lp-d1": (
         "fe2b140a0e5cc5b8dbef3c85aa14acd07ddcc41a1ed1aa9156f622248e7c366e",
         "0.07302342990590413", "0.723804136770589"),
@@ -741,7 +741,7 @@ GOLDEN_FORWARD = {
     "ellipse":
         "edceb5c8585372e626556141b577621ec1df439cd70e73128a9ad44c67da9f2f",
     "hermite":
-        "e54cd28354c8cc090338df6147c59123e0ecab52c026f6156e365792b6282948",
+        "915b8df0dc4eaf547a762d746e8cd66278c809fc992ccd74fa18eeaa3f044cb5",
     "lp-d1":
         "28c5040eefb24fcbb831204f116cc102779a3bc591e577bd141710aeb38cfd10",
     "lp-d2":

@@ -684,8 +684,8 @@ BUILD_GOLDEN = {
         "c7c4839c2b672cd8b9bbd944998697442e7bab1c99de779f187576ae909747f2",
         "4a0b24e9003c22a92cd96955bbb316bbc674af45437533bf8f3f846e43359428"),
     "hermite": (
-        "d3e67fd3c6e67a52ef6f7f503969bdba45c8b6bd78a53a1ae5180d9ff19923a1",
-        "68022055ab732ba883059a679996aed0166f51ab97119ece59a235ee570b6b42"),
+        "e21f8393955a2ea6f0eb2ce5401bd9576017f53e44a40b55caef15a1075e24c6",
+        "52c8053215b8db9b6125d5acfddfa364cc9803b0363eda4037826de18bf81c16"),
     "lp-d1": (
         "fe2b140a0e5cc5b8dbef3c85aa14acd07ddcc41a1ed1aa9156f622248e7c366e",
         "094130f37c90e116c60f261a9686e62a7059daafa53e299bca03414f94eb1d8f"),

@@ -23,7 +23,7 @@ README = SCRIPTS.parent / "README.md"
 # sha256 of the size-comparison CSV and of the repr of the list of sweep
 # calls (theorem, swept parameter, values, repr of the fixed parameters)
 TABLE1_CSV_SHA = \
-    "80fce2218c0ff1a29a0d5565c28d1d76fe9b5c741124bc9b8d97afdfbfa46aa3"
+    "ba84940eddf458ae541c202612f43a6211b21164e210c853acb7149ecc1370a3"
 SWEEP_CALLS_SHA = \
     "e0a3280cb62e61d28a656c23dcc21b9a7d6fb4469b75c2895f1101fbc0b1a1d1"
 

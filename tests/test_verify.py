@@ -466,4 +466,4 @@ def measurement_table():
 def test_golden_measurements():
     digest = hashlib.sha256(repr(measurement_table()).encode()).hexdigest()
     assert digest == \
-        "9cff390793adaed6385fe90b780e3fb08f50b186b1a6e9442b45a66018413266"
+        "9634331c77e4b7c9052d0235645044a9c40fffd211d5bef254ca6ba1af68e9d4"
