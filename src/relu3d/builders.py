@@ -499,9 +499,10 @@ def choose_hermite_params(n, B):
 
 
 def build_hermite_gauss(target, N, d=1, beta=(1.0,)):
-    """Gaussian-L^2 approximation of a target by a truncated expansion in
-    clipped Hermite basis networks; error e^(-B sqrt(N)) up to a fitted
-    constant, B = (prod beta_j)^(1/d) / sqrt(2)."""
+    """Gaussian-L^2 approximation of a target by its truncated Hermite
+    expansion: one clipped power chain at d = 1, products of clipped basis
+    networks at d >= 2; error e^(-B sqrt(N)) up to a fitted constant,
+    B = (prod beta_j)^(1/d) / sqrt(2)."""
     N = int(N)
     d = int(d)
     beta = tuple(float(v) for v in beta)

@@ -1,5 +1,6 @@
 """Builder constructions: bounds, exact size metrics, and size formulas."""
 
+import functools
 import hashlib
 import math
 import sys
@@ -19,9 +20,10 @@ from relu3d.builders import (build_analytic_cube, build_analytic_ellipse,
                              build_smooth1d, build_trig,
                              choose_hermite_params, expected_bound,
                              expected_size)
-from relu3d.hermite import hermite_eval, hermite_tail_bound
+from relu3d.hermite import (check_support, hermite_eval, hermite_poly_coeffs,
+                            hermite_tail_bound)
 from relu3d.net import (Neuron, _compile, _row_ids, evaluate_array,
-                        evaluate_exact, metrics, serialize)
+                        evaluate_exact, linear_combine, metrics, serialize)
 from relu3d.polynd import PolyND
 from relu3d.targets import TargetSpec
 from relu3d.verify import gauss_l2_error, lp_error, sup_error, sweep
@@ -301,12 +303,73 @@ def test_hermite_gauss_bound_and_metrics():
 
 @pytest.mark.parametrize("N", [15, 16])
 def test_hermite_gauss_refuses_a_net_its_measurement_refuses(N):
-    # at d = 1 the built net reaches 1.2e-6 (N = 15) and 2.1e-5 (N = 16)
+    # at d = 1 the built net reaches 1.43e-6 (N = 15) and 1.91e-5 (N = 16)
     # at gauss_l2_error's probe points outside its support, over the 1e-6
-    # that measurement allows; N = 14 reaches 7.2e-7 and builds
+    # that measurement allows; N = 14 reaches 8.3e-7 and builds
     target = TargetSpec.catalog("cosine", domain="gaussian-line")
     with pytest.raises(ValueError, match="does not vanish"):
         build_hermite_gauss(target, N)
+
+
+@pytest.mark.parametrize("N", [15, 16])
+@pytest.mark.parametrize("name", ["linear", "constant"])
+def test_hermite_gauss_builds_low_degree_targets_past_the_cosine_refusal(
+        name, N):
+    # their expansions carry only quadrature noise above degree 1, so the
+    # net stays within 3e-9 of zero outside its support
+    build_hermite_gauss(TargetSpec.catalog(name, domain="gaussian-line"), N)
+
+
+@pytest.mark.parametrize("N, built", [
+    (4, (8, 4, 15, 280)), (10, (8, 10, 36, 1966)), (14, (8, 14, 50, 3930))])
+def test_hermite_gauss_d1_sizes(N, built):
+    # one clipped power chain: 8 wide, under the stated width 8N
+    rep = build_hermite_gauss(TargetSpec.catalog("cosine",
+                                                 domain="gaussian-line"), N)
+    m = metrics(rep.net)
+    assert (m.width, m.depth, m.height, m.neuron_count) == built
+    stated = expected_size("hermite", {"N": N, "d": 1, "B": 2 ** -0.5})
+    assert stated.width == 8 * N >= m.width
+
+
+@functools.lru_cache(maxsize=None)
+def _clipped_basis(N, M, delta, H):
+    return tuple(build_clipped_hermite(nu, M, delta, H).net
+                 for nu in range(N + 1))
+
+
+# the largest max |diff| / (2^-52 scale) below, over cosine, linear and
+# constant at N = 1..14, measured 9.5 (cosine, N = 11)
+HERMITE_SUM_ROUNDING = 16.0
+
+
+@pytest.mark.parametrize("N", range(1, 15))
+@pytest.mark.parametrize("name", ["cosine", "linear", "constant"])
+def test_hermite_gauss_d1_is_the_sum_of_its_clipped_basis_nets(name, N):
+    # the oracle is the sum of the N + 1 clipped basis nets at the build's
+    # own (M, delta, H), which the one clipped chain replaces
+    rep = build_hermite_gauss(TargetSpec.catalog(name, domain="gaussian-line"),
+                              N)
+    M, H, delta = rep.meta["params"]
+    a = [rep.meta["coeffs"][(nu,)] for nu in range(N + 1)]
+    summed = linear_combine(_clipped_basis(N, M, delta, H), a, 0.0)
+    got, want = metrics(rep.net), metrics(summed)
+    assert (got.depth, got.height) == (want.depth, want.height)
+    for net in (rep.net, summed):
+        check_support(lambda pts: evaluate_array(net, pts), M)
+    xs = np.linspace(-M, M, 2049)[:, None]
+    diff = np.max(np.abs(evaluate_array(rep.net, xs)
+                         - evaluate_array(summed, xs)))
+    # the rounding of sum_k |c_k| M^k, the monomials on [-M, M], and of the
+    # degree-0 and degree-1 weights, which the clip window's slopes scale
+    # by up to 4 M / delta
+    scale = 0.0
+    for nu in range(N + 1):
+        c = np.abs(hermite_poly_coeffs(nu))
+        low = c[0] + (M * c[1] if nu else 0.0)
+        scale += abs(a[nu]) * (np.sum(c * M ** np.arange(nu + 1))
+                               + 4.0 * M / delta * low)
+    assert diff <= HERMITE_SUM_ROUNDING * 2.0 ** -52 * scale
 
 
 @pytest.mark.parametrize("N,d", [(68, 2), (48, 3)])
