@@ -142,9 +142,11 @@ class Layer:
     strictly rising and explicit zeros kept, bias bias[r], and intra links
     (l_floor, l_index, l_coeff)[l_ptr[r]:l_ptr[r + 1]] in their given
     order with duplicates kept.  Net3D refuses a row whose indices do not
-    rise.  The arguments are taken with np.asarray, the values as floats.
-    A Layer is immutable (its arrays are read-only) and may be shared
-    between nets.  Layers compare array by array and are unhashable.
+    rise.  A Layer is immutable and may be shared between nets.  It takes
+    ownership of its arguments: each is taken with np.asarray (the values
+    as floats) and made read-only, so the caller can no longer write an
+    ndarray that np.asarray did not copy.  Layers compare array by array
+    and are unhashable.
     """
 
     __slots__ = ("sizes", "w_ptr", "w_idx", "w_val", "bias", "l_ptr",
@@ -194,8 +196,14 @@ def _pack(sizes, weights, biases, intras=None):
     """Layer from per-row weight dicts (in any order), biases and
     intra-link tuples."""
     weights = [dict(sorted(w.items())) for w in weights]
+    keys = list(iconcat.from_iterable(weights))
+    if not set(map(type, keys)) <= {int}:
+        # refused as the reader refuses it: int64 would truncate 0.7 to 0
+        bad = next(k for k in keys if type(k) is not int)
+        raise NetFormatError(f"malformed weight index {bad!r}: expected an "
+                             f"integer, got {type(bad).__name__}")
     w_ptr = _ptr([len(w) for w in weights])
-    w_idx = _ints(iconcat.from_iterable(weights))
+    w_idx = _ints(keys)
     w_val = np.fromiter(iconcat.from_iterable(w.values() for w in weights),
                         dtype=float, count=int(w_ptr[-1]))
     bias = np.array(biases, dtype=float).reshape(-1)

@@ -135,8 +135,8 @@ def test_evaluate_array_chunking_is_consistent(monkeypatch):
 
 def test_evaluate_array_chunks_the_hermite_gauss_nodes(monkeypatch):
     # the 3,248 nodes on which gauss_l2_error measures the N = 10 Hermite
-    # net, whose widest layer holds 1,966 neurons: 4 MiB of activations
-    # take 266 points of them
+    # net, whose widest layer holds 218 neurons: 4 MiB of activations take
+    # 2,404 points of them
     target = TargetSpec.catalog("cosine", domain="gaussian-line")
     rep = builders.build_hermite_gauss(target, 10)
     net, M = rep.net, rep.meta["support"]
@@ -194,6 +194,18 @@ def test_out_of_range_weight_index_rejected():
     layer = ((Neuron(weights={3: 1.0}, bias=0.0),),)
     with pytest.raises(NetFormatError):
         reference_net.pack(1, [layer], [{0: 1.0}], [0.0])
+
+
+@pytest.mark.parametrize("key", [0.7, 0.0, True, np.int64(0)],
+                         ids=["float", "integral-float", "bool", "int64"])
+def test_a_weight_key_that_is_not_an_int_is_refused_when_packed(key):
+    # int64 used to truncate 0.7 to index 0, a net evaluating to 2.0 at
+    # x = 1; the reader refuses the same index in a document
+    name = type(key).__name__
+    with pytest.raises(NetFormatError,
+                       match=rf"^malformed weight index .*: expected an "
+                             rf"integer, got {name}$"):
+        reference_net.pack(1, [], [{key: 2.0}], [0.0])
 
 
 def test_a_repeated_readout_weight_index_is_refused():
@@ -322,6 +334,19 @@ def test_net_is_immutable():
         net.layers[0].bias = np.zeros(2)
     with pytest.raises(ValueError, match="read-only"):
         net.layers[0].bias[0] = 1.0
+
+
+def test_a_layer_takes_ownership_of_the_arrays_it_is_given():
+    # a Layer keeps an ndarray np.asarray does not copy and freezes it, so
+    # the caller cannot change a net through its own array
+    a = np.array([0, 1])
+    layer = rnet.Layer(None, a, np.array([0]), np.array([1.0]),
+                       np.array([0.0]))
+    net = Net3D(1, [], layer)
+    assert layer.w_ptr is a
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 5
+    assert a.tolist() == [0, 1] and evaluate(net, [0.25]) == 0.25
 
 
 # -- metrics ----------------------------------------------------------------
