@@ -199,8 +199,8 @@ def test_out_of_range_weight_index_rejected():
 @pytest.mark.parametrize("key", [0.7, 0.0, True, np.int64(0)],
                          ids=["float", "integral-float", "bool", "int64"])
 def test_a_weight_key_that_is_not_an_int_is_refused_when_packed(key):
-    # int64 used to truncate 0.7 to index 0, a net evaluating to 2.0 at
-    # x = 1; the reader refuses the same index in a document
+    # an int64 cast would read 0.7 as index 0, a net evaluating to 2.0 at
+    # x = 1; the reader refuses such an index in a document
     name = type(key).__name__
     with pytest.raises(NetFormatError,
                        match=rf"^malformed weight index .*: expected an "
