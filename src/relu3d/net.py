@@ -70,7 +70,8 @@ class Neuron:
         (or over the network input for layer 0), as {flat_index: coeff}.
     bias: additive constant.
     intra: intra-layer links as a tuple of (src_floor, src_index, coeff),
-        each source strictly preceding this neuron in (floor, index) order.
+        the sources strictly rising in (floor, index) order, each strictly
+        preceding this neuron.
     """
 
     weights: dict
@@ -140,13 +141,13 @@ class Layer:
     sizes: the floor sizes (None for the readout).  Row r, in flat order,
     has inbound weights w_idx/w_val[w_ptr[r]:w_ptr[r + 1]], their indices
     strictly rising and explicit zeros kept, bias bias[r], and intra links
-    (l_floor, l_index, l_coeff)[l_ptr[r]:l_ptr[r + 1]] in their given
-    order with duplicates kept.  Net3D refuses a row whose indices do not
-    rise.  A Layer is immutable and may be shared between nets.  It takes
-    ownership of its arguments: each is taken with np.asarray (the values
-    as floats) and made read-only, so the caller can no longer write an
-    ndarray that np.asarray did not copy.  Layers compare array by array
-    and are unhashable.
+    (l_floor, l_index, l_coeff)[l_ptr[r]:l_ptr[r + 1]], their flat
+    sources strictly rising, so none repeats.  Net3D refuses a row whose
+    indices or sources do not rise.  A Layer is immutable and may be
+    shared between nets.  It takes ownership of its arguments: each is
+    taken with np.asarray (the values as floats) and made read-only, so
+    the caller can no longer write an ndarray that np.asarray did not
+    copy.  Layers compare array by array and are unhashable.
     """
 
     __slots__ = ("sizes", "w_ptr", "w_idx", "w_val", "bias", "l_ptr",
@@ -325,14 +326,21 @@ def _check_arrays(rows, where):
                              f"sum to its row count {n}")
 
 
+def _falls(row, keys):
+    """The row of each entry whose key does not rise above the key of the
+    entry before it in the same row."""
+    return row[1:][(row[1:] == row[:-1]) & (keys[1:] <= keys[:-1])]
+
+
 def _bad_rows(rows, prev):
     """Rows with an out-of-range weight index, a weight index that does
     not rise above the one before it, a non-finite value or (in a hidden
-    layer) an intra link that is out of range or not earlier."""
+    layer) an intra link that is out of range, not earlier or whose
+    source does not rise above the one before it."""
     bad = ~np.isfinite(rows.bias)
     idx, row = rows.w_idx, _row_ids(rows.w_ptr)
     bad[row[(idx < 0) | (idx >= prev) | ~np.isfinite(rows.w_val)]] = True
-    bad[row[1:][(row[1:] == row[:-1]) & (idx[1:] <= idx[:-1])]] = True
+    bad[_falls(row, idx)] = True
     if len(rows.l_floor):  # the readout has no links
         row = _row_ids(rows.l_ptr)
         sf, si = rows.l_floor, rows.l_index
@@ -340,8 +348,10 @@ def _bad_rows(rows, prev):
         sf_in = np.where(ok, sf, 0).astype(np.int64)
         ok &= (si >= 0) & (si < rows.sizes[sf_in])
         # within range, (floor, index) order is flat order
-        ok &= _starts(rows.sizes)[sf_in] + si < row
+        src = _starts(rows.sizes)[sf_in] + si
+        ok &= src < row
         bad[row[~(ok & np.isfinite(rows.l_coeff))]] = True
+        bad[_falls(row, src)] = True
     return np.flatnonzero(bad)
 
 
@@ -365,6 +375,7 @@ def _row_fault(rows, r, prev, where, fi=None, ni=None):
         _check_finite(w, where + ".w")
     _check_finite(rows.bias[r], where + ".b")
     a, b = int(rows.l_ptr[r]), int(rows.l_ptr[r + 1])
+    last = (-1, -1)
     for sf, si, coeff in zip(rows.l_floor[a:b].tolist(),
                              rows.l_index[a:b].tolist(),
                              rows.l_coeff[a:b].tolist()):
@@ -379,6 +390,14 @@ def _row_fault(rows, r, prev, where, fi=None, ni=None):
                 f"intra link at {where} must point to a strictly earlier "
                 f"neuron (got floor {sf}, index {si})")
         _check_finite(coeff, where + ".intra")
+        if (sf, si) == last:
+            raise NetFormatError(f"repeated intra source (floor {sf}, index "
+                                 f"{si}) at {where}")
+        if (sf, si) < last:
+            raise NetFormatError(f"intra source (floor {sf}, index {si}) "
+                                 f"after (floor {last[0]}, index {last[1]}) "
+                                 f"at {where}")
+        last = sf, si
 
 
 def _validate(net):
@@ -430,9 +449,11 @@ class _LayerProgram:
     W, b: the affine part over the previous layer's outputs.  segments:
     (rows, G) for each segment, a run of the flat neuron order, G holding
     the intra-link coefficients of those rows over the neurons before the
-    segment (None for the first).  A neuron starts a new segment when one
-    of its intra sources lies at or after the current segment's start, so
-    no neuron of a segment reads another and each segment takes one step.
+    segment (None for the first).  Each row's links rise by flat source
+    and repeat none, so G is a slice of the packed links.  A neuron starts
+    a new segment when one of its intra sources lies at or after the
+    current segment's start, so no neuron of a segment reads another and
+    each segment takes one step.
     Where no intra link joins two neurons of one floor (every builder,
     merge and pad), each floor starts at most one segment: a layer takes
     at most one step per floor.
@@ -445,27 +466,21 @@ class _LayerProgram:
         self.W = _csr_matrix(rows.w_val, rows.w_idx, rows.w_ptr,
                              (n, prev_size))
         self.b = rows.bias
-        # links as (row, flat source) entries sorted that way; duplicate
-        # links are summed from 0.0 in their given order
         src = _starts(rows.sizes)[rows.l_floor] + rows.l_index
-        keys, inv = np.unique(_row_ids(rows.l_ptr) * n + src,
-                              return_inverse=True)
-        coeff = np.zeros(len(keys))
-        np.add.at(coeff, inv, rows.l_coeff)
-        row, src = np.divmod(keys, n)
-        linked = np.flatnonzero(np.diff(row, append=n))  # last entry per row
+        ptr = rows.l_ptr
+        linked = np.flatnonzero(np.diff(ptr))  # the rows with links
         starts = [0]
-        for i, s in zip(row[linked].tolist(), src[linked].tolist()):
+        # a row's last link has its largest source
+        for i, s in zip(linked.tolist(), src[ptr[linked + 1] - 1].tolist()):
             if s >= starts[-1]:
                 starts.append(i)
         self.segments = []
         for a, c in zip(starts, starts[1:] + [n]):
             G = None
             if a:
-                ptr = np.searchsorted(row, np.arange(a, c + 1))
-                lo, hi = ptr[0], ptr[-1]
-                G = _csr_matrix(coeff[lo:hi], src[lo:hi], ptr - lo,
-                                (c - a, a))
+                lo, hi = ptr[a], ptr[c]
+                G = _csr_matrix(rows.l_coeff[lo:hi], src[lo:hi],
+                                ptr[a:c + 1] - lo, (c - a, a))
             self.segments.append((slice(a, c), G))
 
 

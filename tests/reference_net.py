@@ -91,6 +91,7 @@ def validate(input_dim, layers, readout_weights, readout_bias):
                             f" (previous size {prev})")
                     _check_finite(w, where + ".w")
                 _check_finite(nrn.bias, where + ".b")
+                last = None
                 for (sf, si, coeff) in nrn.intra:
                     if sf < 0 or sf >= len(floors):
                         raise NetFormatError(f"intra source floor {sf} out of "
@@ -103,6 +104,16 @@ def validate(input_dim, layers, readout_weights, readout_bias):
                             f"intra link at {where} must point to a strictly "
                             f"earlier neuron (got floor {sf}, index {si})")
                     _check_finite(coeff, where + ".intra")
+                    # the sources rise: none repeats or falls
+                    if last == (sf, si):
+                        raise NetFormatError(
+                            f"repeated intra source (floor {sf}, index {si}) "
+                            f"at {where}")
+                    if last is not None and (sf, si) < last:
+                        raise NetFormatError(
+                            f"intra source (floor {sf}, index {si}) after "
+                            f"(floor {last[0]}, index {last[1]}) at {where}")
+                    last = (sf, si)
         prev = sum(len(f) for f in floors)
     if not readout_weights or len(readout_weights) != len(readout_bias):
         raise NetFormatError("readout must have matching weight rows and biases")

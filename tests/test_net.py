@@ -613,8 +613,9 @@ def packed_rows(draw, n_rows, n_prev, links):
     """Packed rows over n_prev columns: each row's nonzero count is drawn
     about the dense cut 0.6 n_prev (at it and one past it) and explicit
     zeros are added at drawn columns, each row in index order, as a Layer
-    holds it.  With links, row r gets links (duplicates allowed) to rows
-    before it, as (floor, index) of the floor sizes links gives."""
+    holds it.  With links, row r gets links to rows before it, rising
+    and without repeats as a Layer holds them, as (floor, index) of the
+    floor sizes links gives."""
     cut = math.floor(0.6 * n_prev)
     w_idx, w_val, counts, l_counts, l_flat, l_coeff = [], [], [], [], [], []
     for r in range(n_rows):
@@ -629,10 +630,9 @@ def packed_rows(draw, n_rows, n_prev, links):
         w_val += [vals[p] for p in pos]
         counts.append(n_nz + n_zero)
         if links is not None and r:
-            src = draw(st.lists(st.integers(0, r - 1), max_size=3))
+            src = sorted(draw(st.sets(st.integers(0, r - 1), max_size=3)))
             l_counts.append(len(src))
-            l_flat += src + src[:1]  # the first link repeated
-            l_counts[-1] += len(src[:1])
+            l_flat += src
             l_coeff += draw(st.lists(EDGE_VALUES, min_size=l_counts[-1],
                                      max_size=l_counts[-1]))
         elif links is not None:
@@ -710,6 +710,24 @@ def test_a_shuffled_repeat_is_refused_as_the_reference_refuses_it():
     assert reference_net.array_decision(lambda: deserialize(document)) == want
 
 
+@pytest.mark.parametrize("index, message", [
+    (1, "repeated intra source (floor 0, index 1)"),
+    (0, "intra source (floor 0, index 0) after (floor 0, index 1)")],
+    ids=["repeated", "falling"])
+def test_a_document_link_that_does_not_rise_is_refused_as_the_reference_refuses_it(
+        index, message):
+    # links are read in document order, so the reader neither sorts nor
+    # sums them: Net3D refuses the row
+    doc = json.loads(serialize(blocks.sawtooth_net(2)))
+    links = doc["layers"][0]["floors"][1]["neurons"][0]["intra"]
+    links[0]["index"] = 1
+    links[1]["index"] = index
+    document = json.dumps(doc)
+    want = reference_net.decision(lambda: reference_net.parse(document))
+    assert want == ("error", f"{message} at layers[0].floors[1].neurons[0]")
+    assert reference_net.array_decision(lambda: deserialize(document)) == want
+
+
 # -- equality and hashing ---------------------------------------------------
 
 
@@ -727,10 +745,27 @@ def test_nets_differing_by_an_explicit_zero_weight_are_unequal():
     assert metrics(a) == metrics(b)
 
 
-def test_nets_differing_by_the_order_of_two_intra_links_are_unequal():
-    a = two_input_net({}, ((0, 0, 1.0), (0, 1, 2.0)))
-    b = two_input_net({}, ((0, 1, 2.0), (0, 0, 1.0)))
-    assert a != b
+_TOP = r"layers\[0\]\.floors\[1\]\.neurons\[0\]"
+
+
+def test_a_falling_intra_link_is_refused():
+    # the second link falls below the first, and the third has a nan
+    # coefficient: the fall is the row's first fault
+    with pytest.raises(NetFormatError,
+                       match=rf"^intra source \(floor 0, index 0\) after "
+                             rf"\(floor 0, index 1\) at {_TOP}$"):
+        two_input_net({}, ((0, 1, 2.0), (0, 0, 1.0), (0, 0, math.nan)))
+
+
+def test_a_repeated_intra_link_is_refused():
+    # a link's own checks come first: the nan of the repeat is its fault
+    with pytest.raises(NetFormatError,
+                       match=rf"^non-finite value at {_TOP}\.intra$"):
+        two_input_net({}, ((0, 1, 2.0), (0, 1, math.nan)))
+    with pytest.raises(NetFormatError,
+                       match=rf"^repeated intra source \(floor 0, index 1\) "
+                             rf"at {_TOP}$"):
+        two_input_net({}, ((0, 1, 2.0), (0, 1, 1.0)))
 
 
 def test_weight_order_does_not_change_equality_or_hash():
@@ -1089,6 +1124,36 @@ def test_forward_segments_cover_the_flat_order():
     assert [r.start for r in rows[1:]] == [r.stop for r in rows[:-1]]
     assert rows[0].start == 0 and rows[-1].stop == net.layers[0].size
     assert [G is None for _, G in prog.segments] == [True] + [False] * 7
+
+
+def _link_matrix(rows):
+    """A hidden layer's intra links as a dense (row, flat source) matrix,
+    read link by link."""
+    starts = np.cumsum(rows.sizes) - rows.sizes
+    L = np.zeros((rows.size, rows.size))
+    for r, links in enumerate(rnet._row_links(rows)):
+        for sf, si, coeff in links:
+            L[r, starts[sf] + si] = coeff
+    return L
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + sorted(GOLDEN_MERGES))
+def test_each_segment_reads_the_links_of_its_rows_before_it(name):
+    # segment rows a:c take G @ out[:a], so G must be the link block
+    # [a:c, :a] and no link may join two neurons of one segment
+    net = (GOLDEN_CASES[name][2]().net if name in GOLDEN_CASES
+           else GOLDEN_MERGES[name][1]())
+    progs, _, _ = _compile(net)
+    for rows, prog in zip(net.layers, progs):
+        L = _link_matrix(rows)
+        cuts = [seg.start for seg, _ in prog.segments] + [rows.size]
+        assert cuts[0] == 0
+        for (seg, G), a, c in zip(prog.segments, cuts, cuts[1:]):
+            assert (seg.start, seg.stop) == (a, c)
+            assert not L[a:c, a:c].any()
+            assert (G is None) == (a == 0)
+            assert np.array_equal(G.toarray() if a else L[a:c, :0],
+                                  L[a:c, :a])
 
 
 # small gadgets with exact dyadic arithmetic; the flattened ones carry
