@@ -193,18 +193,23 @@ class Layer:
                    for name in self.__slots__)
 
 
+def _int_keys(keys, what):
+    """_ints of keys that must each be an int, refused as the reader
+    refuses them otherwise: int64 would truncate 0.7 to 0."""
+    keys = list(keys)
+    if not set(map(type, keys)) <= {int}:
+        bad = next(k for k in keys if type(k) is not int)
+        raise NetFormatError(f"malformed {what} {bad!r}: expected an "
+                             f"integer, got {type(bad).__name__}")
+    return _ints(keys)
+
+
 def _pack(sizes, weights, biases, intras=None):
     """Layer from per-row weight dicts (in any order), biases and
-    intra-link tuples."""
+    intra-link tuples (each row's in rising (floor, index) order)."""
     weights = [dict(sorted(w.items())) for w in weights]
-    keys = list(iconcat.from_iterable(weights))
-    if not set(map(type, keys)) <= {int}:
-        # refused as the reader refuses it: int64 would truncate 0.7 to 0
-        bad = next(k for k in keys if type(k) is not int)
-        raise NetFormatError(f"malformed weight index {bad!r}: expected an "
-                             f"integer, got {type(bad).__name__}")
     w_ptr = _ptr([len(w) for w in weights])
-    w_idx = _ints(keys)
+    w_idx = _int_keys(iconcat.from_iterable(weights), "weight index")
     w_val = np.fromiter(iconcat.from_iterable(w.values() for w in weights),
                         dtype=float, count=int(w_ptr[-1]))
     bias = np.array(biases, dtype=float).reshape(-1)
@@ -213,7 +218,8 @@ def _pack(sizes, weights, biases, intras=None):
     links = list(iconcat.from_iterable(intras))
     return Layer(sizes, w_ptr, w_idx, w_val, bias,
                  _ptr([len(t) for t in intras]),
-                 _ints(t[0] for t in links), _ints(t[1] for t in links),
+                 _int_keys((t[0] for t in links), "intra source floor"),
+                 _int_keys((t[1] for t in links), "intra source index"),
                  np.array([t[2] for t in links], dtype=float).reshape(-1))
 
 

@@ -208,6 +208,23 @@ def test_a_weight_key_that_is_not_an_int_is_refused_when_packed(key):
         reference_net.pack(1, [], [{key: 2.0}], [0.0])
 
 
+@pytest.mark.parametrize("field", [0, 1], ids=["floor", "index"])
+@pytest.mark.parametrize("key", [0.7, 0.0, True, np.int64(0)],
+                         ids=["float", "integral-float", "bool", "int64"])
+def test_an_intra_key_that_is_not_an_int_is_refused_when_packed(key, field):
+    # an int64 cast would read 0.7 as source (0, 0), a net evaluating to
+    # 2x; the reader refuses such a floor or index in a document
+    link = [0, 0, 2.0]
+    link[field] = key
+    name = type(key).__name__
+    with pytest.raises(NetFormatError,
+                       match=rf"^malformed intra source "
+                             rf"{('floor', 'index')[field]} .*: expected an "
+                             rf"integer, got {name}$"):
+        rnet._pack(np.array([1, 1]), [{0: 1.0}, {}], [0.0, 0.0],
+                   [(), (tuple(link),)])
+
+
 def test_a_repeated_readout_weight_index_is_refused():
     # the readers of such a row disagree: the CSR forward pass sums both
     # weights, evaluate_exact keeps the last and deserialize refuses the
