@@ -16,10 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynd import gauss_panels
-
-__all__ = ["KernelCoeffs", "fejer_coeffs", "jackson_kernel",
-           "kernel_eval", "kernel_moments"]
+__all__ = ["KernelCoeffs", "fejer_coeffs", "jackson_kernel"]
 
 
 @dataclass
@@ -74,27 +71,3 @@ def jackson_kernel(n, r):
     a[1:upto + 1] = 2.0 * gamma * a_tilde[1:upto + 1]
     return KernelCoeffs(n=n, r=r, m=m, a=a, a_tilde=a_tilde)
 
-
-def kernel_eval(K, t):
-    """Evaluate K_{n,r}(t) from its cosine coefficients."""
-    t = np.asarray(t, dtype=float)
-    ks = np.arange(K.a.size)
-    return np.cos(np.outer(t, ks)) @ K.a
-
-
-def kernel_moments(K, k):
-    """Numeric int_{-pi}^{pi} |t|^k K_{n,r}(t) dt (absolute moment; the
-    kernel is even, so odd plain moments vanish identically), by 16-point
-    Gauss-Legendre on 256 panels.
-
-    The Jackson bound B_r n^-k only covers k <= 2r - 2; larger k rejected.
-    """
-    k = int(k)
-    if k > 2 * K.r - 2:
-        raise ValueError(f"moment order {k} exceeds 2r-2 = {2 * K.r - 2}")
-    t, w = gauss_panels(-math.pi, math.pi, 256, 16)
-    total = 0.0
-    # each panel's terms summed, then the panel sums added in order
-    for panel in (w * np.abs(t) ** k * kernel_eval(K, t)).reshape(256, 16):
-        total += float(np.sum(panel))
-    return total

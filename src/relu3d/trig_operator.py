@@ -29,8 +29,7 @@ from .jackson import jackson_kernel
 from .polynd import contract, tensor_points
 from .targets import parity_values
 
-__all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_parts",
-           "apply_Tn_nd"]
+__all__ = ["TrigOperatorCoeffs", "alpha_coeffs", "trig_operator_parts"]
 
 DEFAULT_NODES = 4096
 # points of a torus grid (nodes ** d); d = 2 uses 1024 ** 2, d = 3 would
@@ -136,26 +135,3 @@ def _expand(F, n, r, d, parity, nodes):
     return TrigOperatorCoeffs(d=d, n=n, r=r, alpha=alpha, parity=parity,
                               a=a, meta={"kernel_m": K.m, "nodes": nodes})
 
-
-def apply_Tn_nd(coeffs, pts):
-    """Evaluate the tensor trig polynomial of one parity component on
-    points in [-1, 1]^d."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    d, n = coeffs.d, coeffs.n
-    js = np.arange(n + 1)
-    axes = []
-    for k in range(d):
-        ang = np.outer(pts[:, k], js) * math.pi
-        if coeffs.parity[k] == 0:
-            axes.append(np.cos(ang))
-        else:
-            axes.append(np.sin(ang))
-    total = np.zeros(pts.shape[0])
-    for j, a in coeffs.a.items():
-        term = np.full(pts.shape[0], a)
-        for k in range(d):
-            term = term * axes[k][:, j[k]]
-        total += term
-    return total

@@ -10,13 +10,14 @@ import time
 import zlib
 
 import numpy as np
+from reference_expansions import kernel_moments
 from scipy import integrate
 from test_expansions import Tn_periodic
 
 from relu3d import blocks, builders, verify
 from relu3d.hermite import (hermite_eval, hermite_orthonormality_check,
                             hermite_poly_coeffs, hermite_tail_bound)
-from relu3d.jackson import jackson_kernel, kernel_moments
+from relu3d.jackson import jackson_kernel
 from relu3d.net import (deserialize, evaluate_array, flatten_to_2d, metrics,
                         serialize)
 from relu3d.smoothness import modulus_smoothness

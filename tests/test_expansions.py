@@ -15,13 +15,13 @@ from relu3d.chebyshev import cheb_to_monomial_matrix, chebyshev_tensor_coeffs
 from relu3d.hermite import (gauss_nodes, hermite_eval, hermite_expansion,
                             hermite_orthonormality_check, hermite_poly_coeffs,
                             hermite_tail_bound)
-from relu3d.jackson import fejer_coeffs, jackson_kernel, kernel_eval, \
-    kernel_moments
+from relu3d.jackson import fejer_coeffs, jackson_kernel
 from relu3d.smoothness import modulus_smoothness
 from relu3d.targets import (ParityComponent, TargetSpec, parity_decompose,
                             parity_values, power_series_truncate)
 from relu3d.trig_operator import (_default_nodes, _torus_grid, alpha_coeffs,
-                                  apply_Tn_nd, trig_operator_parts)
+                                  trig_operator_parts)
+from reference_expansions import apply_Tn_nd, kernel_eval, kernel_moments
 
 # -- Chebyshev --------------------------------------------------------------
 
