@@ -731,8 +731,7 @@ def test_a_shuffled_repeat_is_refused_as_the_reference_refuses_it():
     (1, "repeated intra source (floor 0, index 1)"),
     (0, "intra source (floor 0, index 0) after (floor 0, index 1)")],
     ids=["repeated", "falling"])
-def test_a_document_link_that_does_not_rise_is_refused_as_the_reference_refuses_it(
-        index, message):
+def test_a_document_link_that_does_not_rise_is_refused(index, message):
     # links are read in document order, so the reader neither sorts nor
     # sums them: Net3D refuses the row
     doc = json.loads(serialize(blocks.sawtooth_net(2)))
